@@ -8,7 +8,8 @@ range that can act nontrivially inside the box universe), scales every
 instance coefficient to a common integer denominator per operator, and
 then applies all instances to all monomials at once with numpy integer
 arrays.  Everything stays exact: matrix entries are scaled Gaussian
-integers, and every overflow-relevant bound is asserted.
+integers, and every overflow-relevant bound is checked at run time
+(``OverflowError`` when one fails, also under ``python -O``).
 
 Monomials are encoded as occupancy rows over a fixed slot universe.  The
 fermionic slots are laid out in the canonical fermion order, so the
@@ -33,7 +34,7 @@ those instances is therefore exact, not an approximation.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 import numpy as np
 from scipy import sparse
@@ -60,8 +61,10 @@ _FC = 4  # fermionic creator (parity sign, fills the slot)
 _CREATOR_POSITIVE = ("g", "e")
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def _bound(ok, what: str):
+    """Explicit int64 bound check: raises instead of risking overflow."""
+    if not ok:
+        raise OverflowError(f"int64 bound exceeded: {what}")
 
 
 # odd multipliers extending the 128-bit state hash with the box column,
@@ -198,7 +201,8 @@ class Universe:
         from .fock import make_monomial
 
         sign, mono = make_monomial(bosons + fermions)
-        assert sign == 1
+        if sign != 1:
+            raise StructureError("occupancy row is not in canonical slot order")
         return mono
 
     def hash_rows(self, rows: np.ndarray):
@@ -476,20 +480,18 @@ class BulkEngine:
                         )
             den = 1
             for inst in bop.instances:
-                den = _lcm(
-                    den,
-                    _lcm(inst.coeff.re.denominator, inst.coeff.im.denominator),
-                )
+                den = lcm(den, inst.coeff.re.denominator, inst.coeff.im.denominator)
             if not central.is_zero():
-                den = _lcm(
-                    den, _lcm(central.re.denominator, central.im.denominator)
-                )
-            assert den < 1 << 24
+                den = lcm(den, central.re.denominator, central.im.denominator)
+            _bound(den < 1 << 24, f"denominator of {bop.name}")
             bop.den = den
             for inst in bop.instances:
                 inst.re = int(inst.coeff.re * den)
                 inst.im = int(inst.coeff.im * den)
-                assert abs(inst.re) < 1 << 30 and abs(inst.im) < 1 << 30
+                _bound(
+                    abs(inst.re) < 1 << 30 and abs(inst.im) < 1 << 30,
+                    "instance coefficient",
+                )
         self._build_domain()
         self._prepared = True
 
@@ -536,10 +538,12 @@ class BulkEngine:
         self.l1_h1 = pka
         self.l1_h2 = pkb
         self.box_ids = _keyed_lookup(pka, pkb, bh1, bh2)
-        assert int(self.box_ids.min(initial=0)) >= 0
+        if int(self.box_ids.min(initial=0)) < 0:
+            raise StructureError("box monomial missing from the level-1 domain")
         for name, (cols, ka, kb, re, im) in raw.items():
             rows_ids = _keyed_lookup(pka, pkb, ka, kb)
-            assert int(rows_ids.min(initial=0)) >= 0
+            if int(rows_ids.min(initial=0)) < 0:
+                raise StructureError(f"{name} image missing from the level-1 domain")
             self._box_mats[name] = self._with_central(
                 rows_ids, cols, re, im, nbox, self._ops[name]
             )
@@ -615,7 +619,8 @@ class BulkEngine:
                 out = states[idx].astype(np.int16)
                 for p, dv in inst.dslots:
                     out[:, p] += dv
-                assert out.min(initial=0) >= 0
+                if out.min(initial=0) < 0:
+                    raise StructureError(f"{bop.name} emptied an unoccupied slot")
                 rows_l.append(out.astype(np.uint8))
         if not cols_l:
             z = np.zeros(0, dtype=np.int64)
@@ -668,7 +673,7 @@ class BulkEngine:
         grouped box COO whose rows are already positions in the
         restricted column space.  The product is taken by exact int64
         sparse matrix multiplication after interning the outer output
-        keys; every accumulation bound is asserted before multiplying."""
+        keys; every accumulation bound is checked before multiplying."""
         cola, ka, kb, re, im = full
         pos, cols, bre, bim = box
         nbox = len(self.box_monos)
@@ -696,8 +701,8 @@ class BulkEngine:
         mbi = int(np.abs(bi.data).max(initial=0))
         kmax = int(np.diff(br.indptr).max(initial=0))
         kmax = max(kmax, int(np.diff(bi.indptr).max(initial=0)))
-        assert (mar * mbr + mai * mbi) * kmax < 1 << 62
-        assert (mar * mbi + mai * mbr) * kmax < 1 << 62
+        _bound((mar * mbr + mai * mbi) * kmax < 1 << 62, "product real part")
+        _bound((mar * mbi + mai * mbr) * kmax < 1 << 62, "product imaginary part")
         cr = (ar @ br - ai @ bi).tocoo()
         ci = (ar @ bi + ai @ br).tocoo()
         oc = np.concatenate(
@@ -850,11 +855,9 @@ class BulkEngine:
         D = dA * dB
         L = D
         for c, name in rhs_terms:
-            L = _lcm(
-                L, ops[name].den * _lcm(c.re.denominator, c.im.denominator)
-            )
+            L = lcm(L, ops[name].den * lcm(c.re.denominator, c.im.denominator))
         if central is not None and not central.is_zero():
-            L = _lcm(L, _lcm(central.re.denominator, central.im.denominator))
+            L = lcm(L, central.re.denominator, central.im.denominator)
         if self._checksum_zero(name_a, name_b, both_odd, rhs_terms, central, L):
             return None
         streams = []
@@ -863,7 +866,7 @@ class BulkEngine:
             if len(cols) == 0:
                 return
             m = max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
-            assert m * abs(mult) < 1 << 62
+            _bound(m * abs(mult) < 1 << 62, "scaled composition stream")
             streams.append((cols, ka, kb, re * mult, im * mult))
 
         lf = L // D
@@ -891,7 +894,7 @@ class BulkEngine:
             s = L // ops[name].den
             cr, ci = int(c.re * s), int(c.im * s)
             m = max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
-            assert 2 * m * max(abs(cr), abs(ci)) < 1 << 62
+            _bound(2 * m * max(abs(cr), abs(ci)) < 1 << 62, f"scaled {name} stream")
             push(
                 cols,
                 self.l1_h1[rows],
@@ -904,7 +907,7 @@ class BulkEngine:
             nbox = len(self.box_monos)
             zr = -int(central.re * L)
             zi = -int(central.im * L)
-            assert max(abs(zr), abs(zi)) < 1 << 62
+            _bound(max(abs(zr), abs(zi)) < 1 << 62, "scaled central term")
             push(
                 np.arange(nbox, dtype=np.int64),
                 self.l1_h1[self.box_ids],
@@ -926,8 +929,9 @@ class BulkEngine:
         re, im = re[order], im[order]
         starts = np.flatnonzero(new)
         gsizes = np.diff(np.append(starts, len(cols)))
-        assert int(np.abs(re).max(initial=0)) * int(gsizes.max(initial=1)) < 1 << 62
-        assert int(np.abs(im).max(initial=0)) * int(gsizes.max(initial=1)) < 1 << 62
+        gmax = int(gsizes.max(initial=1))
+        _bound(int(np.abs(re).max(initial=0)) * gmax < 1 << 62, "defect group sum")
+        _bound(int(np.abs(im).max(initial=0)) * gmax < 1 << 62, "defect group sum")
         sre = np.add.reduceat(re, starts)
         sim = np.add.reduceat(im, starts)
         bad = (sre != 0) | (sim != 0)
@@ -949,12 +953,12 @@ def _group_keyed(cols, ka, kb, re, im):
     starts = np.flatnonzero(new)
     gmax = int(np.diff(np.append(starts, len(cols))).max(initial=1))
     emax = max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
-    assert emax * gmax < 1 << 62
+    _bound(emax * gmax < 1 << 62, "grouped entry sum")
     sre = np.add.reduceat(re, starts)
     sim = np.add.reduceat(im, starts)
     keep = (sre != 0) | (sim != 0)
-    assert np.abs(sre).max(initial=0) < 1 << 30
-    assert np.abs(sim).max(initial=0) < 1 << 30
+    _bound(np.abs(sre).max(initial=0) < 1 << 30, "grouped real entry")
+    _bound(np.abs(sim).max(initial=0) < 1 << 30, "grouped imaginary entry")
     first = order[starts[keep]]
     return (
         cols[starts[keep]],

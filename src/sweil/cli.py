@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .scalars import QI, ZERO, ONE, format_qi, parse_qi
-from .liealg import GradedBackend, StructureError, parse_backend
+from .scalars import QI, format_qi, parse_qi
+from .liealg import StructureError, parse_backend
 from .fock import Box
 from .sca import (
     N2_SYMBOLS,
@@ -84,8 +84,9 @@ class UsageError(ValueError):
 
 
 def _report_dict(report) -> dict:
-    """Uniform report record; millis is zeroed so equal configurations
-    emit byte-identical documents."""
+    """Uniform report record.  No run time is measured: millis is always
+    0, kept so that the document layout stays fixed and equal
+    configurations emit byte-identical documents."""
     if isinstance(report, RelationReport):
         out = {
             "check": report.check,
@@ -188,8 +189,6 @@ def _central_charge_report(name, builder, backend) -> RelationReport:
         ),
         "vacuum probe",
         "pass" if claimed == extracted else "fail",
-        None,
-        0,
     )
 
 
@@ -260,7 +259,6 @@ def _table_report(check, alpha, window, witness) -> RelationReport:
         "abstract",
         "fail" if witness else "pass",
         witness,
-        0,
     )
 
 
@@ -385,16 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--backend", default="loop:sl2")
-        p.add_argument("--alpha", default="0")
-        p.add_argument("--emax", type=int, default=3)
-        p.add_argument("--b0max", type=int, default=2)
-        p.add_argument("--window", type=int, default=2)
-        p.add_argument("--rel", action="store_true")
-        p.add_argument("--format", default="text", dest="fmt",
-                       choices=("json", "csv", "text"))
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--config", default=None)
+        # every default is None: resolve_config fills unset flags from the
+        # config file, then from _CONFIG_DEFAULTS
+        p.add_argument("--backend")
+        p.add_argument("--alpha")
+        p.add_argument("--emax", type=int)
+        p.add_argument("--b0max", type=int)
+        p.add_argument("--window", type=int)
+        p.add_argument("--rel", action="store_true", default=None)
+        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
+        p.add_argument("--config")
     return parser
 
 
@@ -406,12 +404,12 @@ _CONFIG_DEFAULTS = {
     "window": 2,
     "rel": False,
     "fmt": "text",
-    "jobs": 1,
 }
 
 
 def resolve_config(args) -> dict:
-    """Merge config-file values under explicit flags and validate."""
+    """Merge explicit flags over config-file values over the defaults,
+    and validate."""
     values = {k: getattr(args, k) for k in _CONFIG_DEFAULTS}
     if args.config:
         file_values = _read_config_file(args.config)
@@ -420,19 +418,23 @@ def resolve_config(args) -> dict:
             if dest not in _CONFIG_DEFAULTS:
                 raise UsageError(f"unknown config key: {key}")
             # command-line flags take precedence over the config file
-            if values[dest] != _CONFIG_DEFAULTS[dest]:
+            if values[dest] is not None:
                 continue
             default = _CONFIG_DEFAULTS[dest]
             if isinstance(default, bool):
                 values[dest] = raw.lower() in ("1", "true", "yes")
             elif isinstance(default, int):
-                values[dest] = int(raw)
+                try:
+                    values[dest] = int(raw)
+                except ValueError:
+                    raise UsageError(f"bad config value {key} = {raw!r}")
             else:
                 values[dest] = raw
+    for key, default in _CONFIG_DEFAULTS.items():
+        if values[key] is None:
+            values[key] = default
     if values["emax"] < 0 or values["b0max"] < 0 or values["window"] < 0:
         raise UsageError("box budgets must be nonnegative")
-    if values["jobs"] < 1:
-        raise UsageError("--jobs must be at least 1")
     if values["fmt"] not in ("json", "csv", "text"):
         raise UsageError(f"unknown format: {values['fmt']}")
     try:
@@ -451,7 +453,6 @@ def resolve_config(args) -> dict:
         "window": values["window"],
         "rel": values["rel"],
         "fmt": values["fmt"],
-        "jobs": values["jobs"],
         "box": Box(emax=values["emax"], b0max=values["b0max"]),
         "command": args.command,
     }

@@ -8,15 +8,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .scalars import QI, ZERO, ONE, format_qi
-from .liealg import GradedBackend, StructureError
+from .scalars import QI, ZERO, ONE
+from .liealg import GradedBackend, StructureError, dense_rank
 from .fock import (
     Box,
-    FockMonomial,
     FockVector,
     GenKey,
     VACUUM,
-    apply_generator,
     enumerate_box,
     format_monomial,
 )
@@ -171,28 +169,9 @@ def exact_rank_kernel(mat: Matrix):
 
 def dense_rank_oracle(mat: Matrix) -> int:
     """Independent naive dense elimination, for cross-checking ranks."""
-    rows = [
-        [mat.get(i, j) for j in range(mat.ncols)] for i in range(mat.nrows)
-    ]
-    rank = 0
-    row = 0
-    for col in range(mat.ncols):
-        pivot = None
-        for r in range(row, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        pv = rows[row][col]
-        for r in range(len(rows)):
-            if r != row and not rows[r][col].is_zero():
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        row += 1
-        rank += 1
-    return rank
+    return dense_rank(
+        [[mat.get(i, j) for j in range(mat.ncols)] for i in range(mat.nrows)]
+    )
 
 
 def solve_in_span(basis: Matrix, target: dict) -> Optional[dict]:
@@ -303,21 +282,22 @@ class GradedPiece:
         return v
 
 
-def slice_monomials(backend, energy, deg_s, deg_l, relative):
-    """All monomials at exact energy with the given degrees; mode-0
-    fermions are excluded on the relative model. Finite because mode-0
-    boson count is bounded by the energy minus the S-degree."""
-    b0cap = max(0, energy - deg_s)
+def slice_monomials(backend, energy, deg_s, relative):
+    """The monomials at exact energy and S-degree, bucketed by Deg_Lambda
+    as {deg_l: monomials}; mode-0 fermions are excluded on the relative
+    model. Finite because mode-0 boson count is bounded by the energy
+    minus the S-degree."""
     box = Box(
         emax=energy,
-        b0max=b0cap,
+        b0max=max(0, energy - deg_s),
         zero_fermions_allowed=not relative,
-        deg_s=deg_s,
-        deg_l=deg_l,
     )
-    return tuple(
-        m for m in enumerate_box(backend.dim, box) if m.energy() == energy
-    )
+    buckets = {}
+    for m in enumerate_box(backend.dim, box):
+        e, ds, dl, _, _ = m.degrees()
+        if e == energy and ds == deg_s:
+            buckets.setdefault(dl, []).append(m)
+    return {dl: tuple(ms) for dl, ms in buckets.items()}
 
 
 def _theta_zero_ops(backend):
@@ -327,7 +307,7 @@ def _theta_zero_ops(backend):
 def piece_basis(backend, energy, deg_s, deg_l, relative) -> GradedPiece:
     """The graded slice as a piece; on the relative model the basis is the
     joint kernel of the degree-zero adjoint action."""
-    ambient = slice_monomials(backend, energy, deg_s, deg_l, relative)
+    ambient = slice_monomials(backend, energy, deg_s, relative).get(deg_l, ())
     n = len(ambient)
     if not relative:
         return GradedPiece(
@@ -351,10 +331,6 @@ def piece_basis(backend, energy, deg_s, deg_l, relative) -> GradedPiece:
     for j, vec in enumerate(kernel):
         basis.cols[j] = dict(vec)
     return GradedPiece(backend, energy, deg_s, deg_l, True, ambient, basis)
-
-
-def relative_projection(backend, energy, deg_s, deg_l) -> GradedPiece:
-    return piece_basis(backend, energy, deg_s, deg_l, True)
 
 
 def assemble_matrix(op: Operator, src: GradedPiece, tgt: GradedPiece) -> Matrix:
@@ -422,17 +398,6 @@ class PieceRow:
         return (self.energy, self.deg_s, self.deg_l)
 
 
-def _deg_l_range(backend, energy, deg_s, relative):
-    """Possible Deg_Lambda values on the slice."""
-    out = []
-    l = -4 * (energy + 1)
-    hi = 4 * (energy + 1)
-    for deg_l in range(l, hi + 1):
-        if slice_monomials(backend, energy, deg_s, deg_l, relative):
-            out.append(deg_l)
-    return out
-
-
 def cohomology_table(backend, energies, deg_s_values, relative):
     """Rows per (E, Deg_S, Deg_Lambda): the differential preserves E and
     Deg_S and raises Deg_Lambda, so each (E, Deg_S) slice is a finite
@@ -442,7 +407,7 @@ def cohomology_table(backend, energies, deg_s_values, relative):
     matrices = []
     for energy in energies:
         for deg_s in deg_s_values:
-            ls = _deg_l_range(backend, energy, deg_s, relative)
+            ls = slice_monomials(backend, energy, deg_s, relative)
             if not ls:
                 continue
             lo, hi = min(ls), max(ls)
@@ -756,7 +721,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     keys = []
     for energy in range(emax + 1):
         for deg_s in range(-s_range, s_range + 1):
-            for deg_l in _deg_l_range(backend, energy, deg_s, True):
+            for deg_l in sorted(slice_monomials(backend, energy, deg_s, True)):
                 if get_piece(energy, deg_s, deg_l).dim:
                     keys.append((energy, deg_s, deg_l))
 

@@ -319,10 +319,6 @@ def super_commutator(a: Operator, b: Operator) -> Operator:
     )
 
 
-def zero_operator(name="0") -> Operator:
-    return SumOperator([], name=name)
-
-
 # -- builders ----------------------------------------------------------
 
 
@@ -689,7 +685,8 @@ def star_monomial(m: FockMonomial):
         if k.family == "e":
             seq.append(GenKey("t", k.comp, -k.mode))
     sign, mono = make_monomial(list(m.bosons) + seq)
-    assert mono is not None
+    if mono is None:
+        raise StructureError("star repeated a fermionic creator")
     return sign, mono
 
 

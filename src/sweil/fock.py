@@ -18,7 +18,7 @@ carry no mode-0 fermionic keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .scalars import QI, ZERO, ONE
 from .liealg import StructureError
@@ -110,10 +110,6 @@ class FockMonomial:
 
 
 VACUUM = FockMonomial.vacuum()
-
-
-def energy_and_degrees(m: FockMonomial):
-    return m.degrees()
 
 
 def make_monomial(keys: Iterable[GenKey]):
@@ -310,20 +306,11 @@ class Box:
     emax: int
     b0max: int = 0
     zero_fermions_allowed: bool = True
-    deg_s: Optional[int] = None
-    deg_l: Optional[int] = None
 
     def admits(self, m: FockMonomial) -> bool:
-        e, ds, dl, _, _ = m.degrees()
-        if e > self.emax or m.b0_count() > self.b0max:
+        if m.energy() > self.emax or m.b0_count() > self.b0max:
             return False
-        if not self.zero_fermions_allowed and m.has_zero_mode_fermion():
-            return False
-        if self.deg_s is not None and ds != self.deg_s:
-            return False
-        if self.deg_l is not None and dl != self.deg_l:
-            return False
-        return True
+        return self.zero_fermions_allowed or not m.has_zero_mode_fermion()
 
 
 def enumerate_box(dim: int, box: Box):
@@ -347,7 +334,8 @@ def enumerate_box(dim: int, box: Box):
     def rec(idx, chosen, energy, b0):
         if idx == len(gens):
             sign, mono = make_monomial(chosen)
-            assert sign in (1, -1) or not chosen
+            if sign not in (1, -1):
+                raise StructureError("box enumeration repeated a fermionic creator")
             if box.admits(mono):
                 out.append(mono)
             return

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .scalars import QI, ZERO, ONE, I, parse_qi
+from .scalars import QI, ZERO, ONE, parse_qi
 
 
 class StructureError(ValueError):
@@ -109,7 +109,7 @@ def check_invariant_form(spec: LieAlgebraSpec) -> CheckReport:
         for j in range(d):
             if B[i][j] != B[j][i]:
                 return CheckReport("invariant_form", False, (i, j), "symmetry")
-    if _dense_rank([list(r) for r in B]) != d:
+    if dense_rank(B) != d:
         return CheckReport("invariant_form", False, None, "degenerate")
     # B([x,y],z) + B(y,[x,z]) = 0 over all basis triples
     for x in range(d):
@@ -124,27 +124,26 @@ def check_invariant_form(spec: LieAlgebraSpec) -> CheckReport:
     return CheckReport("invariant_form", True)
 
 
-def _dense_rank(rows):
+def dense_rank(rows) -> int:
+    """Rank of a list of equal-length rows of exact scalars by naive dense
+    Gaussian elimination; the rows are not modified."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     rank = 0
-    row = 0
     for col in range(ncols):
-        piv = None
-        for r in range(row, len(rows)):
+        pivot = None
+        for r in range(rank, len(rows)):
             if not rows[r][col].is_zero():
-                piv = r
+                pivot = r
                 break
-        if piv is None:
+        if pivot is None:
             continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = ONE / rows[row][col]
-        rows[row] = [x * inv for x in rows[row]]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
         for r in range(len(rows)):
-            if r != row and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        row += 1
+            if r != rank and not rows[r][col].is_zero():
+                f = rows[r][col] / pv
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -205,11 +204,6 @@ def fmu_backend(lam, mu) -> GradedBackend:
     lam = QI.of(lam)
     mu = QI.of(mu)
     return GradedBackend("fmu", lam=lam, mu=mu, name=f"fmu:{lam}:{mu}")
-
-
-def backend_bracket(backend: GradedBackend, a, b):
-    """Public form of the per-mode bracket: exact coefficient vector."""
-    return backend.bracket(a, b)
 
 
 def parse_backend(text: str) -> GradedBackend:

@@ -4,8 +4,8 @@ against the abstract structure-constant tables."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .scalars import QI, ZERO, ONE, format_qi
@@ -44,7 +44,6 @@ class RelationReport:
     box: str
     status: str  # "pass" | "fail"
     witness: Optional[tuple] = None  # sorted (key, value) string pairs
-    millis: int = 0
 
     @property
     def passed(self) -> bool:
@@ -102,12 +101,6 @@ class GeneratorOperator(Operator):
 # int arithmetic while staying exact.
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
-
-
 class FastEngine:
     """Shared monomial interning table for a batch of checks."""
 
@@ -142,7 +135,7 @@ class FastOp:
             )
             den = self.den
             for _, q in v.terms.items():
-                den = _lcm(den, _lcm(q.re.denominator, q.im.denominator))
+                den = lcm(den, q.re.denominator, q.im.denominator)
             if den != self.den:
                 f = den // self.den
                 self.den = den
@@ -174,9 +167,9 @@ def fast_bracket_check(engine, fa, fb, both_odd, rhs_terms, central, box_ids):
     D = fa.den * fb.den
     R = D
     for c, ft in rhs_terms:
-        R = _lcm(R, ft.den * _lcm(c.re.denominator, c.im.denominator))
+        R = lcm(R, ft.den * lcm(c.re.denominator, c.im.denominator))
     if central is not None and not central.is_zero():
-        R = _lcm(R, _lcm(central.re.denominator, central.im.denominator))
+        R = lcm(R, central.re.denominator, central.im.denominator)
     scaled_rhs = []
     for c, ft in rhs_terms:
         s = R // ft.den
@@ -247,7 +240,6 @@ class _BulkSuite:
     def report(self, check: str, params: tuple, cases) -> RelationReport:
         """cases: iterable of (label, name_a, name_b, both_odd,
         rhs_terms, central) with rhs_terms a list of (QI, name)."""
-        t0 = time.perf_counter()
         witness = None
         for label, a, b, both_odd, rhs_terms, central in cases:
             bad = self.engine.bracket_defect(a, b, both_odd, rhs_terms, central)
@@ -267,26 +259,13 @@ class _BulkSuite:
                 rhs = rhs + v.scale(central)
             witness = _witness(label, m, lhs, rhs)
             break
-        millis = int((time.perf_counter() - t0) * 1000)
         return RelationReport(
             check,
             params,
             _box_str(self.box),
             "fail" if witness else "pass",
             witness,
-            millis,
         )
-
-
-def realize(builder, charge: QI, el: SCAElement, v: FockVector, relative=False):
-    """Apply the operator realization of an abstract element, with the
-    central coordinate acting by the claimed charge scalar."""
-    out = FockVector()
-    for (sym, n), c in el.coeffs.items():
-        out = out + builder(sym, n).apply(v, relative=relative).scale(c)
-    if not el.central.is_zero():
-        out = out + v.scale(el.central * charge)
-    return out
 
 
 def n2_builder(backend: GradedBackend):
@@ -387,39 +366,6 @@ def extract_central_charge(builder, probe: str = "H") -> QI:
     return QI(3) * levels[0]
 
 
-def _fast_suite(check, box, params, engine, box_ids, cases):
-    """cases: iterable of (label, A, B, both_odd, rhs_terms, central);
-    reports the first mismatch replayed through the slow exact path."""
-    t0 = time.perf_counter()
-    witness = None
-    for label, fa, fb, both_odd, rhs_terms, central in cases:
-        bad = fast_bracket_check(
-            engine, fa, fb, both_odd, rhs_terms, central, box_ids
-        )
-        if bad is not None:
-            m = engine.monos[bad]
-            v = FockVector.of(m)
-            lhs = super_commutator(fa.op, fb.op).apply(
-                v, relative=engine.relative
-            )
-            rhs = FockVector()
-            for c, ft in rhs_terms:
-                rhs = rhs + ft.op.apply(v, relative=engine.relative).scale(c)
-            if central is not None:
-                rhs = rhs + v.scale(central)
-            witness = _witness(label, m, lhs, rhs)
-            break
-    millis = int((time.perf_counter() - t0) * 1000)
-    return RelationReport(
-        check,
-        params,
-        _box_str(box),
-        "fail" if witness else "pass",
-        witness,
-        millis,
-    )
-
-
 def check_chain_identities(backend: GradedBackend, box: Box, window: int = 2):
     """The basic chain-level identities of the complex: the differential
     squares to zero, the contraction squares to zero, the homotopy formula
@@ -511,9 +457,7 @@ def check_relative_derext(backend: GradedBackend, box: Box, window: int = 1):
     every relative monomial, while a state with a zero-mode fermion is a
     recorded negative control."""
     if box.zero_fermions_allowed:
-        box = Box(
-            box.emax, box.b0max, False, box.deg_s, box.deg_l
-        )
+        box = Box(box.emax, box.b0max, False)
     builder = s2a_builder(backend, ZERO)
     triple = {s: build_sl2_EHF(backend, s) for s in ("EE", "HH", "FF")}
     suite = _BulkSuite(backend.dim, box, relative=True)
@@ -586,7 +530,6 @@ def check_relative_derext(backend: GradedBackend, box: Box, window: int = 1):
         _box_str(control_box),
         "pass" if hit else "fail",
         hit,
-        0,
     )
     return [report, neg]
 

@@ -93,29 +93,9 @@ def test_abelian_relative_cohomology_csv():
         assert cells[6] == cells[3]  # coh_dim == dim: the differential is 0
 
 
-def test_jobs_do_not_change_bytes():
-    argv = [
-        "verify-chain",
-        "--backend",
-        "loop:abelian:1",
-        "--emax",
-        "1",
-        "--b0max",
-        "1",
-        "--window",
-        "1",
-        "--format",
-        "json",
-    ]
-    s1, out1 = capture(argv + ["--jobs", "1"])
-    s8, out8 = capture(argv + ["--jobs", "8"])
-    assert (s1, out1) == (s8, out8)
-    assert s1 == 0
-
-
 def test_usage_errors_exit_two(capsys):
     assert main(["verify-s2a", "--backend", "bogus"]) == 2
-    assert main(["verify-n2", "--jobs", "0"]) == 2
+    assert main(["verify-chain", "--emax", "-1"]) == 2
     assert main(["verify-chain", "--config", "/nonexistent/path"]) == 2
     capsys.readouterr()
 
@@ -154,3 +134,38 @@ def test_config_file_supplies_defaults(tmp_path):
     assert cfg["fmt"] == "json"
     # explicit flags beat the config file
     assert cfg["window"] == 0
+
+
+def test_flag_equal_to_default_beats_config(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("emax = 1\nformat = json\nrel = yes\n")
+    parser = build_parser()
+    # --emax 3 and --format text are the defaults, but given explicitly
+    cfg = resolve_config(
+        parser.parse_args(
+            ["verify-chain", "--emax", "3", "--format", "text",
+             "--config", str(cfgfile)]
+        )
+    )
+    assert cfg["emax"] == 3 and cfg["box"].emax == 3
+    assert cfg["fmt"] == "text"
+    assert cfg["rel"] is True  # unset flag: the config file supplies it
+    assert cfg["b0max"] == 2  # in neither: the built-in default
+
+
+def test_bad_config_value_is_usage_error(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("emax = three\n")
+    assert main(["verify-chain", "--config", str(cfgfile)]) == 2
+
+
+def test_verify_n2_reports_central_charge():
+    status, out = capture(
+        ["verify-n2", "--backend", "fmu:1/2:0", "--emax", "1", "--b0max", "0",
+         "--window", "0", "--format", "json"]
+    )
+    assert status == 0
+    docs = json.loads(out)
+    assert docs[0]["check"] == "n2:central-charge"
+    assert docs[0]["params"]["claimed"] == docs[0]["params"]["extracted"]
+    assert all(d["status"] == "pass" and d["millis"] == 0 for d in docs)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,12 +124,37 @@ def test_hermitian_signature_fixtures():
 
 
 def test_slice_monomials_finite_and_graded():
-    monos = slice_monomials(AB1, 2, 0, 0, True)
-    assert monos
-    for m in monos:
-        energy, deg_s, deg_l, a, b = m.degrees()
-        assert energy == 2 and deg_s == 0 and deg_l == 0
-        assert a - b == 0
+    """The Deg_Lambda buckets of one (E, Deg_S) slice partition the box
+    monomials of exact energy E and S-degree Deg_S, in enumeration order,
+    and every bucket's monomials carry its Deg_Lambda."""
+    cases = [(AB1, 2), (SL2, 1)]
+    for (backend, emax), relative in product(cases, (True, False)):
+        for energy, deg_s in product(range(emax + 1), range(-emax - 2, emax + 1)):
+            buckets = slice_monomials(backend, energy, deg_s, relative)
+            box = Box(energy, max(0, energy - deg_s), not relative)
+            expected = [
+                m
+                for m in enumerate_box(backend.dim, box)
+                if m.degrees()[:2] == (energy, deg_s)
+            ]
+            assert sum(len(ms) for ms in buckets.values()) == len(expected)
+            for deg_l, monos in buckets.items():
+                assert monos
+                assert all(m.degrees()[:3] == (energy, deg_s, deg_l) for m in monos)
+                assert list(monos) == [m for m in expected if m.degrees()[2] == deg_l]
+    bucket = slice_monomials(AB1, 2, 0, True)[0]
+    assert bucket and all(m.degrees()[3] == m.degrees()[4] for m in bucket)
+
+
+def test_absolute_table_reaches_every_deg_lambda():
+    # at E = 0 the absolute slice is the exterior algebra on the five
+    # mode-0 t's, so Deg_Lambda runs down to -5 with binomial dimensions
+    rows, _ = cohomology_table(
+        loop_backend(abelian(5, with_form=True)), [0], [0], False
+    )
+    assert [(r.deg_l, r.dim) for r in rows] == [
+        (-5, 1), (-4, 5), (-3, 10), (-2, 10), (-1, 5), (0, 1)
+    ]
 
 
 def test_relative_vacuum_piece():

@@ -170,9 +170,32 @@ def test_enumerate_box_b0():
 
 
 def test_box_deg_constraints():
-    out = enumerate_box(1, Box(emax=1, b0max=0, deg_s=1))
-    for m in out:
-        assert m.degrees()[1] == 1
+    """A box carries no degree filter; the (E, Deg_S) slices of
+    slice_monomials, bucketed by Deg_Lambda, cut it into disjoint pieces
+    whose union is the whole box."""
+    from itertools import product
+
+    from sweil.cohomology import slice_monomials
+    from sweil.liealg import abelian, builtin_sl2_orthonormal, loop_backend
+
+    cases = [
+        (loop_backend(abelian(1, with_form=True)), 2),
+        (loop_backend(builtin_sl2_orthonormal()), 1),
+    ]
+    for (backend, emax), relative in product(cases, (True, False)):
+        box = Box(emax=emax, b0max=1, zero_fermions_allowed=not relative)
+        whole = enumerate_box(backend.dim, box)
+        pieces = []
+        for energy in range(emax + 1):
+            for deg_s in range(-energy - box.b0max, energy + 1):
+                slices = slice_monomials(backend, energy, deg_s, relative)
+                for deg_l, monos in slices.items():
+                    for m in monos:
+                        assert m.degrees()[:3] == (energy, deg_s, deg_l)
+                        if box.admits(m):
+                            pieces.append(m)
+        assert len(pieces) == len(set(pieces)) == len(whole)
+        assert set(pieces) == set(whole)
 
 
 def test_text_roundtrip():

@@ -27,7 +27,6 @@ from sweil.verify import (
     fast_bracket_check,
     n2_builder,
     n2_table,
-    realize,
     s2a_builder,
     s2a_table,
 )
@@ -120,15 +119,6 @@ def test_fast_engine_agrees_with_slow_path():
     for m in enumerate_box(SL2.dim, SMALL):
         v = FockVector.of(m)
         assert (comm.apply(v) - L0.apply(v).scale(QI(2))).is_zero()
-
-
-def test_realize_includes_central_coordinate():
-    builder = s2a_builder(AB1, ZERO)
-    el = s2a_table(ZERO)("L", 1, "L", -1)
-    vac = FockVector.vacuum()
-    out = realize(builder, claimed_charge(AB1), el, vac)
-    comm = super_commutator(builder("L", 1), builder("L", -1))
-    assert (out - comm.apply(vac)).is_zero()
 
 
 def test_chain_identities_pass():
