@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from itertools import product
 
 from .scalars import QI, format_qi, parse_qi
@@ -315,7 +314,7 @@ def suite_sca_tables(cfg):
 
     # the lowering derivation as a weighted-divergence-free field
     # (integer parameter only: the raising operator shifts the weight grid)
-    if alpha.im == 0 and Fraction(alpha.re).denominator == 1:
+    if alpha.im == 0 and alpha.re.denominator == 1:
         witness = None
         field = remark_F_field(alpha)
         if s_alpha_obstruction(alpha, field):

@@ -304,10 +304,15 @@ def _theta_zero_ops(backend):
     return [build_theta_adjoint(backend, j, 0) for j in range(backend.dim)]
 
 
-def piece_basis(backend, energy, deg_s, deg_l, relative) -> GradedPiece:
+def piece_basis(
+    backend, energy, deg_s, deg_l, relative, ambient=None
+) -> GradedPiece:
     """The graded slice as a piece; on the relative model the basis is the
-    joint kernel of the degree-zero adjoint action."""
-    ambient = slice_monomials(backend, energy, deg_s, relative).get(deg_l, ())
+    joint kernel of the degree-zero adjoint action.  ``ambient`` is the
+    Deg_Lambda bucket of ``slice_monomials`` when the caller already holds
+    it; otherwise the slice is enumerated here."""
+    if ambient is None:
+        ambient = slice_monomials(backend, energy, deg_s, relative).get(deg_l, ())
     n = len(ambient)
     if not relative:
         return GradedPiece(
@@ -414,7 +419,7 @@ def cohomology_table(backend, energies, deg_s_values, relative):
             pieces = {}
             for deg_l in range(lo, hi + 2):
                 pieces[deg_l] = piece_basis(
-                    backend, energy, deg_s, deg_l, relative
+                    backend, energy, deg_s, deg_l, relative, ls.get(deg_l, ())
                 )
             mats = {}
             for deg_l in range(lo, hi + 1):
@@ -500,9 +505,10 @@ def koszul_single_pair_report(backend, max_excitation=4, mode_range=2):
 # -- harmonic / Lefschetz report ---------------------------------------
 
 
-def bigraded_slice(backend, energy, deg_s, a, b):
-    """Relative piece with fixed fermionic bidegree (a, b)."""
-    piece = piece_basis(backend, energy, deg_s, a - b, True)
+def bigraded_slice(backend, energy, deg_s, a, b, ambient=None):
+    """Relative piece with fixed fermionic bidegree (a, b); ``ambient`` is
+    as for ``piece_basis`` at Deg_Lambda = a - b."""
+    piece = piece_basis(backend, energy, deg_s, a - b, True, ambient)
     keep = []
     for j in range(piece.dim):
         v = piece.vector(j)
@@ -702,12 +708,23 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     )
     ee = build_sl2_EHF(backend, "EE")
 
+    slices = {}
+
+    def get_slice(energy, deg_s):
+        key = (energy, deg_s)
+        if key not in slices:
+            slices[key] = slice_monomials(backend, energy, deg_s, True)
+        return slices[key]
+
     pieces = {}
 
     def get_piece(energy, deg_s, deg_l):
         key = (energy, deg_s, deg_l)
         if key not in pieces:
-            pieces[key] = piece_basis(backend, energy, deg_s, deg_l, True)
+            pieces[key] = piece_basis(
+                backend, energy, deg_s, deg_l, True,
+                get_slice(energy, deg_s).get(deg_l, ()),
+            )
         return pieces[key]
 
     grams = {}
@@ -721,7 +738,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     keys = []
     for energy in range(emax + 1):
         for deg_s in range(-s_range, s_range + 1):
-            for deg_l in sorted(slice_monomials(backend, energy, deg_s, True)):
+            for deg_l in sorted(get_slice(energy, deg_s)):
                 if get_piece(energy, deg_s, deg_l).dim:
                     keys.append((energy, deg_s, deg_l))
 

@@ -359,6 +359,10 @@ def enumerate_box(dim: int, box: Box):
         return
 
     rec(0, [], 0, 0)
+    # rec refers to itself through its closure cell; dropping the name
+    # breaks that cycle, so out is freed by refcount, not at the next
+    # cyclic collection
+    del rec
     out.sort(key=_mono_sort_key)
     return out
 

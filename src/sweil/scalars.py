@@ -1,4 +1,11 @@
-"""Exact Gaussian-rational scalars a + b*i used as the ground field."""
+"""Exact Gaussian-rational scalars a + b*i used as the ground field.
+
+Each part of a ``QI`` is held in canonical form: an ``int`` when it is
+integral, otherwise a reduced ``Fraction`` (positive denominator > 1).
+Never a float, and never a ``Fraction`` with denominator 1.  Most values
+in the verifier are small integers, so keeping them as ``int`` lets the
+arithmetic run on machine-word integers instead of ``Fraction`` objects.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +13,43 @@ import re
 from fractions import Fraction
 
 
-class QI:
-    """A Gaussian rational, stored as a pair of exact fractions.
+def _canon(x):
+    """A part in canonical form, from anything ``Fraction`` accepts."""
+    f = x if type(x) is Fraction else Fraction(x)
+    n, d = f.numerator, f.denominator
+    if type(n) is not int or type(d) is not int:
+        # Fraction keeps other Integral types (numpy integers) as given
+        n, d = int(n), int(d)
+        f = Fraction(n, d)
+    return n if d == 1 else f
 
-    Instances are immutable and canonical (Fraction keeps numerator and
-    denominator reduced with positive denominator), so equality is syntactic
-    and hashing is safe.
+
+def _quo(a, b):
+    """Canonical exact quotient of two canonical parts (``b`` nonzero);
+    goes through ``Fraction`` so that ``int / int`` never yields a float."""
+    if type(a) is int and type(b) is int:
+        if a % b == 0:
+            return a // b
+        return Fraction(a, b)
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+class QI:
+    """A Gaussian rational a + b*i with exact parts ``re`` and ``im``.
+
+    Each part is an ``int`` when integral and a reduced ``Fraction``
+    otherwise, so every value has exactly one representation: equality is
+    syntactic and hashing is safe (``hash(2) == hash(Fraction(2))``).
+    Both part types expose ``.numerator`` and ``.denominator``.
+    Instances are immutable.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        _set_re(self, re if type(re) is int else _canon(re))
+        _set_im(self, im if type(im) is int else _canon(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QI is immutable")
@@ -36,47 +67,78 @@ class QI:
         return QI(x)
 
     # -- field operations ---------------------------------------------
+    #
+    # Sums, differences and products of canonical parts are int when both
+    # operands are int; a Fraction result is reduced but may have become
+    # integral, so it goes back through the denominator test.
 
     def __add__(self, other):
-        other = QI.of(other)
-        return QI(self.re + other.re, self.im + other.im)
+        if type(other) is not QI:
+            other = QI.of(other)
+        r = self.re + other.re
+        i = self.im + other.im
+        if type(r) is not int and r.denominator == 1:
+            r = r.numerator
+        if type(i) is not int and i.denominator == 1:
+            i = i.numerator
+        return _make(r, i)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = QI.of(other)
-        return QI(self.re - other.re, self.im - other.im)
+        if type(other) is not QI:
+            other = QI.of(other)
+        r = self.re - other.re
+        i = self.im - other.im
+        if type(r) is not int and r.denominator == 1:
+            r = r.numerator
+        if type(i) is not int and i.denominator == 1:
+            i = i.numerator
+        return _make(r, i)
 
     def __rsub__(self, other):
         return QI.of(other) - self
 
     def __mul__(self, other):
-        other = QI.of(other)
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not QI:
+            other = QI.of(other)
+        a, b = self.re, self.im
+        c, d = other.re, other.im
+        if d == 0:
+            r, i = a * c, b * c
+        elif b == 0:
+            r, i = a * c, a * d
+        else:
+            r = a * c - b * d
+            i = a * d + b * c
+        if type(r) is not int and r.denominator == 1:
+            r = r.numerator
+        if type(i) is not int and i.denominator == 1:
+            i = i.numerator
+        return _make(r, i)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QI.of(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in QI")
-        return QI(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not QI:
+            other = QI.of(other)
+        c, d = other.re, other.im
+        if d == 0:
+            if c == 0:
+                raise ZeroDivisionError("division by zero in QI")
+            return _make(_quo(self.re, c), _quo(self.im, c))
+        a, b = self.re, self.im
+        n = c * c + d * d
+        return _make(_quo(a * c + b * d, n), _quo(b * c - a * d, n))
 
     def __rtruediv__(self, other):
         return QI.of(other) / self
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def conj(self) -> "QI":
-        return QI(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     # -- predicates ----------------------------------------------------
 
@@ -91,7 +153,7 @@ class QI:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QI(other)
+            return self.im == 0 and self.re == other
         if not isinstance(other, QI):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -105,7 +167,20 @@ class QI:
         return format_qi(self)
 
     def __repr__(self):
-        return f"QI({self.re!r}, {self.im!r})"
+        return f"QI({Fraction(self.re)!r}, {Fraction(self.im)!r})"
+
+
+_new = object.__new__
+_set_re = QI.re.__set__
+_set_im = QI.im.__set__
+
+
+def _make(re, im):
+    """A ``QI`` from parts already in canonical form, skipping ``_canon``."""
+    z = _new(QI)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = QI(0)
@@ -113,7 +188,7 @@ ONE = QI(1)
 I = QI(0, 1)
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 

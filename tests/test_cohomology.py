@@ -217,11 +217,15 @@ def test_koszul_contraction_acyclicity():
 
 
 def test_bigraded_slice_refines_piece():
-    piece = piece_basis(SL2, 2, 0, 0, True)
+    bucket = slice_monomials(SL2, 2, 0, True)[0]
+    piece = piece_basis(SL2, 2, 0, 0, True, bucket)
+    # a held bucket gives the piece the standalone call enumerates
+    alone = piece_basis(SL2, 2, 0, 0, True)
+    assert alone.ambient == piece.ambient and alone.basis == piece.basis
     total = 0
     for a in range(0, 4):
         b = a  # deg_l = 0 means a == b
-        sub = bigraded_slice(SL2, 2, 0, a, b)
+        sub = bigraded_slice(SL2, 2, 0, a, b, bucket)
         total += sub.dim
     assert total == piece.dim
 
