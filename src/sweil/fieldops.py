@@ -5,8 +5,11 @@ list of generator slots whose modes are affine in at most two integer
 summation variables, together with an exact coefficient function.  For a
 given input monomial only finitely many variable assignments can contribute
 (every annihilator slot must find a partner among the input's creators);
-the window is computed by interval propagation and may be widened without
-changing any output, which the tests exercise.
+the window is a closed form for one variable and fixed-point interval
+propagation for two, and may be widened without changing any output, which
+the tests exercise.  Each assignment's generator product maps the input to
+one monomial times an integer (``fock.product_on_monomial``), so the term's
+coefficient is multiplied once, by that integer.
 
 This module also builds every concrete operator family: the adjoint and
 weight-density Witt representations, the N=2 and S'(2,alpha) quadratic
@@ -17,6 +20,7 @@ on the relative model, the star involution, and the Hermitian forms.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -28,15 +32,14 @@ from .fock import (
     FockVector,
     GenKey,
     VACUUM,
+    _CREATOR_POSITIVE,
+    _DUAL,
     apply_generator,
-    apply_product,
     make_monomial,
     normal_order_slots,
+    product_on_monomial,
+    scale_int,
 )
-
-_BOS = ("b", "g")
-_CREATOR_POSITIVE = ("g", "e")  # creator iff mode > 0; 'b'/'t' iff mode <= 0
-_DUAL = {"g": "b", "b": "g", "e": "t", "t": "e"}
 
 
 class SlotSpec(NamedTuple):
@@ -48,7 +51,7 @@ class SlotSpec(NamedTuple):
     coeffs: tuple
 
     def mode_at(self, vars_):
-        return self.const + sum(c * v for c, v in zip(self.coeffs, vars_))
+        return self.const + sum(map(operator.mul, self.coeffs, vars_))
 
 
 @dataclass(frozen=True)
@@ -91,31 +94,66 @@ class Operator:
         return out
 
 
-def _partner_modes(mono: FockMonomial, family: str, comp: int):
-    dual = _DUAL[family]
-    keys = mono.bosons if dual in _BOS else mono.fermions
-    return [k.mode for k in keys if k.family == dual and k.comp == comp]
+def _slot_bounds(mono: FockMonomial) -> dict:
+    """Mode bounds that ``mono`` puts on the slots that can contract one of
+    its creators, keyed by (slot family, component).
+
+    A g/e slot is a creator at mode >= 1 or must meet a b/t partner, so its
+    mode is at least min(1, partner modes); a b/t slot is a creator at
+    mode <= 0 or must meet a g/e partner, so its mode is at most
+    max(0, partner modes).  Slots absent from the dict take the bare
+    bound, 1 or 0.
+    """
+    bounds = {}
+    for k in mono.bosons + mono.fermions:
+        slot = (_DUAL[k.family], k.comp)
+        if slot[0] in _CREATOR_POSITIVE:
+            bounds[slot] = min(bounds.get(slot, 1), k.mode)
+        else:
+            bounds[slot] = max(bounds.get(slot, 0), k.mode)
+    return bounds
 
 
-def _term_window(term: TermShape, mono: FockMonomial, pad: int):
-    """Integer boxes of summation variables that can possibly contribute."""
-    nv = term.nvars
-    if nv == 0:
-        return [()]
-    # constraints: affine form (const, coeffs) bounded below ('ge') or above
+def _constraints(term: TermShape, bounds: dict):
+    """Affine constraints (const, coeffs, 'ge'|'le', bound) on the
+    summation variables of ``term``."""
     cons = []
     for slot in term.slots:
-        F = _partner_modes(mono, slot.family, slot.comp)
         if slot.family in _CREATOR_POSITIVE:
-            bound = min([1] + F)
+            bound = bounds.get((slot.family, slot.comp), 1)
             cons.append((slot.const, slot.coeffs, "ge", bound))
         else:
-            bound = max([0] + F)
+            bound = bounds.get((slot.family, slot.comp), 0)
             cons.append((slot.const, slot.coeffs, "le", bound))
     for vi, op in term.filters:
         if op == ">":
-            unit = tuple(1 if i == vi else 0 for i in range(nv))
+            unit = tuple(1 if i == vi else 0 for i in range(term.nvars))
             cons.append((0, unit, "ge", 1))
+    return cons
+
+
+def _one_var_interval(cons):
+    """Closed form for one summation variable: every constraint bounds it
+    directly, so the interval is the tightest of those bounds."""
+    lo = hi = None
+    for a, (cv,), kind, b in cons:
+        if cv == 0:
+            continue
+        r = b - a
+        if (kind == "ge") == (cv > 0):
+            # cv * x >= r with cv > 0, or cv * x <= r with cv < 0
+            nb = -((-r) // cv)
+            if lo is None or nb > lo:
+                lo = nb
+        else:
+            nb = r // cv
+            if hi is None or nb < hi:
+                hi = nb
+    return [lo], [hi]
+
+
+def _propagate(nv: int, cons):
+    """Fixed-point interval propagation over ``nv`` summation variables."""
     lo = [None] * nv
     hi = [None] * nv
     for _ in range(50):
@@ -169,7 +207,13 @@ def _term_window(term: TermShape, mono: FockMonomial, pad: int):
                             changed = True
         if not changed:
             break
-    if any(x is None for x in lo) or any(x is None for x in hi):
+    return lo, hi
+
+
+def _assignments(term: TermShape, lo, hi, pad: int):
+    """Variable assignments in the box [lo - pad, hi + pad] that pass the
+    term's filters."""
+    if None in lo or None in hi:
         raise StructureError("summation window is not locally finite")
     ranges = [range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]
     out = []
@@ -183,6 +227,20 @@ def _term_window(term: TermShape, mono: FockMonomial, pad: int):
         if ok:
             out.append(vs)
     return out
+
+
+def _term_window(term: TermShape, bounds: dict, pad: int):
+    """Integer points of summation variables that can possibly contribute,
+    given the ``_slot_bounds`` of the input monomial."""
+    nv = term.nvars
+    if nv == 0:
+        return [()]
+    cons = _constraints(term, bounds)
+    if nv == 1:
+        lo, hi = _one_var_interval(cons)
+    else:
+        lo, hi = _propagate(nv, cons)
+    return _assignments(term, lo, hi, pad)
 
 
 class FieldOperator(Operator):
@@ -228,23 +286,21 @@ class FieldOperator(Operator):
         out = FockVector()
         if not self.central.is_zero():
             out.add_term(m, self.central)
+        bounds = _slot_bounds(m)
         for term in self.terms:
-            for vs in _term_window(term, m, pad):
-                c = term.coeff(vs)
-                if c.is_zero():
-                    continue
+            for vs in _term_window(term, bounds, pad):
                 keys = [
                     GenKey(s.family, s.comp, s.mode_at(vs)) for s in term.slots
                 ]
                 sign = 1
                 if term.normal:
                     sign, keys = normal_order_slots(keys)
-                res = apply_product(keys, m, relative)
-                if res.is_zero():
+                factor, m2 = product_on_monomial(keys, m, relative)
+                if not factor:
                     continue
-                factor = c if sign == 1 else -c
-                for m2, c2 in res.terms.items():
-                    out.add_term(m2, factor * c2)
+                c = term.coeff(vs)
+                if not c.is_zero():
+                    out.add_term(m2, scale_int(c, sign * factor))
         return out
 
 

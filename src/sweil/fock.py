@@ -13,14 +13,22 @@ creators applied to the vacuum.
 In the *relative* model the mode-0 fermionic slots of the vacuum are already
 filled, so mode-0 fermionic generators act as zero and relative monomials
 carry no mode-0 fermionic keys.
+
+A product of generators maps a monomial to one monomial times an integer:
+a creator inserts its key (a fermion picks up the sign of the keys it
+passes), an annihilator removes its partner (a fermion picks up a sign, a
+boson the partner's multiplicity).  ``product_on_monomial`` computes that
+(integer, monomial) pair in one pass; ``apply_generator`` and
+``apply_product`` wrap it for vectors.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .scalars import QI, ZERO, ONE
+from .scalars import QI, ONE
 from .liealg import StructureError
 
 BOSONIC = ("b", "g")
@@ -30,6 +38,9 @@ FAMILIES = ("b", "g", "t", "e")
 # canonical order: family rank (g before b, e before t), then mode, then component
 _FRANK = {"e": 0, "t": 1}
 _BRANK = {"g": 0, "b": 1}
+# g and e create at mode > 0; b and t create at mode <= 0
+_CREATOR_POSITIVE = ("g", "e")
+_DUAL = {"g": "b", "b": "g", "e": "t", "t": "e"}
 
 
 class GenKey(NamedTuple):
@@ -38,13 +49,10 @@ class GenKey(NamedTuple):
     mode: int
 
     def is_creator(self) -> bool:
-        if self.family in ("g", "e"):
-            return self.mode > 0
-        return self.mode <= 0
+        return (self.mode > 0) == (self.family in _CREATOR_POSITIVE)
 
     def dual(self) -> "GenKey":
-        other = {"g": "b", "b": "g", "e": "t", "t": "e"}[self.family]
-        return GenKey(other, self.comp, self.mode)
+        return GenKey(_DUAL[self.family], self.comp, self.mode)
 
     def is_fermionic(self) -> bool:
         return self.family in FERMIONIC
@@ -167,7 +175,12 @@ class FockVector:
         return not self.terms
 
     def add_term(self, m: FockMonomial, c: QI):
-        cur = self.terms.get(m, ZERO) + c
+        cur = self.terms.get(m)
+        if cur is None:
+            if not c.is_zero():
+                self.terms[m] = c
+            return
+        cur = cur + c
         if cur.is_zero():
             self.terms.pop(m, None)
         else:
@@ -210,60 +223,82 @@ def _mono_sort_key(m: FockMonomial):
     )
 
 
+def product_on_monomial(keys, m: FockMonomial, relative=False):
+    """Apply the generator product ``keys`` (a sequence written left to
+    right, so the rightmost acts first) to the monomial ``m``.
+
+    A product of generators maps a monomial to one monomial times an
+    integer, so the result is ``(factor, monomial)`` with ``factor`` a
+    nonzero ``int``, or ``(0, None)`` when the product annihilates ``m``.
+    """
+    bosons = m.bosons
+    fermions = m.fermions
+    factor = 1
+    for key in reversed(keys):
+        family, comp, mode = key
+        creator = (mode > 0) == (family in _CREATOR_POSITIVE)
+        if family in FERMIONIC:
+            if relative and mode == 0:
+                return 0, None
+            if creator:
+                pos = bisect_left(fermions, _fsort_key(key), key=_fsort_key)
+                if pos < len(fermions) and fermions[pos] == key:
+                    return 0, None
+                # anticommute past the pos fermions sorted before key
+                if pos % 2:
+                    factor = -factor
+                fermions = fermions[:pos] + (key,) + fermions[pos:]
+            else:
+                try:
+                    idx = fermions.index((_DUAL[family], comp, mode))
+                except ValueError:
+                    return 0, None
+                if idx % 2:
+                    factor = -factor
+                fermions = fermions[:idx] + fermions[idx + 1 :]
+        elif creator:
+            pos = bisect_right(bosons, _bsort_key(key), key=_bsort_key)
+            bosons = bosons[:pos] + (key,) + bosons[pos:]
+        else:
+            partner = (_DUAL[family], comp, mode)
+            count = bosons.count(partner)
+            if not count:
+                return 0, None
+            idx = bosons.index(partner)
+            bosons = bosons[:idx] + bosons[idx + 1 :]
+            # gb - bg = 1: a 'g' annihilator picks up +count, a 'b' one -count
+            factor *= count if family == "g" else -count
+    return factor, FockMonomial(bosons, fermions)
+
+
+def scale_int(c: QI, factor: int) -> QI:
+    """``c * factor`` for a nonzero int factor; no multiply for +-1."""
+    if factor == 1:
+        return c
+    if factor == -1:
+        return -c
+    return c * factor
+
+
 def apply_generator(key: GenKey, v, relative=False):
     """Exact action of a single generator on a monomial or vector."""
     if isinstance(v, FockMonomial):
         v = FockVector.of(v)
     out = FockVector()
+    keys = (key,)
     for m, c in v.terms.items():
-        for m2, c2 in _apply_to_monomial(key, m, relative):
-            out.add_term(m2, c * c2)
+        factor, m2 = product_on_monomial(keys, m, relative)
+        if factor:
+            out.add_term(m2, scale_int(c, factor))
     return out
-
-
-def _apply_to_monomial(key: GenKey, m: FockMonomial, relative):
-    if relative and key.is_fermionic() and key.mode == 0:
-        return []
-    if key.is_creator():
-        if key.is_fermionic():
-            if key in m.fermions:
-                return []
-            pos = 0
-            for f in m.fermions:
-                if _fsort_key(f) < _fsort_key(key):
-                    pos += 1
-            sign = -1 if pos % 2 else 1
-            fermions = m.fermions[:pos] + (key,) + m.fermions[pos:]
-            return [(FockMonomial(m.bosons, fermions), QI(sign))]
-        bosons = tuple(sorted(m.bosons + (key,), key=_bsort_key))
-        return [(FockMonomial(bosons, m.fermions), ONE)]
-    # annihilator: contract the matching creator
-    partner = key.dual()
-    if key.is_fermionic():
-        for idx, f in enumerate(m.fermions):
-            if f == partner:
-                sign = -1 if idx % 2 else 1
-                fermions = m.fermions[:idx] + m.fermions[idx + 1 :]
-                return [(FockMonomial(m.bosons, fermions), QI(sign))]
-        return []
-    count = m.bosons.count(partner)
-    if count == 0:
-        return []
-    idx = m.bosons.index(partner)
-    bosons = m.bosons[:idx] + m.bosons[idx + 1 :]
-    # gb - bg = 1: a 'g' annihilator picks up +count, a 'b' annihilator -count
-    coeff = QI(count) if key.family == "g" else QI(-count)
-    return [(FockMonomial(bosons, m.fermions), coeff)]
 
 
 def apply_product(keys, m: FockMonomial, relative=False) -> FockVector:
     """Apply a product of generators written left to right (rightmost first)."""
-    vec = FockVector.of(m)
-    for key in reversed(list(keys)):
-        if vec.is_zero():
-            break
-        vec = apply_generator(key, vec, relative)
-    return vec
+    factor, m2 = product_on_monomial(list(keys), m, relative)
+    if not factor:
+        return FockVector()
+    return FockVector({m2: QI(factor)})
 
 
 def normal_order_pair(a: GenKey, b: GenKey):

@@ -19,6 +19,7 @@ from .liealg import StructureError
 EVEN_SYMBOLS = ("L", "E", "H", "F")
 ODD_SYMBOLS = ("h", "p", "x", "y")
 SYMBOLS = EVEN_SYMBOLS + ODD_SYMBOLS
+_HALF = QI(Fraction(1, 2))
 
 
 def parity_of(sym: str) -> int:
@@ -135,7 +136,6 @@ def s2a_basis_bracket(alpha, sa, na, sb, nb, include_cocycle=True) -> SCAElement
 
 
 def _s2a_listed(alpha, sa, n, sb, k, include_cocycle):
-    half = ONE / QI(2)
     s = n + k
     pair = (sa, sb)
     cz = ZERO
@@ -159,13 +159,13 @@ def _s2a_listed(alpha, sa, n, sb, k, include_cocycle):
         out = _el()
         cz = QI(Fraction(n, 3)) if _delta(n, k) else ZERO
     elif pair == ("L", "h"):
-        out = SCAElement({("h", s): (QI(n - 2 * k + 1) - alpha) * half})
+        out = SCAElement({("h", s): (QI(n - 2 * k + 1) - alpha) * _HALF})
     elif pair == ("L", "p"):
-        out = SCAElement({("p", s): (QI(n - 2 * k - 1) + alpha) * half})
+        out = SCAElement({("p", s): (QI(n - 2 * k - 1) + alpha) * _HALF})
     elif pair == ("L", "x"):
-        out = SCAElement({("x", s): (QI(n - 2 * k - 1) + alpha) * half})
+        out = SCAElement({("x", s): (QI(n - 2 * k - 1) + alpha) * _HALF})
     elif pair == ("L", "y"):
-        out = SCAElement({("y", s): (QI(n - 2 * k + 1) - alpha) * half})
+        out = SCAElement({("y", s): (QI(n - 2 * k + 1) - alpha) * _HALF})
     elif pair == ("E", "y"):
         out = _el((1, "h", s))
     elif pair == ("F", "h"):
@@ -188,15 +188,15 @@ def _s2a_listed(alpha, sa, n, sb, k, include_cocycle):
         out = SCAElement({("F", s): QI(k - n - 1) + alpha})
     elif pair == ("h", "p"):
         out = _el((1, "L", s))
-        out.add_term("H", s, -(QI(k - n + 1) - alpha) * half)
+        out.add_term("H", s, -(QI(k - n + 1) - alpha) * _HALF)
         if _delta(n, k):
-            t = QI(n - 1) + (alpha + ONE) * half
+            t = QI(n - 1) + (alpha + ONE) * _HALF
             cz = (t * t - QI(Fraction(1, 4))) / QI(6)
     elif pair == ("x", "y"):
         out = _el((-1, "L", s))
-        out.add_term("H", s, (QI(k - n - 1) + alpha) * half)
+        out.add_term("H", s, (QI(k - n - 1) + alpha) * _HALF)
         if _delta(n, k):
-            t = QI(-n - 1) + (alpha + ONE) * half
+            t = QI(-n - 1) + (alpha + ONE) * _HALF
             cz = -(t * t - QI(Fraction(1, 4))) / QI(6)
     else:
         return None
@@ -544,10 +544,9 @@ def vf_realize(alpha, sym: str, n: int) -> SuperVectorField:
     """The defining vector-field basis of the family."""
     alpha = QI.of(alpha)
     x = SuperVectorField()
-    half = ONE / QI(2)
     if sym == "L":
         x.add_term("t", 0, n + 1, QI(-1))
-        c = -(QI(n + 1) + alpha) * half
+        c = -(QI(n + 1) + alpha) * _HALF
         x.add_term("1", 1, n, c)
         x.add_term("2", 2, n, c)
     elif sym == "E":

@@ -146,7 +146,7 @@ class FastOp:
             intern = self.engine.intern
             c = tuple(
                 (intern(m), int(q.re * den), int(q.im * den))
-                for m, q in v.items()
+                for m, q in v.terms.items()
             )
             self.cols[i] = c
         return c

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,23 @@ def test_verify_n2_reports_central_charge():
     assert docs[0]["check"] == "n2:central-charge"
     assert docs[0]["params"]["claimed"] == docs[0]["params"]["extracted"]
     assert all(d["status"] == "pass" and d["millis"] == 0 for d in docs)
+
+
+def test_python_dash_m_matches_run():
+    argv = ["verify-chain", "--backend", "witt", "--emax", "1", "--b0max", "0",
+            "--window", "1"]
+    status, expected = capture(argv)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "sweil", *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert status == 0
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == expected

@@ -21,7 +21,16 @@ from sweil.fock import (
     make_monomial,
 )
 from sweil.fieldops import (
+    FieldOperator,
+    SlotSpec,
     StarOperator,
+    SumOperator,
+    TermShape,
+    _assignments,
+    _constraints,
+    _propagate,
+    _slot_bounds,
+    _term_window,
     build_differential_d,
     build_differential_parts,
     build_dc,
@@ -33,6 +42,8 @@ from sweil.fieldops import (
     build_witt_rep,
     _loop_witt_L,
     generator_adjoint,
+    N2_SYMBOLS,
+    S2A_SYMBOLS,
     hermitian_form,
     pairing_form,
     split_d1_d2,
@@ -186,6 +197,64 @@ def test_window_padding_is_a_no_op():
         v = FockVector.of(m)
         for op in ops:
             assert op.apply(v, pad=0) == op.apply(v, pad=3), (op.name, m)
+
+
+def _term_shapes(op):
+    if isinstance(op, FieldOperator):
+        return list(op.terms)
+    assert isinstance(op, SumOperator)
+    return [t for _, part in op.parts for t in _term_shapes(part)]
+
+
+def test_one_variable_window_matches_propagation():
+    """The one-variable closed form gives exactly the assignments of the
+    general fixed-point propagation, on every term shape of the N=2,
+    S'(2,alpha), d, Koszul and theta families."""
+    fmu = fmu_backend(QI(Fraction(1, 2)), ZERO)
+    cases = []
+    for backend, emax in ((fmu, 2), (AB1, 2), (SL2, 1)):
+        ops = [build_n2_family(backend, s, n) for s in N2_SYMBOLS for n in (-1, 0, 1)]
+        if backend.kind == "loop":
+            ops += [
+                build_s2alpha_family(backend, alpha, s, n)
+                for alpha in (ZERO, QI(Fraction(1, 2)))
+                for s in S2A_SYMBOLS
+                for n in (-1, 0, 1)
+            ]
+            ops += [build_differential_d(backend), build_koszul_h(backend)]
+            ops += [build_theta_adjoint(backend, j, n)
+                    for j in range(backend.dim) for n in (-1, 0, 1)]
+            ops += [build_sl2_EHF(backend, s) for s in ("EE", "HH", "FF")]
+        terms = [t for op in ops for t in _term_shapes(op)]
+        cases.append((backend.dim, emax, terms))
+    # no family term has two bounds on one side or a coefficient other
+    # than +-1, so these shapes exercise the min/max and the rounding
+    one = lambda vs: ONE
+    slots = (
+        (("t", 0, 0, 1), ("b", 0, 1, 2), ("e", 0, 0, 1)),
+        (("e", 0, 1, -2), ("g", 0, 0, 3), ("g", 0, 2, 1)),
+        (("t", 0, -1, -3), ("e", 0, 2, 2), ("b", 0, 0, 1)),
+    )
+    terms = [
+        TermShape(1, tuple(SlotSpec(f, c, k, (v,)) for f, c, k, v in shape), one)
+        for shape in slots
+    ]
+    cases.append((1, 3, terms))
+    terms = _term_shapes(build_differential_d(WITT))
+    terms += [t for n in (-1, 0, 1) for t in _term_shapes(build_theta_adjoint(WITT, 0, n))]
+    cases.append((1, 2, terms))
+    one_var = 0
+    for dim, emax, terms in cases:
+        for m in enumerate_box(dim, Box(emax=emax, b0max=1)):
+            bounds = _slot_bounds(m)
+            for term in terms:
+                one_var += term.nvars == 1
+                cons = _constraints(term, bounds)
+                lo, hi = _propagate(term.nvars, cons)
+                for pad in (0, 1):
+                    general = _assignments(term, lo, hi, pad)
+                    assert _term_window(term, bounds, pad) == general, (term, m, pad)
+    assert one_var > 0
 
 
 # -- sl(2) triple on the relative model --------------------------------

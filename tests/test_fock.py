@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sweil.scalars import QI, ONE
 from sweil.liealg import StructureError
@@ -17,6 +17,7 @@ from sweil.fock import (
     normal_order_pair,
     normal_order_slots,
     parse_monomial,
+    product_on_monomial,
 )
 
 
@@ -230,3 +231,79 @@ def test_vector_space_laws():
     assert w.is_zero()
     assert v.scale(0).is_zero()
     assert (v + v) == v.scale(2)
+
+
+# -- one-pass kernel against a step-by-step vector reference -----------
+
+
+def _ref_generator(key, m, relative):
+    """One generator on one monomial as a list of (monomial, QI): the
+    step-by-step semantics the one-pass kernel must reproduce."""
+    fsort = lambda k: ({"e": 0, "t": 1}[k.family], k.mode, k.comp)
+    bsort = lambda k: ({"g": 0, "b": 1}[k.family], k.mode, k.comp)
+    if relative and key.is_fermionic() and key.mode == 0:
+        return []
+    if key.is_creator():
+        if key.is_fermionic():
+            if key in m.fermions:
+                return []
+            pos = sum(1 for f in m.fermions if fsort(f) < fsort(key))
+            fermions = m.fermions[:pos] + (key,) + m.fermions[pos:]
+            return [(FockMonomial(m.bosons, fermions), QI(-1 if pos % 2 else 1))]
+        bosons = tuple(sorted(m.bosons + (key,), key=bsort))
+        return [(FockMonomial(bosons, m.fermions), ONE)]
+    partner = key.dual()
+    if key.is_fermionic():
+        for idx, f in enumerate(m.fermions):
+            if f == partner:
+                fermions = m.fermions[:idx] + m.fermions[idx + 1 :]
+                return [(FockMonomial(m.bosons, fermions), QI(-1 if idx % 2 else 1))]
+        return []
+    count = m.bosons.count(partner)
+    if count == 0:
+        return []
+    idx = m.bosons.index(partner)
+    bosons = m.bosons[:idx] + m.bosons[idx + 1 :]
+    return [(FockMonomial(bosons, m.fermions), QI(count if key.family == "g" else -count))]
+
+
+def _ref_product(keys, m, relative):
+    vec = FockVector.of(m)
+    for key in reversed(keys):
+        out = FockVector()
+        for m1, c1 in vec.terms.items():
+            for m2, c2 in _ref_generator(key, m1, relative):
+                out.add_term(m2, c1 * c2)
+        vec = out
+    return vec
+
+
+_KEYS = st.builds(
+    GenKey,
+    st.sampled_from(("b", "g", "t", "e")),
+    st.integers(0, 1),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_KEYS.filter(GenKey.is_creator), max_size=8), st.data(), st.booleans())
+def test_product_on_monomial_matches_stepwise_reference(start, data, relative):
+    fermions = {
+        k for k in start if k.is_fermionic() and not (relative and k.mode == 0)
+    }
+    bosons = [k for k in start if not k.is_fermionic()]
+    _, m = make_monomial(bosons + sorted(fermions))
+    # half the keys are annihilators of m's own creators, so that most
+    # products reach the contraction branches instead of vanishing
+    partners = [k.dual() for k in m.bosons + m.fermions]
+    key = st.one_of(_KEYS, st.sampled_from(partners)) if partners else _KEYS
+    keys = data.draw(st.lists(key, max_size=5))
+    factor, m2 = product_on_monomial(keys, m, relative)
+    expected = _ref_product(keys, m, relative)
+    if factor == 0:
+        assert m2 is None and expected.is_zero()
+    else:
+        assert type(factor) is int
+        assert expected == FockVector({m2: QI(factor)})
+    assert apply_product(keys, m, relative) == expected
