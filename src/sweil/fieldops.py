@@ -5,11 +5,11 @@ list of generator slots whose modes are affine in at most two integer
 summation variables, together with an exact coefficient function.  For a
 given input monomial only finitely many variable assignments can contribute
 (every annihilator slot must find a partner among the input's creators);
-the window is a closed form for one variable and fixed-point interval
-propagation for two, and may be widened without changing any output, which
-the tests exercise.  Each assignment's generator product maps the input to
-one monomial times an integer (``fock.product_on_monomial``), so the term's
-coefficient is multiplied once, by that integer.
+the window is found by fixed-point interval propagation and may be widened
+without changing any output, which the tests exercise.  Each assignment's
+generator product maps the input to one monomial times an integer
+(``fock.product_on_monomial``), so the term's coefficient is multiplied
+once, by that integer.
 
 This module also builds every concrete operator family: the adjoint and
 weight-density Witt representations, the N=2 and S'(2,alpha) quadratic
@@ -114,9 +114,13 @@ def _slot_bounds(mono: FockMonomial) -> dict:
     return bounds
 
 
-def _constraints(term: TermShape, bounds: dict):
-    """Affine constraints (const, coeffs, 'ge'|'le', bound) on the
-    summation variables of ``term``."""
+def _term_window(term: TermShape, bounds: dict, pad: int):
+    """Integer points of summation variables that can possibly contribute,
+    given the ``_slot_bounds`` of the input monomial."""
+    nv = term.nvars
+    if nv == 0:
+        return [()]
+    # constraints: affine form (const, coeffs) bounded below ('ge') or above
     cons = []
     for slot in term.slots:
         if slot.family in _CREATOR_POSITIVE:
@@ -127,36 +131,13 @@ def _constraints(term: TermShape, bounds: dict):
             cons.append((slot.const, slot.coeffs, "le", bound))
     for vi, op in term.filters:
         if op == ">":
-            unit = tuple(1 if i == vi else 0 for i in range(term.nvars))
+            unit = tuple(1 if i == vi else 0 for i in range(nv))
             cons.append((0, unit, "ge", 1))
-    return cons
-
-
-def _one_var_interval(cons):
-    """Closed form for one summation variable: every constraint bounds it
-    directly, so the interval is the tightest of those bounds."""
-    lo = hi = None
-    for a, (cv,), kind, b in cons:
-        if cv == 0:
-            continue
-        r = b - a
-        if (kind == "ge") == (cv > 0):
-            # cv * x >= r with cv > 0, or cv * x <= r with cv < 0
-            nb = -((-r) // cv)
-            if lo is None or nb > lo:
-                lo = nb
-        else:
-            nb = r // cv
-            if hi is None or nb < hi:
-                hi = nb
-    return [lo], [hi]
-
-
-def _propagate(nv: int, cons):
-    """Fixed-point interval propagation over ``nv`` summation variables."""
     lo = [None] * nv
     hi = [None] * nv
-    for _ in range(50):
+    # with one variable every constraint bounds it directly, so the first
+    # sweep already reaches the fixed point
+    for _ in range(1 if nv == 1 else 50):
         changed = False
         for a, cf, kind, b in cons:
             for v in range(nv):
@@ -207,13 +188,7 @@ def _propagate(nv: int, cons):
                             changed = True
         if not changed:
             break
-    return lo, hi
-
-
-def _assignments(term: TermShape, lo, hi, pad: int):
-    """Variable assignments in the box [lo - pad, hi + pad] that pass the
-    term's filters."""
-    if None in lo or None in hi:
+    if any(x is None for x in lo) or any(x is None for x in hi):
         raise StructureError("summation window is not locally finite")
     ranges = [range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]
     out = []
@@ -227,20 +202,6 @@ def _assignments(term: TermShape, lo, hi, pad: int):
         if ok:
             out.append(vs)
     return out
-
-
-def _term_window(term: TermShape, bounds: dict, pad: int):
-    """Integer points of summation variables that can possibly contribute,
-    given the ``_slot_bounds`` of the input monomial."""
-    nv = term.nvars
-    if nv == 0:
-        return [()]
-    cons = _constraints(term, bounds)
-    if nv == 1:
-        lo, hi = _one_var_interval(cons)
-    else:
-        lo, hi = _propagate(nv, cons)
-    return _assignments(term, lo, hi, pad)
 
 
 class FieldOperator(Operator):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from sweil.fock import (
     apply_product,
     enumerate_box,
     make_monomial,
+    normal_order_slots,
+    product_on_monomial,
 )
 from sweil.fieldops import (
     FieldOperator,
@@ -26,9 +29,6 @@ from sweil.fieldops import (
     StarOperator,
     SumOperator,
     TermShape,
-    _assignments,
-    _constraints,
-    _propagate,
     _slot_bounds,
     _term_window,
     build_differential_d,
@@ -206,13 +206,31 @@ def _term_shapes(op):
     return [t for _, part in op.parts for t in _term_shapes(part)]
 
 
-def test_one_variable_window_matches_propagation():
-    """The one-variable closed form gives exactly the assignments of the
-    general fixed-point propagation, on every term shape of the N=2,
-    S'(2,alpha), d, Koszul and theta families."""
+def _passes_filters(term, vs):
+    return all(vs[vi] > 0 if op == ">" else vs[vi] != 0 for vi, op in term.filters)
+
+
+def _feasible(term, bounds, vs):
+    """Every slot can meet the monomial and every filter passes."""
+    for s in term.slots:
+        mode = s.mode_at(vs)
+        if s.family in ("g", "e"):
+            if mode < bounds.get((s.family, s.comp), 1):
+                return False
+        elif mode > bounds.get((s.family, s.comp), 0):
+            return False
+    return _passes_filters(term, vs)
+
+
+def test_window_is_the_feasible_set():
+    """On every term shape of the N=2, S'(2,alpha), d, Koszul, theta and
+    sl(2) families, the window holds every assignment whose slots can all
+    meet the input monomial, exactly so for one summation variable, and
+    every assignment outside it that passes the term's filters gives a zero
+    generator product."""
     fmu = fmu_backend(QI(Fraction(1, 2)), ZERO)
     cases = []
-    for backend, emax in ((fmu, 2), (AB1, 2), (SL2, 1)):
+    for backend, box in ((fmu, Box(2, 1)), (AB1, Box(2, 1)), (SL2, Box(1, 0))):
         ops = [build_n2_family(backend, s, n) for s in N2_SYMBOLS for n in (-1, 0, 1)]
         if backend.kind == "loop":
             ops += [
@@ -225,8 +243,7 @@ def test_one_variable_window_matches_propagation():
             ops += [build_theta_adjoint(backend, j, n)
                     for j in range(backend.dim) for n in (-1, 0, 1)]
             ops += [build_sl2_EHF(backend, s) for s in ("EE", "HH", "FF")]
-        terms = [t for op in ops for t in _term_shapes(op)]
-        cases.append((backend.dim, emax, terms))
+        cases.append((backend.dim, box, [t for op in ops for t in _term_shapes(op)]))
     # no family term has two bounds on one side or a coefficient other
     # than +-1, so these shapes exercise the min/max and the rounding
     one = lambda vs: ONE
@@ -239,22 +256,32 @@ def test_one_variable_window_matches_propagation():
         TermShape(1, tuple(SlotSpec(f, c, k, (v,)) for f, c, k, v in shape), one)
         for shape in slots
     ]
-    cases.append((1, 3, terms))
+    cases.append((1, Box(3, 1), terms))
     terms = _term_shapes(build_differential_d(WITT))
     terms += [t for n in (-1, 0, 1) for t in _term_shapes(build_theta_adjoint(WITT, 0, n))]
-    cases.append((1, 2, terms))
-    one_var = 0
-    for dim, emax, terms in cases:
-        for m in enumerate_box(dim, Box(emax=emax, b0max=1)):
+    cases.append((1, Box(2, 1), terms))
+    grid = range(-6, 7)
+    for dim, box, terms in cases:
+        # the coefficient plays no part in the window or the product
+        shapes = {(t.nvars, t.slots, t.normal, t.filters): t for t in terms}
+        for m in enumerate_box(dim, box):
             bounds = _slot_bounds(m)
-            for term in terms:
-                one_var += term.nvars == 1
-                cons = _constraints(term, bounds)
-                lo, hi = _propagate(term.nvars, cons)
-                for pad in (0, 1):
-                    general = _assignments(term, lo, hi, pad)
-                    assert _term_window(term, bounds, pad) == general, (term, m, pad)
-    assert one_var > 0
+            for term in shapes.values():
+                window = set(_term_window(term, bounds, 0))
+                points = set(itertools.product(grid, repeat=term.nvars))
+                assert window <= points, (term, m)
+                feasible = {vs for vs in points if _feasible(term, bounds, vs)}
+                if term.nvars == 1:
+                    assert window == feasible, (term, m)
+                else:
+                    assert window >= feasible, (term, m)
+                for vs in points - window:
+                    if not _passes_filters(term, vs):
+                        continue
+                    keys = [GenKey(s.family, s.comp, s.mode_at(vs)) for s in term.slots]
+                    if term.normal:
+                        keys = normal_order_slots(keys)[1]
+                    assert product_on_monomial(keys, m, False)[0] == 0, (term, m, vs)
 
 
 # -- sl(2) triple on the relative model --------------------------------
