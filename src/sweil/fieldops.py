@@ -5,8 +5,9 @@ list of generator slots whose modes are affine in at most two integer
 summation variables, together with an exact coefficient function.  For a
 given input monomial only finitely many variable assignments can contribute
 (every annihilator slot must find a partner among the input's creators);
-the window is found by fixed-point interval propagation and may be widened
-without changing any output, which the tests exercise.  Each assignment's
+with one variable every such constraint bounds it directly, with two the
+window is found by fixed-point interval propagation; either window may be
+widened without changing any output, which the tests exercise.  Each assignment's
 generator product maps the input to one monomial times an integer
 (``fock.product_on_monomial``), so the term's coefficient is multiplied
 once, by that integer.
@@ -114,80 +115,68 @@ def _slot_bounds(mono: FockMonomial) -> dict:
     return bounds
 
 
+def _interval(cons, v, lo=None, hi=None):
+    """Tighten the bounds [lo, hi] of variable ``v`` (None: unbounded) by
+    the constraints sign * cf[v] * var[v] >= s, for (sign, cf, s) in
+    ``cons``."""
+    for sign, cf, s in cons:
+        cv = sign * cf[v]
+        if cv > 0:
+            nb = -(-s // cv)
+            if lo is None or nb > lo:
+                lo = nb
+        elif cv < 0:
+            nb = s // cv
+            if hi is None or nb < hi:
+                hi = nb
+    return lo, hi
+
+
 def _term_window(term: TermShape, bounds: dict, pad: int):
     """Integer points of summation variables that can possibly contribute,
     given the ``_slot_bounds`` of the input monomial."""
     nv = term.nvars
     if nv == 0:
         return [()]
-    # constraints: affine form (const, coeffs) bounded below ('ge') or above
+    # constraints sign * sum(cf[i] * var[i]) >= r: a g/e slot's mode is at
+    # least its bound, a b/t slot's mode at most its bound
     cons = []
     for slot in term.slots:
         if slot.family in _CREATOR_POSITIVE:
             bound = bounds.get((slot.family, slot.comp), 1)
-            cons.append((slot.const, slot.coeffs, "ge", bound))
+            cons.append((1, slot.coeffs, bound - slot.const))
         else:
             bound = bounds.get((slot.family, slot.comp), 0)
-            cons.append((slot.const, slot.coeffs, "le", bound))
+            cons.append((-1, slot.coeffs, slot.const - bound))
     for vi, op in term.filters:
         if op == ">":
-            unit = tuple(1 if i == vi else 0 for i in range(nv))
-            cons.append((0, unit, "ge", 1))
-    lo = [None] * nv
-    hi = [None] * nv
-    # with one variable every constraint bounds it directly, so the first
-    # sweep already reaches the fixed point
-    for _ in range(1 if nv == 1 else 50):
-        changed = False
-        for a, cf, kind, b in cons:
+            cons.append((1, tuple(1 if i == vi else 0 for i in range(nv)), 1))
+    if nv == 1:
+        # every constraint bounds the variable directly
+        lo, hi = _interval(cons, 0)
+        lo, hi = [lo], [hi]
+    else:
+        # fixed-point propagation: bound each variable by the constraints
+        # with every other variable at its most favourable known bound
+        lo = [None] * nv
+        hi = [None] * nv
+        for _ in range(50):
+            box = (lo[:], hi[:])
             for v in range(nv):
-                cv = cf[v]
-                if cv == 0:
-                    continue
-                # extreme of the other variables' contribution
-                rest = 0
-                known = True
-                for i in range(nv):
-                    ci = cf[i]
-                    if i == v or ci == 0:
-                        continue
-                    if kind == "ge":
-                        e = hi[i] if ci > 0 else lo[i]
+                reduced = []
+                for sign, cf, r in cons:
+                    for i, ci in enumerate(cf):
+                        ci *= sign
+                        if ci and i != v:
+                            e = hi[i] if ci > 0 else lo[i]
+                            if e is None:
+                                break
+                            r -= ci * e
                     else:
-                        e = lo[i] if ci > 0 else hi[i]
-                    if e is None:
-                        known = False
-                        break
-                    rest += ci * e
-                if not known:
-                    continue
-                r = b - a - rest
-                if kind == "ge":
-                    # cv * x_v >= r
-                    if cv > 0:
-                        nb = -((-r) // cv)
-                        if lo[v] is None or nb > lo[v]:
-                            lo[v] = nb
-                            changed = True
-                    else:
-                        nb = r // cv
-                        if hi[v] is None or nb < hi[v]:
-                            hi[v] = nb
-                            changed = True
-                else:
-                    # cv * x_v <= r
-                    if cv > 0:
-                        nb = r // cv
-                        if hi[v] is None or nb < hi[v]:
-                            hi[v] = nb
-                            changed = True
-                    else:
-                        nb = -((-r) // cv)
-                        if lo[v] is None or nb > lo[v]:
-                            lo[v] = nb
-                            changed = True
-        if not changed:
-            break
+                        reduced.append((sign, cf, r))
+                lo[v], hi[v] = _interval(reduced, v, lo[v], hi[v])
+            if (lo, hi) == box:
+                break
     if any(x is None for x in lo) or any(x is None for x in hi):
         raise StructureError("summation window is not locally finite")
     ranges = [range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]
