@@ -7,10 +7,10 @@ given input monomial only finitely many variable assignments can contribute
 (every annihilator slot must find a partner among the input's creators);
 with one variable every such constraint bounds it directly, with two the
 window is found by fixed-point interval propagation; either window may be
-widened without changing any output, which the tests exercise.  Each assignment's
-generator product maps the input to one monomial times an integer
-(``fock.product_on_monomial``), so the term's coefficient is multiplied
-once, by that integer.
+widened without changing any output, which the tests exercise.  Each
+assignment's generator product maps the input to one monomial times an
+integer (``fock.product_on_monomial``), so the term's coefficient is
+multiplied once, by that integer.
 
 This module also builds every concrete operator family: the adjoint and
 weight-density Witt representations, the N=2 and S'(2,alpha) quadratic
