@@ -6,19 +6,39 @@ operator into a finite list of explicit generator-product *instances*
 (the summation variables of every term are enumerated over the finite
 range that can act nontrivially inside the box universe), scales every
 instance coefficient to a common integer denominator per operator, and
-then applies all instances to all monomials at once with numpy integer
-arrays.  Everything stays exact: matrix entries are scaled Gaussian
-integers, and every overflow-relevant bound is checked at run time
-(``OverflowError`` when one fails, also under ``python -O``).
+packs the instances into a *packed instance table*: numpy arrays with
+one row per instance holding
+- the slots it reads, each with the lowest and highest occupancy the
+  input state must have there (an annihilator needs a partner, a
+  fermionic creator an empty slot);
+- its bosonic count factors, as (slot, offset from earlier steps);
+- the fermionic slots whose prefix parity gives its Koszul sign;
+- its net occupancy change per slot and the hash change that follows;
+- its scaled integer coefficient.
+An operator is applied to a block of states in one vectorized pass over
+that table: instances are dropped against the block's per-slot
+occupancy range, an instance x state mask is built one constraint
+column at a time, and the count factors, signs, output keys and (when
+asked for) output rows of all (instance, state) pairs are taken at once.
+Everything stays exact: matrix entries are scaled Gaussian integers, and
+every overflow-relevant bound is checked at run time (``OverflowError``
+when one fails, also under ``python -O``).
 
 Monomials are encoded as occupancy rows over a fixed slot universe.  The
 fermionic slots are laid out in the canonical fermion order, so the
 Koszul signs of creation/annihilation are (-1)^(number of occupied
 fermionic slots before the touched slot), exactly as in the one-monomial
-engine.  Output monomials are identified by a 128-bit linear hash of the
-occupancy row; an accidental hash collision between distinct monomials
-is astronomically unlikely (and would be deterministic), and the engine
-is cross-validated column-by-column against the one-monomial engine.
+engine.  The parity corrections from an instance's own earlier steps do
+not depend on the state, so they are folded into its coefficient when
+it is compiled.  Output monomials are identified by a 128-bit linear
+hash of the occupancy row; an accidental hash collision between distinct
+monomials is astronomically unlikely (and would be deterministic), and
+the engine is cross-validated column-by-column against the one-monomial
+engine in the tests.
+
+A bracket identity passes when a 3-prime modular checksum of its defect
+vanishes (a checksum certificate); a nonzero checksum runs the exact
+grouped-stream comparison, which finds the first failing box column.
 
 Universe completeness: with ``mmax = emax + max(2 * smax_full, smax_all)``
 (``smax_*`` the largest absolute energy shift among the registered
@@ -34,31 +54,29 @@ those instances is therefore exact, not an approximation.
 
 from __future__ import annotations
 
+import itertools
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from .scalars import QI, ZERO
 from .fock import (
+    _CREATOR_POSITIVE,
     Box,
     FockMonomial,
     GenKey,
     enumerate_box,
+    make_monomial,
     normal_order_slots,
 )
 from .liealg import StructureError
 
 _HASH_SEED = 0x5EB11C0DE
 
-# instance step kinds (application order, rightmost generator first)
-_BA_G = 0  # bosonic annihilator, +count factor (g acting on a b partner)
-_BA_B = 1  # bosonic annihilator, -count factor (b acting on a g partner)
-_BC = 2  # bosonic creator
-_FA = 3  # fermionic annihilator (parity sign, clears the partner slot)
-_FC = 4  # fermionic creator (parity sign, fills the slot)
-
-_CREATOR_POSITIVE = ("g", "e")
+# highest occupancy an occupancy row can hold; also "no upper bound"
+_FULL = 255
 
 
 def _bound(ok, what: str):
@@ -198,8 +216,6 @@ class Universe:
         for i in np.flatnonzero(row):
             k = self.slots[i]
             (fermions if k.is_fermionic() else bosons).extend([k] * int(row[i]))
-        from .fock import make_monomial
-
         sign, mono = make_monomial(bosons + fermions)
         if sign != 1:
             raise StructureError("occupancy row is not in canonical slot order")
@@ -210,107 +226,117 @@ class Universe:
         return r @ self.h1, r @ self.h2
 
 
-class _Instance:
-    """One explicit generator product with an exact coefficient."""
+def _compile_instance(universe: Universe, keys, coeff: QI):
+    """Table entries of an ordered generator product, or None if it is
+    identically zero.  ``keys`` is the written product; application is
+    rightmost first.
 
-    __slots__ = (
-        "steps",
-        "coeff",
-        "re",
-        "im",
-        "need",
-        "empty",
-        "dh1",
-        "dh2",
-        "delta",
-        "dslots",
+    Returns (coeff, cons, bos, par, delta):
+    - ``cons``: (slot, lo, hi) for each slot whose input occupancy must
+      lie in [lo, hi] (a fermionic slot first created must be empty);
+    - ``bos``: (slot, offset) per bosonic annihilation, whose factor is
+      the input occupancy plus the offset;
+    - ``par``: the fermionic slots whose exclusive prefix parity in the
+      input state enters the sign (each touched an odd number of times);
+    - ``delta``: (slot, change) for each slot the product changes.
+    The b-annihilator signs and the parity from the instance's own
+    earlier steps are folded into ``coeff``."""
+    f0 = universe.f0
+    negate = False
+    delta = {}  # occupancy change so far, relative to the input state
+    cons = {}  # slot -> (lo, hi)
+    bos = []
+    par = set()
+    for key in reversed(keys):
+        creator = key.is_creator()
+        p = universe.creator_slot(key if creator else key.dual())
+        d = delta.get(p, 0)
+        if not key.is_fermionic():
+            if not creator:
+                # the input must hold 1 - d partners for this step
+                if 1 - d > cons.get(p, (0, _FULL))[0]:
+                    cons[p] = (1 - d, _FULL)
+                bos.append((p, d))
+                negate ^= key.family == "b"
+        else:
+            if p in cons:
+                if cons[p][0] + d == int(creator):
+                    return None  # repeated creator or repeated annihilator
+            else:
+                cons[p] = (0, 0) if creator else (1, 1)
+            par ^= {p}
+            negate ^= bool(sum(v for q, v in delta.items() if f0 <= q < p) & 1)
+        delta[p] = d + 1 if creator else d - 1
+    return (
+        -coeff if negate else coeff,
+        sorted((p, lo, hi) for p, (lo, hi) in cons.items()),
+        bos,
+        sorted(par),
+        sorted((p, v) for p, v in delta.items() if v),
     )
 
-    def __init__(self, steps, coeff: QI):
-        self.steps = tuple(steps)
-        self.coeff = coeff
-        self.re = 0
-        self.im = 0
-        self.need = ()  # (slot, min original count) prefilter
-        self.empty = ()  # fermionic slots that must be empty originally
-        self.dh1 = np.uint64(0)
-        self.dh2 = np.uint64(0)
-        self.delta = ()
-        self.dslots = ()
+
+class _Table(NamedTuple):
+    """Packed instances of one operator, one row each.  Short rows are
+    padded with entries that change nothing: a constraint on the block's
+    row of ones that always holds, a count factor of one read there, a
+    parity read at the first fermionic slot (always even) and a zero
+    change at slot 0."""
+
+    cslot: np.ndarray  # (k, kc) constrained slots
+    clo: np.ndarray  # (k, kc) lowest input occupancy
+    cspan: np.ndarray  # (k, kc) highest minus lowest input occupancy
+    bslot: np.ndarray  # (k, kb) slots of the bosonic count factors
+    boff: np.ndarray  # (k, kb) count offsets from earlier steps
+    fslot: np.ndarray  # (k, kf) parity slots, counted from the first fermion
+    dslot: np.ndarray  # (k, kd) changed slots
+    dval: np.ndarray  # (k, kd) occupancy changes
+    dh1: np.ndarray  # (k,) hash changes, both words
+    dh2: np.ndarray
+    re: np.ndarray  # (k,) coefficient times the operator's denominator
+    im: np.ndarray
 
 
-def _compile_instance(universe: Universe, keys, coeff: QI):
-    """Turn an ordered generator product into an instance, or None if it
-    is identically zero.  ``keys`` is the written product; application is
-    rightmost first."""
-    steps = []
-    sign = 1
-    # virtual fermionic occupancy relative to the (unknown) input state
-    ferm_state = {}
-    bos_delta = {}
-    need = {}
-    empty = []
-    for key in reversed(keys):
-        fam = key.family
-        creator = key.is_creator()
-        if fam in ("g", "b"):
-            if creator:
-                p = universe.creator_slot(key)
-                steps.append((_BC, p, bos_delta.get(p, 0)))
-                bos_delta[p] = bos_delta.get(p, 0) + 1
-            else:
-                p = universe.creator_slot(key.dual())
-                d = bos_delta.get(p, 0)
-                req = 1 - d
-                if req > need.get(p, 0):
-                    need[p] = req
-                steps.append((_BA_G if fam == "g" else _BA_B, p, d))
-                if fam == "b":
-                    sign = -sign
-                bos_delta[p] = d - 1
-        else:
-            if creator:
-                p = universe.creator_slot(key)
-                cur = ferm_state.get(p)
-                if cur == 1:
-                    return None  # repeated fermionic creator
-                if cur is None:
-                    empty.append(p)
-                steps.append((_FC, p, 0))
-                ferm_state[p] = 1
-            else:
-                p = universe.creator_slot(key.dual())
-                cur = ferm_state.get(p)
-                if cur == 0:
-                    return None  # annihilating an already-cleared slot
-                if cur is None:
-                    need[p] = 1
-                steps.append((_FA, p, 0))
-                ferm_state[p] = 0
-    inst = _Instance(steps, coeff if sign == 1 else -coeff)
-    inst.need = tuple(sorted(need.items()))
-    inst.empty = tuple(sorted(empty))
-    # net occupancy delta and hash delta of the whole instance; a fermionic
-    # slot whose first touch is an annihilation started occupied
-    delta = dict(bos_delta)
-    for p, v in ferm_state.items():
-        first = next(s for s in inst.steps if s[1] == p and s[0] in (_FA, _FC))
-        orig = 1 if first[0] == _FA else 0
-        delta[p] = v - orig
-    dh1 = 0
-    dh2 = 0
-    dslots = []
-    for p, dv in sorted(delta.items()):
-        if dv == 0:
-            continue
-        dslots.append((p, dv))
-        dh1 = (dh1 + dv * int(universe.h1[p])) % (1 << 64)
-        dh2 = (dh2 + dv * int(universe.h2[p])) % (1 << 64)
-    inst.delta = tuple(sorted(delta.items()))
-    inst.dslots = tuple(dslots)
-    inst.dh1 = np.uint64(dh1)
-    inst.dh2 = np.uint64(dh2)
-    return inst
+def _padded(rows, fill, dtype):
+    """Stack variable-length rows of equal-length tuples into one array of
+    shape (len(rows), widest row, len(fill)), padding with ``fill``."""
+    width = max(map(len, rows), default=0)
+    flat = [list(r) + [fill] * (width - len(r)) for r in rows]
+    out = np.array(flat, dtype=np.int64).reshape(len(rows), width, len(fill))
+    return out.astype(dtype)
+
+
+def _pack_table(universe: Universe, instances, den: int) -> _Table:
+    """Packed table of compiled instances with coefficients scaled by den."""
+    f0, ones = universe.f0, universe.nslots
+    re = [int(c.re * den) for c, *_ in instances]
+    im = [int(c.im * den) for c, *_ in instances]
+    _bound(
+        all(abs(x) < 1 << 30 for x in re) and all(abs(x) < 1 << 30 for x in im),
+        "instance coefficient",
+    )
+    cons = _padded([r[1] for r in instances], (ones, 0, _FULL), np.int16)
+    bos = _padded([r[2] for r in instances], (ones, 0), np.int16)
+    par = _padded([[(p - f0,) for p in r[3]] for r in instances], (0,), np.int16)
+    delta = _padded([r[4] for r in instances], (0, 0), np.int16)
+    dslot, dval = delta[:, :, 0], delta[:, :, 1]
+    # hash change sum(dv * h[slot]) mod 2**64: a negative change becomes
+    # its two's complement, which is the same residue
+    dv = dval.astype(np.int64).astype(np.uint64)
+    return _Table(
+        cslot=cons[:, :, 0],
+        clo=cons[:, :, 1].astype(np.uint8),
+        cspan=(cons[:, :, 2] - cons[:, :, 1]).astype(np.uint8),
+        bslot=bos[:, :, 0],
+        boff=bos[:, :, 1].astype(np.int8),
+        fslot=par[:, :, 0],
+        dslot=dslot,
+        dval=dval.astype(np.int8),
+        dh1=(dv * universe.h1[dslot]).sum(axis=1, dtype=np.uint64),
+        dh2=(dv * universe.h2[dslot]).sum(axis=1, dtype=np.uint64),
+        re=np.array(re, dtype=np.int64),
+        im=np.array(im, dtype=np.int64),
+    )
 
 
 def _leaf_iter(op, weight: QI):
@@ -331,8 +357,9 @@ def _leaf_iter(op, weight: QI):
     )
 
 
-def _term_instances(universe: Universe, term, weight: QI, relative: bool):
-    """All instances of one term shape with every slot mode in range."""
+def _term_products(universe: Universe, term, weight: QI, relative: bool):
+    """(keys, coeff) of every generator product of one term shape with
+    every slot mode in range."""
     mmax = universe.mmax
     nv = term.nvars
     if nv == 0:
@@ -351,8 +378,6 @@ def _term_instances(universe: Universe, term, weight: QI, relative: bool):
             if b is None:
                 raise StructureError("term has no isolating slot for a variable")
             bounds.append(range(b[0], b[1] + 1))
-        import itertools
-
         ranges = itertools.product(*bounds)
     out = []
     for vs in ranges:
@@ -383,20 +408,34 @@ def _term_instances(universe: Universe, term, weight: QI, relative: bool):
         sign = 1
         if term.normal:
             sign, keys = normal_order_slots(keys)
-        inst = _compile_instance(universe, keys, c if sign == 1 else -c)
-        if inst is not None:
-            out.append(inst)
+        out.append((keys, c if sign == 1 else -c))
     return out
 
 
+def _op_products(universe: Universe, op, relative: bool):
+    """Central scalar and the (keys, coeff) generator products of an
+    operator tree."""
+    central, leaves = _leaf_iter(op, QI(1))
+    products = []
+    for weight, leaf in leaves:
+        if hasattr(leaf, "key"):
+            key = leaf.key
+            if not (relative and key.is_fermionic() and key.mode == 0):
+                products.append(([key], weight))
+        else:
+            for term in leaf.terms:
+                products.extend(_term_products(universe, term, weight, relative))
+    return central, products
+
+
 class _BulkOp:
-    __slots__ = ("name", "op", "central", "instances", "den", "smax")
+    __slots__ = ("name", "op", "central", "table", "den", "smax")
 
     def __init__(self, name, op):
         self.name = name
         self.op = op
         self.central = ZERO
-        self.instances = []
+        self.table = None
         self.den = 1
         self.smax = 0
 
@@ -416,6 +455,12 @@ def _op_energy_span(op) -> int:
                 )
                 span = max(span, abs(de))
     return span
+
+
+def _empty_stream(nslots: int):
+    z = np.zeros(0, dtype=np.int64)
+    zu = np.zeros(0, dtype=np.uint64)
+    return z, zu, zu, z, z, np.zeros((0, nslots), dtype=np.uint8)
 
 
 class BulkEngine:
@@ -461,37 +506,21 @@ class BulkEngine:
         mmax = self.box.emax + max(1, 2 * smax_full, smax_all)
         self.universe = Universe(self.dim, mmax)
         for bop in self._ops.values():
-            central, leaves = _leaf_iter(bop.op, QI(1))
+            central, products = _op_products(self.universe, bop.op, self.relative)
             bop.central = central
-            for weight, leaf in leaves:
-                if hasattr(leaf, "key"):
-                    key = leaf.key
-                    if self.relative and key.is_fermionic() and key.mode == 0:
-                        continue
-                    inst = _compile_instance(self.universe, [key], weight)
-                    if inst is not None:
-                        bop.instances.append(inst)
-                else:
-                    for term in leaf.terms:
-                        bop.instances.extend(
-                            _term_instances(
-                                self.universe, term, weight, self.relative
-                            )
-                        )
+            instances = []
+            for keys, c in products:
+                inst = _compile_instance(self.universe, keys, c)
+                if inst is not None:
+                    instances.append(inst)
             den = 1
-            for inst in bop.instances:
-                den = lcm(den, inst.coeff.re.denominator, inst.coeff.im.denominator)
+            for c, *_ in instances:
+                den = lcm(den, c.re.denominator, c.im.denominator)
             if not central.is_zero():
                 den = lcm(den, central.re.denominator, central.im.denominator)
             _bound(den < 1 << 24, f"denominator of {bop.name}")
             bop.den = den
-            for inst in bop.instances:
-                inst.re = int(inst.coeff.re * den)
-                inst.im = int(inst.coeff.im * den)
-                _bound(
-                    abs(inst.re) < 1 << 30 and abs(inst.im) < 1 << 30,
-                    "instance coefficient",
-                )
+            bop.table = _pack_table(self.universe, instances, den)
         self._build_domain()
         self._prepared = True
 
@@ -562,80 +591,73 @@ class BulkEngine:
         return rows, cols, re, im
 
     def _apply_all(self, bop, states, h1, h2, collect_rows: bool):
-        """Apply every instance of ``bop`` to all ``states`` rows.
+        """Apply the packed instance table of ``bop`` to every row of
+        ``states`` in one vectorized pass.
 
-        Returns (cols, key_h1, key_h2, re, im, out_rows); out_rows is the
+        Returns (cols, key_h1, key_h2, re, im, out_rows), one entry per
+        (instance, state) pair in instance-major order; out_rows is the
         stacked output occupancy rows when requested (possibly with
         duplicates), else an empty array."""
+        t = bop.table
         u = self.universe
-        f0 = u.f0
         n = len(states)
-        cols_l, ka_l, kb_l, re_l, im_l = [], [], [], [], []
-        rows_l = []
-        # per-slot occupancy range of the state set: instances whose
-        # prefilter no state can satisfy are skipped outright
-        colmax = states.max(axis=0) if n else None
-        colmin = states.min(axis=0) if n else None
-        for inst in bop.instances:
-            if n:
-                if any(colmax[p] < r for p, r in inst.need):
-                    continue
-                if any(colmin[p] > 0 for p in inst.empty):
-                    continue
-            mask = None
-            for p, r in inst.need:
-                cond = states[:, p] >= r
-                mask = cond if mask is None else (mask & cond)
-            for p in inst.empty:
-                cond = states[:, p] == 0
-                mask = cond if mask is None else (mask & cond)
-            idx = np.flatnonzero(mask) if mask is not None else np.arange(n)
-            if len(idx) == 0:
-                continue
-            fac = np.ones(len(idx), dtype=np.int64)
-            for kind, p, dbefore in inst.steps:
-                if kind == _BA_G or kind == _BA_B:
-                    cnt = states[idx, p].astype(np.int64) + dbefore
-                    fac *= cnt  # sign for _BA_B already folded into coeff
-                elif kind == _FA or kind == _FC:
-                    if p > f0:
-                        par = states[idx, f0:p].sum(axis=1, dtype=np.int64)
-                    else:
-                        par = np.zeros(len(idx), dtype=np.int64)
-                    # parity correction from earlier steps of this instance
-                    corr = sum(
-                        dv
-                        for q, dv in _steps_delta_before(inst, kind, p)
-                        if f0 <= q < p
-                    )
-                    par = (par + corr) & 1
-                    np.negative(fac, out=fac, where=par.astype(bool))
-            cols_l.append(idx)
-            ka_l.append(h1[idx] + inst.dh1)
-            kb_l.append(h2[idx] + inst.dh2)
-            re_l.append(inst.re * fac)
-            im_l.append(inst.im * fac)
-            if collect_rows:
-                out = states[idx].astype(np.int16)
-                for p, dv in inst.dslots:
-                    out[:, p] += dv
-                if out.min(initial=0) < 0:
-                    raise StructureError(f"{bop.name} emptied an unoccupied slot")
-                rows_l.append(out.astype(np.uint8))
-        if not cols_l:
-            z = np.zeros(0, dtype=np.int64)
-            zu = np.zeros(0, dtype=np.uint64)
-            return z, zu, zu, z, z, np.zeros((0, u.nslots), dtype=np.uint8)
-        cols = np.concatenate(cols_l).astype(np.int64)
-        ka = np.concatenate(ka_l)
-        kb = np.concatenate(kb_l)
-        re = np.concatenate(re_l)
-        im = np.concatenate(im_l)
-        rows = (
-            np.concatenate(rows_l)
-            if rows_l
-            else np.zeros((0, u.nslots), dtype=np.uint8)
+        if n == 0 or len(t.re) == 0:
+            return _empty_stream(u.nslots)
+        # slot-major copy of the block plus the row of ones that padded
+        # table entries read
+        block = np.ones((u.nslots + 1, n), dtype=np.uint8)
+        block[:-1] = states.T
+        # drop instances that no state of the block can feed
+        hi = t.clo + t.cspan
+        live = (block.max(axis=1)[t.cslot] >= t.clo) & (
+            block.min(axis=1)[t.cslot] <= hi
         )
+        sel = np.flatnonzero(live.all(axis=1))
+        if len(sel) == 0:
+            return _empty_stream(u.nslots)
+        # instance x state mask, one constraint column at a time;
+        # occupancy - lo wraps around below lo, so one comparison with
+        # the span checks both ends
+        mask = np.ones((len(sel), n), dtype=bool)
+        for j in range(t.cslot.shape[1]):
+            occ = block[t.cslot[sel, j]] - t.clo[sel, j][:, None]
+            mask &= occ <= t.cspan[sel, j][:, None]
+            del occ
+        # (instance, state) pairs in instance-major order; the flat index
+        # becomes the state index in place, so the stream holds no
+        # instance index array
+        inst = np.repeat(sel, np.count_nonzero(mask, axis=1))
+        cols = np.flatnonzero(mask)
+        del mask
+        cols %= n
+        fac = np.ones(len(cols), dtype=np.int64)
+        for j in range(t.bslot.shape[1]):
+            fac *= block[t.bslot[inst, j], cols] + t.boff[inst, j]
+        if t.fslot.shape[1]:
+            # exclusive prefix counts over the fermionic slots (mod 256,
+            # which keeps their parity); row 0 is the empty prefix
+            pre = np.zeros((u.nslots - u.f0, n), dtype=np.uint8)
+            np.cumsum(
+                block[u.f0 : u.nslots - 1], axis=0, dtype=np.uint8, out=pre[1:]
+            )
+            par = pre[t.fslot[inst, 0], cols]
+            for j in range(1, t.fslot.shape[1]):
+                par ^= pre[t.fslot[inst, j], cols]
+            np.negative(fac, out=fac, where=(par & 1).view(bool))
+        ka = h1[cols] + t.dh1[inst]
+        kb = h2[cols] + t.dh2[inst]
+        re = t.re[inst] * fac
+        im = t.im[inst] * fac
+        if not collect_rows:
+            return cols, ka, kb, re, im, np.zeros((0, u.nslots), dtype=np.uint8)
+        rows = states[cols]
+        at = np.arange(len(cols))
+        for j in range(t.dslot.shape[1]):
+            p = t.dslot[inst, j]
+            occ = rows[at, p] + t.dval[inst, j]
+            if occ.min(initial=0) < 0:
+                raise StructureError(f"{bop.name} emptied an unoccupied slot")
+            rows[at, p] = occ
         return cols, ka, kb, re, im, rows
 
     # -- restricted column builds --------------------------------------
@@ -646,8 +668,7 @@ class BulkEngine:
         is the image of state ids[j].  Entries may repeat within a
         column; downstream reductions sum them."""
         bop = self._ops[name]
-        # column-major copy: the instance prefilters read whole columns
-        sub = np.asfortranarray(self.l1_rows[ids])
+        sub = self.l1_rows[ids]
         h1 = self.l1_h1[ids]
         h2 = self.l1_h2[ids]
         nsub = len(ids)
@@ -969,20 +990,3 @@ def _group_keyed(cols, ka, kb, re, im):
         first,
     )
 
-
-def _steps_delta_before(inst, kind, p):
-    """Slot deltas applied strictly before the step (kind, p) -- steps are
-    unique per (kind, slot) for fermions, which is what parity needs."""
-    out = []
-    for k, q, _ in inst.steps:
-        if k == kind and q == p:
-            break
-        if k == _BC:
-            out.append((q, 1))
-        elif k == _BA_G or k == _BA_B:
-            out.append((q, -1))
-        elif k == _FC:
-            out.append((q, 1))
-        elif k == _FA:
-            out.append((q, -1))
-    return out

@@ -5,21 +5,31 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sweil.scalars import ONE
+from sweil.scalars import ONE, QI, ZERO
 from sweil.liealg import (
     LieAlgebraSpec,
     abelian,
     builtin_sl2_orthonormal,
     fmu_backend,
     loop_backend,
+    witt_backend,
 )
-from sweil.fock import Box
-from sweil.bulkrep import BulkEngine
+from sweil.fock import Box, FockVector, GenKey
+from sweil.fieldops import (
+    build_differential_d,
+    build_koszul_h,
+    build_s2alpha_family,
+    build_sl2_EHF,
+    build_theta_adjoint,
+)
+from sweil.bulkrep import BulkEngine, _op_products
 from sweil.verify import (
     N2_TABLE_SYMBOLS,
     S2A_TABLE_SYMBOLS,
+    GeneratorOperator,
     check_chain_identities,
     check_d_compatibility,
     check_relative_derext,
@@ -95,18 +105,279 @@ def test_checksum_certificate_matches_exact_path(suite, monkeypatch):
         assert not failed
 
 
+# -- per-instance reference for the packed kernel ----------------------
+#
+# The loop that BulkEngine._apply_all ran before instances were packed
+# into tables: each instance runs its steps, rightmost generator first,
+# over the states its prerequisites admit, one numpy round per instance.
+
+_BA_G, _BA_B, _BC, _FA, _FC = range(5)
+
+
+def _ref_compile(universe, keys, coeff):
+    """(steps, coeff, need, empty, dslots) of one generator product, or
+    None when it is identically zero."""
+    steps = []
+    sign = 1
+    ferm_state = {}
+    bos_delta = {}
+    need = {}
+    empty = []
+    for key in reversed(keys):
+        creator = key.is_creator()
+        if key.family in ("g", "b"):
+            if creator:
+                p = universe.creator_slot(key)
+                steps.append((_BC, p, bos_delta.get(p, 0)))
+                bos_delta[p] = bos_delta.get(p, 0) + 1
+            else:
+                p = universe.creator_slot(key.dual())
+                d = bos_delta.get(p, 0)
+                if 1 - d > need.get(p, 0):
+                    need[p] = 1 - d
+                steps.append((_BA_G if key.family == "g" else _BA_B, p, d))
+                if key.family == "b":
+                    sign = -sign
+                bos_delta[p] = d - 1
+        elif creator:
+            p = universe.creator_slot(key)
+            cur = ferm_state.get(p)
+            if cur == 1:
+                return None
+            if cur is None:
+                empty.append(p)
+            steps.append((_FC, p, 0))
+            ferm_state[p] = 1
+        else:
+            p = universe.creator_slot(key.dual())
+            cur = ferm_state.get(p)
+            if cur == 0:
+                return None
+            if cur is None:
+                need[p] = 1
+            steps.append((_FA, p, 0))
+            ferm_state[p] = 0
+    delta = dict(bos_delta)
+    for p, v in ferm_state.items():
+        first = next(k for k, q, _ in steps if q == p and k in (_FA, _FC))
+        delta[p] = v - (1 if first == _FA else 0)
+    dslots = sorted((p, dv) for p, dv in delta.items() if dv)
+    return steps, (coeff if sign == 1 else -coeff), sorted(need.items()), empty, dslots
+
+
+def _ref_apply(universe, products, den, states, h1, h2):
+    """Entries (col, key_h1, key_h2, re, im, row) of the operator with
+    generator products ``products`` on every row of ``states``."""
+    f0 = universe.f0
+    out = []
+    for keys, coeff in products:
+        inst = _ref_compile(universe, keys, coeff)
+        if inst is None:
+            continue
+        steps, c, need, empty, dslots = inst
+        mask = np.ones(len(states), dtype=bool)
+        for p, r in need:
+            mask &= states[:, p] >= r
+        for p in empty:
+            mask &= states[:, p] == 0
+        idx = np.flatnonzero(mask)
+        fac = np.ones(len(idx), dtype=np.int64)
+        for i, (kind, p, dbefore) in enumerate(steps):
+            if kind in (_BA_G, _BA_B):
+                fac *= states[idx, p].astype(np.int64) + dbefore
+            elif kind in (_FA, _FC):
+                par = states[idx, f0:p].sum(axis=1, dtype=np.int64)
+                # parity correction from earlier steps of this instance
+                corr = sum(
+                    1 if k in (_BC, _FC) else -1
+                    for k, q, _ in steps[:i]
+                    if f0 <= q < p
+                )
+                np.negative(fac, out=fac, where=((par + corr) & 1).astype(bool))
+        rows = states[idx].astype(np.int16)
+        for p, dv in dslots:
+            rows[:, p] += dv
+        assert rows.min(initial=0) >= 0
+        dh1 = sum(dv * int(universe.h1[p]) for p, dv in dslots) % (1 << 64)
+        dh2 = sum(dv * int(universe.h2[p]) for p, dv in dslots) % (1 << 64)
+        re, im = int(c.re * den), int(c.im * den)
+        for j, s in enumerate(idx.tolist()):
+            out.append(
+                (
+                    s,
+                    (int(h1[s]) + dh1) % (1 << 64),
+                    (int(h2[s]) + dh2) % (1 << 64),
+                    re * int(fac[j]),
+                    im * int(fac[j]),
+                    rows[j].astype(np.uint8).tobytes(),
+                )
+            )
+    return out
+
+
+def _grouped(entries):
+    """(col, key) -> summed (re, im) without zero sums, and (col, key) ->
+    output row; a key seen with two different rows fails."""
+    sums, rows = {}, {}
+    for col, ka, kb, re, im, row in entries:
+        key = (col, ka, kb)
+        r0, i0 = sums.get(key, (0, 0))
+        sums[key] = (r0 + re, i0 + im)
+        assert rows.setdefault(key, row) == row
+    return {k: v for k, v in sums.items() if v != (0, 0)}, rows
+
+
+def _kernel_entries(engine, name, states, h1, h2):
+    cols, ka, kb, re, im, rows = engine._apply_all(
+        engine._ops[name], states, h1, h2, collect_rows=True
+    )
+    return list(
+        zip(
+            cols.tolist(),
+            ka.tolist(),
+            kb.tolist(),
+            re.tolist(),
+            im.tolist(),
+            (r.tobytes() for r in rows),
+        )
+    )
+
+
+WITT = witt_backend()
+HALF = QI(Fraction(1, 2))
+
+
+def _family(builder, symbols):
+    return lambda: [
+        (f"{s}[{n}]", builder(s, n)) for s in symbols for n in (-1, 0, 1)
+    ]
+
+
+def _chain_ops(backend):
+    ops = [("d", build_differential_d(backend)), ("kz", build_koszul_h(backend))]
+    for j in range(backend.dim):
+        for n in (-1, 0, 1):
+            ops.append((f"theta({j},{n})", build_theta_adjoint(backend, j, n)))
+            ops.append((f"tau({j},{n})", GeneratorOperator(GenKey("t", j, n))))
+    return ops
+
+
+# every operator family the relation suites register
+FAMILIES = {
+    "n2-sl2": (SL2, _family(n2_builder(SL2), N2_TABLE_SYMBOLS)),
+    "n2-fmu": (FMU, _family(n2_builder(FMU), N2_TABLE_SYMBOLS)),
+    "s2a0-sl2": (SL2, _family(s2a_builder(SL2, ZERO), S2A_TABLE_SYMBOLS)),
+    "s2a-half-ab1": (AB1, _family(s2a_builder(AB1, HALF), S2A_TABLE_SYMBOLS)),
+    "chain-sl2": (SL2, lambda: _chain_ops(SL2)),
+    "chain-witt": (WITT, lambda: _chain_ops(WITT)),
+    "sl2-triple": (
+        SL2,
+        lambda: [(s, build_sl2_EHF(SL2, s)) for s in ("EE", "HH", "FF")],
+    ),
+}
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_packed_kernel_matches_per_instance_reference(family, relative):
+    """The packed-table kernel and the per-instance loop it replaced give
+    the same grouped (col, key) -> (re, im) map and the same output rows,
+    for every registered operator on the box block and on random blocks
+    of level-1 states."""
+    backend, ops = FAMILIES[family]
+    box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
+    engine = BulkEngine(backend.dim, box, relative)
+    for name, op in ops():
+        engine.register(name, op)
+    engine.prepare()
+    u = engine.universe
+    rng = np.random.default_rng(sum(map(ord, family)) + relative)
+    blocks = [engine.box_ids, np.zeros(0, dtype=np.int64)]
+    for size in (1, 40, 400):
+        ids = rng.choice(engine.n1, size=min(size, engine.n1), replace=False)
+        blocks.append(np.sort(ids))
+    for name, bop in engine._ops.items():
+        _, products = _op_products(u, bop.op, relative)
+        for ids in blocks:
+            states = engine.l1_rows[ids]
+            h1, h2 = engine.l1_h1[ids], engine.l1_h2[ids]
+            got = _grouped(_kernel_entries(engine, name, states, h1, h2))
+            want = _grouped(_ref_apply(u, products, bop.den, states, h1, h2))
+            assert got == want, (family, name, len(ids))
+
+
+@pytest.mark.parametrize("backend", [SL2, AB1], ids=["sl2", "ab1"])
+def test_box_matrices_match_operator_apply(backend):
+    """Each column of a compiled box matrix, decoded through the level-1
+    rows and divided by the operator's denominator, is the operator
+    applied to that box monomial (the matrices carry the central
+    diagonal, which S'(2,1/2) L[0] has)."""
+    ops = {
+        "d": build_differential_d(backend),
+        "theta": build_theta_adjoint(backend, 0, 1),
+        "L[0]": build_s2alpha_family(backend, HALF, "Lalpha", 0),
+        "tau": GeneratorOperator(GenKey("t", 0, -1)),
+    }
+    engine = BulkEngine(backend.dim, Box(emax=1, b0max=1))
+    for name, op in ops.items():
+        engine.register(name, op)
+    engine.prepare()
+    u = engine.universe
+    assert not engine._ops["L[0]"].central.is_zero()
+    for name, op in ops.items():
+        rows, cols, re, im = engine._box_mats[name]
+        den = engine._ops[name].den
+        got = [FockVector() for _ in engine.box_monos]
+        for r, c, x, y in zip(rows.tolist(), cols.tolist(), re.tolist(), im.tolist()):
+            got[c].add_term(
+                u.mono_of(engine.l1_rows[r]), QI(Fraction(x, den), Fraction(y, den))
+            )
+        for col, m in enumerate(engine.box_monos):
+            assert got[col] == op.apply(FockVector.of(m)), (name, m)
+
+
 def test_bounds_hold_without_asserts():
-    """The int64 bounds are explicit raises, so python -O keeps them."""
+    """The int64 bounds and the packed kernel's emptied-slot guard are
+    explicit raises, so python -O keeps them."""
     code = textwrap.dedent(
         """
         import numpy as np
-        from sweil.bulkrep import _group_keyed
+        from sweil.bulkrep import BulkEngine, _group_keyed, _pack_table
+        from sweil.fieldops import SumOperator
+        from sweil.fock import Box, GenKey
+        from sweil.liealg import StructureError
+        from sweil.scalars import ONE
+        from sweil.verify import GeneratorOperator
 
         big = np.array([1 << 61, 1 << 61], dtype=np.int64)
         cols = np.zeros(2, dtype=np.int64)
         keys = np.ones(2, dtype=np.uint64)
         try:
             _group_keyed(cols, keys, keys, big, np.zeros(2, dtype=np.int64))
+        except OverflowError:
+            print("raised")
+
+        # a hand-built table whose one instance lowers a slot it does not
+        # constrain: every box state has that slot empty
+        eng = BulkEngine(1, Box(emax=1, b0max=0))
+        eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
+        eng.prepare()
+        slot = eng.universe.creator_slot(GenKey("g", 0, eng.universe.mmax))
+        bop = eng._ops["tau"]
+        bop.table = _pack_table(eng.universe, [(ONE, [], [], [], [(slot, -1)])], 1)
+        ids = eng.box_ids
+        rows, h1, h2 = eng.l1_rows[ids], eng.l1_h1[ids], eng.l1_h2[ids]
+        try:
+            eng._apply_all(bop, rows, h1, h2, True)
+        except StructureError:
+            print("raised")
+
+        # an instance coefficient past the int64 headroom
+        eng = BulkEngine(1, Box(emax=1, b0max=0))
+        tau = GeneratorOperator(GenKey("t", 0, 0))
+        eng.register("big", SumOperator([(1 << 31, tau)]))
+        try:
+            eng.prepare()
         except OverflowError:
             print("raised")
         """
@@ -119,4 +390,4 @@ def test_bounds_hold_without_asserts():
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.split() == ["raised"] * 3
