@@ -20,6 +20,9 @@ that table: instances are dropped against the block's per-slot
 occupancy range, an instance x state mask is built one constraint
 column at a time, and the count factors, signs, output keys and (when
 asked for) output rows of all (instance, state) pairs are taken at once.
+A table and block whose mask would exceed a fixed cell budget are taken
+in consecutive instance chunks, so memory follows the output, not the
+product of table and block sizes.
 Everything stays exact: matrix entries are scaled Gaussian integers, and
 every overflow-relevant bound is checked at run time (``OverflowError``
 when one fails, also under ``python -O``).
@@ -77,6 +80,11 @@ _HASH_SEED = 0x5EB11C0DE
 
 # highest occupancy an occupancy row can hold; also "no upper bound"
 _FULL = 255
+
+# cells of the instance x state mask that _apply_all builds at once; a
+# larger table or block is taken in instance chunks, which bounds the
+# mask and the per-pair temporaries whatever the box size
+_MASK_CELLS = 1 << 22
 
 
 def _bound(ok, what: str):
@@ -592,7 +600,7 @@ class BulkEngine:
 
     def _apply_all(self, bop, states, h1, h2, collect_rows: bool):
         """Apply the packed instance table of ``bop`` to every row of
-        ``states`` in one vectorized pass.
+        ``states`` in one vectorized pass per chunk of instances.
 
         Returns (cols, key_h1, key_h2, re, im, out_rows), one entry per
         (instance, state) pair in instance-major order; out_rows is the
@@ -615,6 +623,33 @@ class BulkEngine:
         sel = np.flatnonzero(live.all(axis=1))
         if len(sel) == 0:
             return _empty_stream(u.nslots)
+        pre = None
+        if t.fslot.shape[1]:
+            # exclusive prefix counts over the fermionic slots (mod 256,
+            # which keeps their parity); row 0 is the empty prefix
+            pre = np.zeros((u.nslots - u.f0, n), dtype=np.uint8)
+            np.cumsum(
+                block[u.f0 : u.nslots - 1], axis=0, dtype=np.uint8, out=pre[1:]
+            )
+        # consecutive instance chunks keep the instance-major order
+        step = max(1, _MASK_CELLS // n)
+        parts = [
+            self._apply_chunk(
+                bop, states, block, pre, h1, h2, sel[i : i + step], collect_rows
+            )
+            for i in range(0, len(sel), step)
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def _apply_chunk(self, bop, states, block, pre, h1, h2, sel, collect_rows):
+        """The stream of the table instances ``sel`` on the block; see
+        _apply_all.  ``block`` is the slot-major block, ``pre`` its
+        exclusive fermionic prefix counts (None if the table has no
+        parity slots)."""
+        t = bop.table
+        n = len(states)
         # instance x state mask, one constraint column at a time;
         # occupancy - lo wraps around below lo, so one comparison with
         # the span checks both ends
@@ -633,13 +668,7 @@ class BulkEngine:
         fac = np.ones(len(cols), dtype=np.int64)
         for j in range(t.bslot.shape[1]):
             fac *= block[t.bslot[inst, j], cols] + t.boff[inst, j]
-        if t.fslot.shape[1]:
-            # exclusive prefix counts over the fermionic slots (mod 256,
-            # which keeps their parity); row 0 is the empty prefix
-            pre = np.zeros((u.nslots - u.f0, n), dtype=np.uint8)
-            np.cumsum(
-                block[u.f0 : u.nslots - 1], axis=0, dtype=np.uint8, out=pre[1:]
-            )
+        if pre is not None:
             par = pre[t.fslot[inst, 0], cols]
             for j in range(1, t.fslot.shape[1]):
                 par ^= pre[t.fslot[inst, j], cols]
@@ -649,7 +678,7 @@ class BulkEngine:
         re = t.re[inst] * fac
         im = t.im[inst] * fac
         if not collect_rows:
-            return cols, ka, kb, re, im, np.zeros((0, u.nslots), dtype=np.uint8)
+            return cols, ka, kb, re, im, np.zeros((0, states.shape[1]), np.uint8)
         rows = states[cols]
         at = np.arange(len(cols))
         for j in range(t.dslot.shape[1]):

@@ -264,20 +264,14 @@ class SumOperator(Operator):
         self.parity = parities.pop() if len(parities) == 1 else 0
         shifts = {op.shift for _, op in self.parts}
         self.shift = shifts.pop() if len(shifts) == 1 else None
-        # integer weights, mostly +-1, go through scale_int, which skips
-        # the QI multiply for +-1
-        self._int_weights = tuple(
-            c.re if c.im == 0 and type(c.re) is int and c.re else None
-            for c, _ in self.parts
-        )
 
     def _apply_monomial(self, m, relative, pad):
         out = FockVector()
         if not self.central.is_zero():
             out.add_term(m, self.central)
-        for (c, op), k in zip(self.parts, self._int_weights):
+        for c, op in self.parts:
             for m2, c2 in op.apply_monomial(m, relative, pad).terms.items():
-                out.add_term(m2, c * c2 if k is None else scale_int(c2, k))
+                out.add_term(m2, c * c2)
         return out
 
 

@@ -25,6 +25,7 @@ from sweil.fieldops import (
     build_sl2_EHF,
     build_theta_adjoint,
 )
+from sweil import bulkrep
 from sweil.bulkrep import BulkEngine, _op_products
 from sweil.verify import (
     N2_TABLE_SYMBOLS,
@@ -279,11 +280,11 @@ FAMILIES = {
 
 @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_packed_kernel_matches_per_instance_reference(family, relative):
+def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypatch):
     """The packed-table kernel and the per-instance loop it replaced give
     the same grouped (col, key) -> (re, im) map and the same output rows,
     for every registered operator on the box block and on random blocks
-    of level-1 states."""
+    of level-1 states, in one pass and one instance per chunk."""
     backend, ops = FAMILIES[family]
     box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
     engine = BulkEngine(backend.dim, box, relative)
@@ -304,6 +305,10 @@ def test_packed_kernel_matches_per_instance_reference(family, relative):
             got = _grouped(_kernel_entries(engine, name, states, h1, h2))
             want = _grouped(_ref_apply(u, products, bop.den, states, h1, h2))
             assert got == want, (family, name, len(ids))
+            monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
+            got = _grouped(_kernel_entries(engine, name, states, h1, h2))
+            monkeypatch.undo()
+            assert got == want, (family, name, len(ids), "chunked")
 
 
 @pytest.mark.parametrize("backend", [SL2, AB1], ids=["sl2", "ab1"])
