@@ -4,8 +4,8 @@ machine-readable reports.
 
 Exit codes: 0 when every check passes, 1 when a check fails (the report
 carries a witness), 2 on usage errors.  Reports are byte-identical across
-runs and parallelism degrees: work is scheduled sequentially in a fixed
-order and timing fields are zeroed in the emitted output.
+runs: work is scheduled sequentially in a fixed order and timing fields
+are zeroed in the emitted output.
 """
 
 from __future__ import annotations

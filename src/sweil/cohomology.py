@@ -128,43 +128,47 @@ class Matrix:
         return m
 
 
-def exact_rank_kernel(mat: Matrix):
-    """(rank, kernel basis) by exact Gaussian elimination with
-    deterministic pivoting (lowest row index first)."""
-    cols = [dict(c) for c in mat.cols]
-    # track each working column as a combination of original columns
-    combo = [{j: ONE} for j in range(mat.ncols)]
-    pivots = {}  # row -> col index in working set
-    rank = 0
-    kernel = []
-    for j in range(mat.ncols):
-        col = cols[j]
-        cmb = combo[j]
-        # reduce against existing pivots, smallest row first
+def _sub_scaled(acc: dict, f: QI, col: dict):
+    """acc -= f * col in place, dropping zero entries."""
+    for i, c in col.items():
+        cur = acc.get(i, ZERO) - f * c
+        if cur.is_zero():
+            acc.pop(i, None)
+        else:
+            acc[i] = cur
+
+
+def _eliminate(cols):
+    """Exact Gaussian elimination of ``cols`` in order, with deterministic
+    pivoting (lowest row index first).  Yields, for each column j, None
+    when it is independent of the columns before it, else the vanishing
+    combination of columns (coefficient 1 at j) that it reduced to."""
+    reduced = []
+    combo = []
+    pivots = {}  # row -> column
+    for j, c in enumerate(cols):
+        col = dict(c)
+        cmb = {j: ONE}
         while col:
             r = min(col)
             p = pivots.get(r)
             if p is None:
                 break
-            f = col[r] / cols[p][r]
-            for i, c in cols[p].items():
-                cur = col.get(i, ZERO) - f * c
-                if cur.is_zero():
-                    col.pop(i, None)
-                else:
-                    col[i] = cur
-            for k, c in combo[p].items():
-                cur = cmb.get(k, ZERO) - f * c
-                if cur.is_zero():
-                    cmb.pop(k, None)
-                else:
-                    cmb[k] = cur
+            f = col[r] / reduced[p][r]
+            _sub_scaled(col, f, reduced[p])
+            _sub_scaled(cmb, f, combo[p])
+        reduced.append(col)
+        combo.append(cmb)
         if col:
             pivots[min(col)] = j
-            rank += 1
-        else:
-            kernel.append(dict(cmb))
-    return rank, kernel
+        yield None if col else cmb
+
+
+def exact_rank_kernel(mat: Matrix):
+    """(rank, kernel basis) by exact Gaussian elimination with
+    deterministic pivoting (lowest row index first)."""
+    kernel = [cmb for cmb in _eliminate(mat.cols) if cmb is not None]
+    return mat.ncols - len(kernel), kernel
 
 
 def dense_rank_oracle(mat: Matrix) -> int:
@@ -174,31 +178,22 @@ def dense_rank_oracle(mat: Matrix) -> int:
     )
 
 
-def solve_in_span(basis: Matrix, target: dict) -> Optional[dict]:
-    """Coordinates of target (row -> QI) in the span of basis columns, or
-    None when the target lies outside the span."""
+def solve_in_span(basis: Matrix, targets: Matrix) -> Optional[Matrix]:
+    """X with basis @ X == targets, or None when some target column lies
+    outside the span of the basis columns.  One elimination runs over the
+    basis columns and then the targets, so each target is reduced against
+    the basis pivots only; each column of X is supported on those pivot
+    columns, so X is the unique solution when the basis is independent."""
+    if targets.nrows != basis.nrows:
+        raise StructureError("matrix shape mismatch")
     n = basis.ncols
-    aug = Matrix(basis.nrows, n + 1)
-    for j in range(n):
-        aug.cols[j] = dict(basis.cols[j])
-    aug.cols[n] = dict(target)
-    rank_b, _ = exact_rank_kernel(
-        Matrix(basis.nrows, n, basis.cols)
-    )
-    rank_a, kernel = exact_rank_kernel(
-        Matrix(basis.nrows, n + 1, aug.cols[: n + 1])
-    )
-    if rank_a != rank_b:
-        return None
-    for vec in kernel:
-        c = vec.get(n, ZERO)
-        if not c.is_zero():
-            return {
-                j: -a / c for j, a in vec.items() if j != n and not a.is_zero()
-            }
-    if not target:
-        return {}
-    return None
+    out = Matrix(n, targets.ncols)
+    for j, cmb in enumerate(_eliminate(basis.cols + targets.cols)):
+        if j >= n:
+            if cmb is None:
+                return None
+            out.cols[j - n] = {k: -c for k, c in cmb.items() if k != j}
+    return out
 
 
 def hermitian_signature(gram: Matrix):
@@ -342,23 +337,21 @@ def assemble_matrix(op: Operator, src: GradedPiece, tgt: GradedPiece) -> Matrix:
     """Matrix of op from src basis to tgt basis; exact; error when an
     image falls outside the target span."""
     index = {m: i for i, m in enumerate(tgt.ambient)}
-    out = Matrix(tgt.dim, src.dim)
+    images = Matrix(len(tgt.ambient), src.dim)
     for j in range(src.dim):
         img = op.apply(src.vector(j), relative=src.relative)
-        coords = {}
         for m, c in img.terms.items():
             i = index.get(m)
             if i is None:
                 raise StructureError(
                     f"{op.name or 'operator'} image leaves the target slice"
                 )
-            coords[i] = c
-        sol = solve_in_span(tgt.basis, coords)
-        if sol is None:
-            raise StructureError(
-                f"{op.name or 'operator'} image leaves the target basis span"
-            )
-        out.cols[j] = sol
+            images.cols[j][i] = c
+    out = solve_in_span(tgt.basis, images)
+    if out is None:
+        raise StructureError(
+            f"{op.name or 'operator'} image leaves the target basis span"
+        )
     return out
 
 
@@ -373,14 +366,10 @@ def gram_matrix(piece: GradedPiece, form=hermitian_form) -> Matrix:
 
 def adjoint_matrix(a: Matrix, gram_src: Matrix, gram_tgt: Matrix) -> Matrix:
     """The form-adjoint A* with {A v, w} = {v, A* w}: solves
-    G_src A* = A^H G_tgt column by column; error when G_src is singular."""
-    rhs = a.conj_transpose() @ gram_tgt
-    out = Matrix(a.ncols, a.nrows)
-    for j in range(rhs.ncols):
-        sol = solve_in_span(gram_src, rhs.cols[j])
-        if sol is None:
-            raise StructureError("degenerate Gram form: no adjoint")
-        out.cols[j] = sol
+    G_src A* = A^H G_tgt; error when A^H G_tgt leaves the span of G_src."""
+    out = solve_in_span(gram_src, a.conj_transpose() @ gram_tgt)
+    if out is None:
+        raise StructureError("degenerate Gram form: no adjoint")
     return out
 
 
@@ -497,7 +486,8 @@ def koszul_single_pair_report(backend, max_excitation=4, mode_range=2):
             coh = len(basis) - 2 * rank
             if coh != 1:
                 failures.append((comp, mode, "homology dim", coh))
-            if solve_in_span(mat, {index[VACUUM]: ONE}) is not None:
+            vac = Matrix(len(basis), 1, [{index[VACUUM]: ONE}])
+            if solve_in_span(mat, vac) is not None:
                 failures.append((comp, mode, "vacuum is exact", 0))
     return failures
 
@@ -634,6 +624,13 @@ def _cocycle_basis(piece: GradedPiece, d_out: Matrix):
     return z
 
 
+def _top_rows(mat: Matrix, n: int) -> Matrix:
+    """The first n rows of ``mat``."""
+    return Matrix(
+        n, mat.ncols, [{i: c for i, c in col.items() if i < n} for col in mat.cols]
+    )
+
+
 def induced_cohomology_matrix(op_mat: Matrix, z_src: Matrix, z_tgt: Matrix,
                               b_tgt: Matrix):
     """Matrix induced on cohomology by an operator that maps cocycles to
@@ -641,19 +638,12 @@ def induced_cohomology_matrix(op_mat: Matrix, z_src: Matrix, z_tgt: Matrix,
     span of (z_tgt | b_tgt), truncated to the z_tgt block.  Returns None
     when some image is not a cocycle modulo boundaries."""
     n = z_tgt.ncols
-    joint = Matrix(z_tgt.nrows, n + b_tgt.ncols)
-    for j in range(n):
-        joint.cols[j] = dict(z_tgt.cols[j])
-    for j in range(b_tgt.ncols):
-        joint.cols[n + j] = dict(b_tgt.cols[j])
-    out = Matrix(n, z_src.ncols)
-    for j in range(z_src.ncols):
-        img = op_mat.apply_coords(z_src.cols[j])
-        sol = solve_in_span(joint, img)
-        if sol is None:
-            return None
-        out.cols[j] = {i: c for i, c in sol.items() if i < n}
-    return out
+    joint = Matrix(z_tgt.nrows, n + b_tgt.ncols, z_tgt.cols + b_tgt.cols)
+    images = [op_mat.apply_coords(col) for col in z_src.cols]
+    sol = solve_in_span(joint, Matrix(z_tgt.nrows, z_src.ncols, images))
+    if sol is None:
+        return None
+    return _top_rows(sol, n)
 
 
 def harmonic_lefschetz_report(backend, emax=2, s_range=2):
@@ -870,26 +860,14 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
         # boundary span
         cohq = {}
         for deg_l in range(lo, hi + 1):
-            piece = get_piece(energy, deg_s, deg_l)
-            b = bnd[deg_l]
-            bcoords = Matrix(z[deg_l].ncols, 0)
-            if b.ncols:
-                # boundary vectors in cocycle coordinates
-                sols = []
-                for j in range(b.ncols):
-                    sol = solve_in_span(z[deg_l], b.cols[j])
-                    if sol is None:
-                        raise StructureError("boundary is not a cocycle")
-                    sols.append(sol)
-                bcoords = Matrix(z[deg_l].ncols, len(sols))
-                for j, sol in enumerate(sols):
-                    bcoords.cols[j] = sol
+            # boundary vectors in cocycle coordinates
+            bcoords = solve_in_span(z[deg_l], bnd[deg_l])
+            if bcoords is None:
+                raise StructureError("boundary is not a cocycle")
             # choose representative columns: unit vectors independent of
             # the boundary span
             chosen = []
-            work = Matrix(z[deg_l].ncols, 0)
-            work.cols = [dict(c) for c in bcoords.cols]
-            work.ncols = len(work.cols)
+            work = bcoords
             base_rank = exact_rank_kernel(work)[0]
             for j in range(z[deg_l].ncols):
                 if len(chosen) == hdim[deg_l]:
@@ -902,7 +880,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
                     base_rank = r
             cohq[deg_l] = (bcoords, chosen)
 
-        def project(deg_l, coords):
+        def project(deg_l, coords: Matrix) -> Matrix:
             """Coordinates (in cocycle basis) -> cohomology coordinates
             over the chosen representatives, modulo boundaries."""
             bcoords, chosen = cohq[deg_l]
@@ -915,15 +893,15 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
             sol = solve_in_span(joint, coords)
             if sol is None:
                 raise StructureError("cocycle escapes cohomology span")
-            return {i: c for i, c in sol.items() if i < n}
+            return _top_rows(sol, n)
 
         eh = {}
         for deg_l in range(lo, hi - 1):
             _, chosen = cohq[deg_l]
-            m = Matrix(hdim[deg_l + 2], hdim[deg_l])
-            for jj, j in enumerate(chosen):
-                m.cols[jj] = project(deg_l + 2, emap[deg_l].cols[j] if j < emap[deg_l].ncols else {})
-            eh[deg_l] = m
+            images = [emap[deg_l].cols[j] for j in chosen]
+            eh[deg_l] = project(
+                deg_l + 2, Matrix(z[deg_l + 2].ncols, len(chosen), images)
+            )
         # solve for the lowering maps F_l : H^l -> H^(l-2) with
         # E_(l-2) F_l - F_(l+2) E_l = l * Id on every H^l
         var = {}
@@ -964,7 +942,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
             for v, coeff in row.items():
                 system.cols[v][r] = coeff
         target = {r: c for r, c in enumerate(targ) if not c.is_zero()}
-        if solve_in_span(system, target) is None:
+        if solve_in_span(system, Matrix(len(eqs), 1, [target])) is None:
             lef_ok = False
             lef_witness = (
                 f"no lowering action on cohomology at "

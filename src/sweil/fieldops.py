@@ -16,11 +16,20 @@ This module also builds every concrete operator family: the adjoint and
 weight-density Witt representations, the N=2 and S'(2,alpha) quadratic
 expansions, the differentials d and the Koszul operator, the sl(2) triple
 on the relative model, the star involution, and the Hermitian forms.
+
+Both forms are evaluated in closed form, monomial by monomial.  The Hodge
+form is diagonal on canonical monomials, with weight the product of the
+bosonic multiplicity factorials, 1/n for each e(n) and |n| for each t(n).
+Under the Hermitian form {., .} a monomial pairs with at most one partner,
+its keys with families swapped (g <-> b, e <-> t) and modes negated; the
+coefficient is a sign, the bosonic multiplicity factorials and a phase of
+i per e or b key and -i per t or g key.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,10 +41,8 @@ from .fock import (
     FockMonomial,
     FockVector,
     GenKey,
-    VACUUM,
     _CREATOR_POSITIVE,
     _DUAL,
-    apply_generator,
     make_monomial,
     normal_order_slots,
     product_on_monomial,
@@ -675,7 +682,7 @@ def build_dc(d: Operator) -> Operator:
     return SumOperator([(I, d1), (-I, d2)], name="dc")
 
 
-# -- star, Hermitian forms, adjoint rules ------------------------------
+# -- star and the Hermitian forms --------------------------------------
 
 
 def star_monomial(m: FockMonomial):
@@ -715,81 +722,68 @@ class StarOperator(Operator):
         return star(FockVector.of(m))
 
 
-def generator_adjoint(key: GenKey):
-    """Adjoint of a generator with respect to {.,.}: a scalar multiple of
-    the same family at the opposite mode."""
-    c = I if key.family == "e" else -I
-    return c, GenKey(key.family, key.comp, -key.mode)
+def _boson_factorials(m: FockMonomial) -> int:
+    return math.prod(math.factorial(m.bosons.count(k)) for k in set(m.bosons))
 
 
-def _herm_monomial(m: FockMonomial, w: FockVector) -> QI:
-    if m.is_vacuum():
-        return w.terms.get(VACUUM, ZERO)
-    if m.bosons:
-        key = m.bosons[0]
-        rest = FockMonomial(m.bosons[1:], m.fermions)
-    else:
-        key = m.fermions[0]
-        rest = FockMonomial(m.bosons, m.fermions[1:])
-    c, adj = generator_adjoint(key)
-    w2 = apply_generator(adj, w).scale(c)
-    return _herm_monomial(rest, w2)
+_I_POWERS = (ONE, I, QI(-1), -I)
+# the {., .} phase of each key of a monomial, as a power of i: the adjoint
+# of e(n) is i e(-n), that of any other generator -i times the same family
+# at mode -n, and a 'b' annihilator contracts its partner with -1
+_HERM_PHASE = {"e": 1, "b": 1, "t": -1, "g": -1}
+
+
+def _hermitian_partner(m: FockMonomial):
+    """(coefficient, partner) with {m, partner} = coefficient, or None when
+    ``m`` pairs with nothing; see ``hermitian_form``."""
+    keys = m.bosons + m.fermions
+    swapped = [GenKey(_DUAL[k.family], k.comp, -k.mode) for k in keys]
+    if not all(k.is_creator() for k in swapped):
+        return None
+    sign, partner = make_monomial(swapped)
+    phase = _I_POWERS[sum(_HERM_PHASE[k.family] for k in keys) % 4]
+    return scale_int(phase, sign * _boson_factorials(m)), partner
 
 
 def hermitian_form(v: FockVector, w: FockVector) -> QI:
-    """{v, w}: sesquilinear (antilinear in v), {vac, vac} = 1, reduced by
-    the adjoint rules; monomials of mode-0 bosonic creators pair to zero
-    against the vacuum, which makes those directions degenerate."""
+    """{v, w}: sesquilinear (antilinear in v), {vac, vac} = 1, with each
+    generator adjoint to -i (+i for e) times the same family at the
+    opposite mode.  In closed form a monomial m pairs only with its
+    partner: each key of m with its family swapped (g <-> b, e <-> t) and
+    its mode negated, in the key order of m, canonicalized by
+    ``make_monomial``.  {m, partner} is that sign times the bosonic
+    multiplicity factorials of m times i per e or b key and -i per t or g
+    key.  A monomial with b(0) or t(0) has no partner, which makes those
+    directions degenerate."""
     total = ZERO
     for m, c in v.terms.items():
-        total = total + c.conj() * _herm_monomial(m, w)
+        hit = _hermitian_partner(m)
+        if hit is not None and hit[1] in w.terms:
+            total = total + c.conj() * hit[0] * w.terms[hit[1]]
     return total
-
-
-_HODGE_SWAP = {"e": "t", "t": "e", "g": "b", "b": "g"}
-
-
-def hodge_adjoint(key: GenKey):
-    """Adjoint of a creator with respect to the Hodge inner product: the
-    annihilator of the paired family at the same mode, weighted so that
-    the homotopy operator, the twisted homotopy operator and the
-    Lefschetz lowering operator become the exact adjoints of the Koszul
-    differential, the twisted differential and the raising operator."""
-    n = abs(key.mode)
-    if n == 0 and key.family in ("e", "t"):
-        raise StructureError("the Hodge form is defined on the relative model only")
-    if key.family == "e":
-        c = QI(Fraction(1, n))
-    elif key.family == "t":
-        c = QI(n)
-    elif key.family == "g":
-        c = QI(-1)
-    else:
-        c = ONE
-    return c, GenKey(_HODGE_SWAP[key.family], key.comp, key.mode)
-
-
-def _hodge_monomial(m: FockMonomial, w: FockVector) -> QI:
-    if m.is_vacuum():
-        return w.terms.get(VACUUM, ZERO)
-    if m.bosons:
-        key = m.bosons[0]
-        rest = FockMonomial(m.bosons[1:], m.fermions)
-    else:
-        key = m.fermions[0]
-        rest = FockMonomial(m.bosons, m.fermions[1:])
-    c, adj = hodge_adjoint(key)
-    w2 = apply_generator(adj, w).scale(c)
-    return _hodge_monomial(rest, w2)
 
 
 def hodge_form(v: FockVector, w: FockVector) -> QI:
     """Positive-definite Hodge inner product on the relative model:
-    sesquilinear (antilinear in v), diagonal on canonical monomials with
-    positive weights; every graded piece has an invertible Gram matrix."""
+    sesquilinear (antilinear in v) and diagonal on canonical monomials,
+    {m, m} = the bosonic multiplicity factorials of m times 1/n for each
+    e(n) and |n| for each t(n) in m.  The weights make the homotopy
+    operator, the twisted homotopy operator and the Lefschetz lowering
+    operator the exact adjoints of the Koszul differential, the twisted
+    differential and the raising operator, and every graded piece has an
+    invertible Gram matrix.  Raises StructureError when a monomial of v
+    has a mode-0 fermion."""
     total = ZERO
     for m, c in v.terms.items():
-        total = total + c.conj() * _hodge_monomial(m, w)
+        if m.has_zero_mode_fermion():
+            raise StructureError(
+                "the Hodge form is defined on the relative model only"
+            )
+        if m in w.terms:
+            num = math.prod(-k.mode for k in m.fermions if k.family == "t")
+            den = math.prod(k.mode for k in m.fermions if k.family == "e")
+            weight = Fraction(_boson_factorials(m) * num, den)
+            total = total + c.conj() * QI(weight) * w.terms[m]
     return total
 
 
@@ -799,7 +793,7 @@ def pairing_form(v: FockVector, w: FockVector) -> QI:
     for m, c in v.terms.items():
         _, _, _, a, b = m.degrees()
         sign, m2 = star_monomial(m)
-        factor = (ONE, I, QI(-1), -I)[(a + b) % 4]
+        factor = _I_POWERS[(a + b) % 4]
         coeff = c * factor
         u.add_term(m2, coeff if sign == 1 else -coeff)
     return hermitian_form(u, w)

@@ -101,9 +101,52 @@ def test_rank_matches_dense_oracle(rows):
 
 def test_solve_in_span():
     basis = mat([[1, 0], [0, 2], [1, 1]])
-    sol = solve_in_span(basis, {0: ONE, 1: QI(4), 2: QI(3)})
-    assert sol == {0: ONE, 1: QI(2)}
-    assert solve_in_span(basis, {0: ONE, 1: ZERO, 2: ZERO}) is None
+    sol = solve_in_span(basis, mat([[1, 0], [4, 0], [3, 0]]))
+    assert sol == mat([[1, 0], [2, 0]])
+    assert solve_in_span(basis, mat([[1, 1], [4, 0], [3, 0]])) is None
+    assert solve_in_span(basis, Matrix(3, 0)) == Matrix(2, 0)
+    with pytest.raises(StructureError):
+        solve_in_span(basis, Matrix(2, 1))
+
+
+gaussian = st.builds(
+    QI,
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.integers(-2, 2),
+) | st.sampled_from([ZERO, ONE])
+
+
+def draw_matrix(data, nrows, ncols):
+    rows = data.draw(
+        st.lists(
+            st.lists(gaussian, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    return mat(rows) if ncols else Matrix(nrows, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_in_span_matches_dense_rank(data):
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(0, 4))
+    ntargets = data.draw(st.integers(0, 3))
+    basis = draw_matrix(data, nrows, ncols)
+    if ncols and data.draw(st.booleans()):
+        # targets inside the span
+        targets = basis @ draw_matrix(data, ncols, ntargets)
+    else:
+        targets = draw_matrix(data, nrows, ntargets)
+    aug = Matrix(nrows, ncols + ntargets, basis.cols + targets.cols)
+    sol = solve_in_span(basis, targets)
+    if dense_rank_oracle(aug) > dense_rank_oracle(basis):
+        assert sol is None
+    else:
+        assert sol is not None
+        assert (sol.nrows, sol.ncols) == (ncols, ntargets)
+        assert basis @ sol == targets
 
 
 def test_hermitian_signature_fixtures():
@@ -248,11 +291,15 @@ def test_homotopy_operator_adjoint_identity():
     tgt = piece_basis(SL2, 2, 1, -1, True)
     assert src.dim > 0 and tgt.dim > 0
     a = assemble_matrix(h0, src, tgt)
-    adj = adjoint_matrix(
-        a, gram_matrix(src, form=hodge_form), gram_matrix(tgt, form=hodge_form)
-    )
-    minus_p = assemble_matrix(p0, tgt, src).scale(QI(-1))
-    assert adj.cols == minus_p.cols
+    g_src = gram_matrix(src, form=hodge_form)
+    g_tgt = gram_matrix(tgt, form=hodge_form)
+    adj = adjoint_matrix(a, g_src, g_tgt)
+    plus_p = assemble_matrix(p0, tgt, src)
+    assert not plus_p.is_zero()
+    assert adj.cols == plus_p.scale(QI(-1)).cols
+    # negative controls: the sign of p0 and the source weights both matter
+    assert adj.cols != plus_p.cols
+    assert adjoint_matrix(a, g_src.scale(QI(2)), g_tgt).cols != adj.cols
 
 
 def test_raising_lowering_adjoint_identity():

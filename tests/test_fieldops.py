@@ -14,9 +14,11 @@ from sweil.liealg import (
 )
 from sweil.fock import (
     Box,
+    FockMonomial,
     FockVector,
     GenKey,
     VACUUM,
+    apply_generator,
     apply_product,
     enumerate_box,
     make_monomial,
@@ -41,10 +43,10 @@ from sweil.fieldops import (
     build_theta_adjoint,
     build_witt_rep,
     _loop_witt_L,
-    generator_adjoint,
     N2_SYMBOLS,
     S2A_SYMBOLS,
     hermitian_form,
+    hodge_form,
     pairing_form,
     split_d1_d2,
     star,
@@ -338,6 +340,87 @@ def test_star_exchanges_bidegree():
     assert (a, bb) == (1, 2)
 
 
+# -- reference: the forms reduced one generator at a time --------------
+#
+# Both forms are defined by adjoint rules: {k u, w} = {u, c k' w} for the
+# first creator k of a monomial, down to the vacuum coefficient.  These
+# recursive reducers are the reference for the closed forms in fieldops.
+
+
+def generator_adjoint(key: GenKey):
+    """Adjoint of a generator with respect to {.,.}: a scalar multiple of
+    the same family at the opposite mode."""
+    c = I if key.family == "e" else -I
+    return c, GenKey(key.family, key.comp, -key.mode)
+
+
+_HODGE_SWAP = {"e": "t", "t": "e", "g": "b", "b": "g"}
+
+
+def hodge_adjoint(key: GenKey):
+    """Adjoint of a creator with respect to the Hodge inner product: the
+    annihilator of the paired family at the same mode, weighted."""
+    n = abs(key.mode)
+    if n == 0 and key.family in ("e", "t"):
+        raise StructureError("the Hodge form is defined on the relative model only")
+    if key.family == "e":
+        c = QI(Fraction(1, n))
+    elif key.family == "t":
+        c = QI(n)
+    elif key.family == "g":
+        c = QI(-1)
+    else:
+        c = ONE
+    return c, GenKey(_HODGE_SWAP[key.family], key.comp, key.mode)
+
+
+def _reduce_monomial(adjoint, m: FockMonomial, w: FockVector) -> QI:
+    if m.is_vacuum():
+        return w.terms.get(VACUUM, ZERO)
+    if m.bosons:
+        key = m.bosons[0]
+        rest = FockMonomial(m.bosons[1:], m.fermions)
+    else:
+        key = m.fermions[0]
+        rest = FockMonomial(m.bosons, m.fermions[1:])
+    c, adj = adjoint(key)
+    return _reduce_monomial(adjoint, rest, apply_generator(adj, w).scale(c))
+
+
+def reference_form(adjoint, v: FockVector, w: FockVector) -> QI:
+    total = ZERO
+    for m, c in v.terms.items():
+        total = total + c.conj() * _reduce_monomial(adjoint, m, w)
+    return total
+
+
+@pytest.mark.parametrize(
+    "backend,box",
+    [
+        (AB1, Box(emax=2, b0max=1, zero_fermions_allowed=False)),
+        (AB1, Box(emax=2, b0max=1)),
+        (SL2, Box(emax=1, b0max=1, zero_fermions_allowed=False)),
+        (SL2, Box(emax=1, b0max=0)),
+    ],
+    ids=["ab1-rel", "ab1-abs", "sl2-rel", "sl2-abs"],
+)
+def test_closed_forms_match_reference(backend, box):
+    by_energy = {}
+    for m in enumerate_box(backend.dim, box):
+        by_energy.setdefault(m.energy(), []).append(FockVector.of(m))
+    forms = [(hermitian_form, generator_adjoint)]
+    if not box.zero_fermions_allowed:
+        forms.append((hodge_form, hodge_adjoint))
+    nonzero = {form: 0 for form, _ in forms}
+    for vecs in by_energy.values():
+        for v, w in itertools.product(vecs, vecs):
+            for form, adjoint in forms:
+                got = form(v, w)
+                assert got == reference_form(adjoint, v, w), (form, v, w)
+                nonzero[form] += not got.is_zero()
+    assert all(nonzero.values())
+
+
 def test_generator_adjoint_rules():
     c, k = generator_adjoint(e(0, 1))
     assert (c, k) == (I, e(0, -1))
@@ -377,8 +460,6 @@ def test_star_operator_is_even_involution():
 
 
 def test_hodge_form_fixtures():
-    from sweil.fieldops import hodge_form
-
     vac = FockVector.vacuum()
     assert hodge_form(vac, vac) == ONE
     assert hodge_form(vec(e(0, 2)), vec(e(0, 2))) == QI(Fraction(1, 2))
@@ -390,16 +471,12 @@ def test_hodge_form_fixtures():
 
 
 def test_hodge_form_rejects_zero_mode_fermions():
-    from sweil.fieldops import hodge_form
-
     v = apply_product([t(0, 0)], VACUUM)
     with pytest.raises(StructureError):
         hodge_form(v, v)
 
 
 def test_hodge_form_makes_package_adjoints_exact():
-    from sweil.fieldops import hodge_form, build_sl2_EHF
-
     h0 = build_s2alpha_family(SL2, ZERO, "h", 0)
     p0 = build_s2alpha_family(SL2, ZERO, "p", 0)
     x = build_s2alpha_family(SL2, ZERO, "x", -1)
@@ -426,8 +503,6 @@ def test_hodge_form_makes_package_adjoints_exact():
 
 
 def test_hodge_form_positive_and_hermitian_on_box():
-    from sweil.fieldops import hodge_form
-
     box = Box(emax=2, b0max=2, zero_fermions_allowed=False)
     for m in enumerate_box(1, box):
         v = FockVector.of(m)
