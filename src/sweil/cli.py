@@ -32,6 +32,7 @@ from .sca import (
     s2a_bracket,
     s_alpha_obstruction,
     spectral_flow,
+    super_jacobi_failure,
     vf_bracket,
     vf_realize,
 )
@@ -278,23 +279,14 @@ def suite_sca_tables(cfg):
     reports.append(_table_report("sca:table-vs-fields", alpha, window, witness))
 
     # graded Jacobi identity, including the central cocycle
-    witness = None
     jw = min(window, 2)
-    jbasis = [(s, n) for s in SYMBOLS for n in range(-jw, jw + 1)]
-    for (sa, na), (sb, nb), (sc, nc) in product(jbasis, repeat=3):
-        A = SCAElement.basis(sa, na)
-        B = SCAElement.basis(sb, nb)
-        C = SCAElement.basis(sc, nc)
-        t1 = s2a_bracket(alpha, A, s2a_bracket(alpha, B, C))
-        t2 = s2a_bracket(alpha, s2a_bracket(alpha, A, B), C)
-        t3 = s2a_bracket(alpha, B, s2a_bracket(alpha, A, C))
-        if A.parity() and B.parity():
-            t3 = t3.scale(QI(-1))
-        if not (t1 - t2 - t3).is_zero():
-            witness = (
-                ("triple", f"({sa}[{na}],{sb}[{nb}],{sc}[{nc}])"),
-            )
-            break
+    bad = super_jacobi_failure(
+        alpha, [(s, n) for s in SYMBOLS for n in range(-jw, jw + 1)]
+    )
+    witness = None
+    if bad is not None:
+        (sa, na), (sb, nb), (sc, nc) = bad
+        witness = (("triple", f"({sa}[{na}],{sb}[{nb}],{sc}[{nc}])"),)
     reports.append(_table_report("sca:super-jacobi", alpha, jw, witness))
 
     # spectral flow is a bracket homomorphism onto the unflowed subalgebra

@@ -6,6 +6,7 @@ single-pair Koszul acyclicity check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .scalars import QI, ZERO, ONE
@@ -615,13 +616,31 @@ def _signature_str(sig) -> str:
 
 
 def _cocycle_basis(piece: GradedPiece, d_out: Matrix):
-    """Kernel vectors of the outgoing differential as a Matrix of
-    coordinates in the piece basis."""
-    _, kernel = exact_rank_kernel(d_out)
+    """(rank of the outgoing differential, its kernel vectors as a Matrix
+    of coordinates in the piece basis)."""
+    rank, kernel = exact_rank_kernel(d_out)
     z = Matrix(piece.dim, len(kernel))
     for j, vec in enumerate(kernel):
         z.cols[j] = dict(vec)
-    return z
+    return rank, z
+
+
+def _completing_units(basis: Matrix, count: int) -> list:
+    """The first ``count`` indices j, in increasing order, whose unit
+    vectors e_j are independent of the basis columns and of the unit
+    vectors before them.  One elimination runs over the basis columns and
+    then the unit vectors, so each candidate is reduced against the same
+    echelon."""
+    chosen = []
+    if count:
+        units = ({j: ONE} for j in range(basis.nrows))
+        n = basis.ncols
+        for j, cmb in enumerate(_eliminate(chain(basis.cols, units))):
+            if j >= n and cmb is None:
+                chosen.append(j - n)
+                if len(chosen) == count:
+                    break
+    return chosen
 
 
 def _top_rows(mat: Matrix, n: int) -> Matrix:
@@ -774,14 +793,23 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
             )
         return d_mats[key]
 
+    # rank of each d_mats entry, filled by the first elimination of it
+    d_ranks = {}
+
+    def d_rank(energy, deg_s, deg_l):
+        key = (energy, deg_s, deg_l)
+        if key not in d_ranks:
+            d_ranks[key] = exact_rank_kernel(get_d(*key))[0]
+        return d_ranks[key]
+
     for energy, deg_s, deg_l in keys:
         piece = get_piece(energy, deg_s, deg_l)
         up = get_piece(energy, deg_s, deg_l + 1)
         down = get_piece(energy, deg_s, deg_l - 1)
         a = get_d(energy, deg_s, deg_l)
         c = get_d(energy, deg_s, deg_l - 1)
-        rank_out = exact_rank_kernel(a)[0]
-        rank_in = exact_rank_kernel(c)[0]
+        rank_out = d_rank(energy, deg_s, deg_l)
+        rank_in = d_rank(energy, deg_s, deg_l - 1)
         coh = piece.dim - rank_in - rank_out
         g = get_gram(piece)
         sig = hermitian_signature(g)
@@ -825,15 +853,15 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
         bnd = {}
         for deg_l in range(lo, hi + 1):
             piece = get_piece(energy, deg_s, deg_l)
-            z[deg_l] = _cocycle_basis(piece, get_d(energy, deg_s, deg_l))
+            rank, z[deg_l] = _cocycle_basis(piece, get_d(energy, deg_s, deg_l))
+            d_ranks.setdefault((energy, deg_s, deg_l), rank)
             c = get_d(energy, deg_s, deg_l - 1)
             bnd[deg_l] = Matrix(piece.dim, 0) if c.ncols == 0 else c
-        hdim = {deg_l: 0 for deg_l in range(lo, hi + 1)}
+        hdim = {
+            deg_l: z[deg_l].ncols - d_rank(energy, deg_s, deg_l - 1)
+            for deg_l in range(lo, hi + 1)
+        }
         emap = {}
-        for deg_l in range(lo, hi + 1):
-            piece = get_piece(energy, deg_s, deg_l)
-            rank_in = exact_rank_kernel(get_d(energy, deg_s, deg_l - 1))[0]
-            hdim[deg_l] = z[deg_l].ncols - rank_in
         for deg_l in range(lo, hi - 1):
             src_p = get_piece(energy, deg_s, deg_l)
             if src_p.dim == 0:
@@ -866,19 +894,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
                 raise StructureError("boundary is not a cocycle")
             # choose representative columns: unit vectors independent of
             # the boundary span
-            chosen = []
-            work = bcoords
-            base_rank = exact_rank_kernel(work)[0]
-            for j in range(z[deg_l].ncols):
-                if len(chosen) == hdim[deg_l]:
-                    break
-                trial = Matrix(z[deg_l].ncols, work.ncols + 1, work.cols + [{j: ONE}])
-                r = exact_rank_kernel(trial)[0]
-                if r > base_rank:
-                    chosen.append(j)
-                    work = trial
-                    base_rank = r
-            cohq[deg_l] = (bcoords, chosen)
+            cohq[deg_l] = (bcoords, _completing_units(bcoords, hdim[deg_l]))
 
         def project(deg_l, coords: Matrix) -> Matrix:
             """Coordinates (in cocycle basis) -> cohomology coordinates

@@ -20,6 +20,13 @@ EVEN_SYMBOLS = ("L", "E", "H", "F")
 ODD_SYMBOLS = ("h", "p", "x", "y")
 SYMBOLS = EVEN_SYMBOLS + ODD_SYMBOLS
 _HALF = QI(Fraction(1, 2))
+_QUARTER = QI(Fraction(1, 4))
+_SIXTH = QI(Fraction(1, 6))
+_TWENTYFOURTH = QI(Fraction(1, 24))
+_MINUS_ONE = QI(-1)
+# key of the central coordinate in a bracket accumulator (see _bracket_into)
+_CENTRAL = None
+_new = object.__new__
 
 
 def parity_of(sym: str) -> int:
@@ -32,7 +39,7 @@ def parity_of(sym: str) -> int:
 
 class SCAElement:
     """Finite scalar combination of basis symbols (sym, n) plus a central
-    coordinate."""
+    coordinate.  No zero coefficient is ever stored."""
 
     __slots__ = ("coeffs", "central")
 
@@ -44,6 +51,15 @@ class SCAElement:
                 if not c.is_zero():
                     self.coeffs[key] = c
         self.central = QI.of(central)
+
+    @staticmethod
+    def _raw(coeffs, central=ZERO) -> "SCAElement":
+        """An element holding ``coeffs`` itself; its values must already be
+        nonzero ``QI``s and ``central`` a ``QI``, as nothing is checked."""
+        el = _new(SCAElement)
+        el.coeffs = coeffs
+        el.central = central
+        return el
 
     @staticmethod
     def basis(sym, n, coeff=ONE) -> "SCAElement":
@@ -69,7 +85,7 @@ class SCAElement:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(QI(-1))
+        return self + other.scale(_MINUS_ONE)
 
     def scale(self, c) -> "SCAElement":
         c = QI.of(c)
@@ -111,10 +127,13 @@ class SCAElement:
 
 
 def _el(*terms, central=ZERO):
-    out = SCAElement(central=central)
+    """A basis bracket from (coefficient, sym, n) terms with distinct keys;
+    coefficients are ints or ``QI``s, and zero ones are dropped."""
+    coeffs = {}
     for c, sym, n in terms:
-        out.add_term(sym, n, QI.of(c))
-    return out
+        if c:
+            coeffs[(sym, n)] = c if type(c) is QI else QI(c)
+    return SCAElement._raw(coeffs, central)
 
 
 def _delta(n, k):
@@ -129,90 +148,134 @@ def s2a_basis_bracket(alpha, sa, na, sb, nb, include_cocycle=True) -> SCAElement
     if out is not None:
         return out
     flipped = _s2a_listed(alpha, sb, nb, sa, na, include_cocycle)
-    if flipped is not None:
-        sign = ONE if parity_of(sa) and parity_of(sb) else QI(-1)
-        return flipped.scale(sign)
-    return SCAElement()
+    if flipped is None:
+        return SCAElement._raw({})
+    if parity_of(sa) and parity_of(sb):
+        return flipped
+    return SCAElement._raw(
+        {key: -c for key, c in flipped.coeffs.items()}, -flipped.central
+    )
 
 
 def _s2a_listed(alpha, sa, n, sb, k, include_cocycle):
+    """[sa[n], sb[k]] for an ordered pair the defining table lists, else
+    None.  The table is keyed by the first symbol, then the second."""
     s = n + k
-    pair = (sa, sb)
+    terms = None
     cz = ZERO
-    if pair == ("L", "L"):
-        out = _el((n - k, "L", s))
-        cz = QI(Fraction(n * (n * n - 1), 12)) if _delta(n, k) else ZERO
-    elif pair == ("E", "F"):
-        out = _el((1, "H", s))
-        cz = QI(Fraction(n, 6)) if _delta(n, k) else ZERO
-    elif pair == ("H", "E"):
-        out = _el((2, "E", s))
-    elif pair == ("H", "F"):
-        out = _el((-2, "F", s))
-    elif pair == ("L", "E"):
-        out = _el((-k, "E", s))
-    elif pair == ("L", "H"):
-        out = _el((-k, "H", s))
-    elif pair == ("L", "F"):
-        out = _el((-k, "F", s))
-    elif pair == ("H", "H"):
-        out = _el()
-        cz = QI(Fraction(n, 3)) if _delta(n, k) else ZERO
-    elif pair == ("L", "h"):
-        out = SCAElement({("h", s): (QI(n - 2 * k + 1) - alpha) * _HALF})
-    elif pair == ("L", "p"):
-        out = SCAElement({("p", s): (QI(n - 2 * k - 1) + alpha) * _HALF})
-    elif pair == ("L", "x"):
-        out = SCAElement({("x", s): (QI(n - 2 * k - 1) + alpha) * _HALF})
-    elif pair == ("L", "y"):
-        out = SCAElement({("y", s): (QI(n - 2 * k + 1) - alpha) * _HALF})
-    elif pair == ("E", "y"):
-        out = _el((1, "h", s))
-    elif pair == ("F", "h"):
-        out = _el((1, "y", s))
-    elif pair == ("E", "p"):
-        out = _el((1, "x", s))
-    elif pair == ("F", "x"):
-        out = _el((1, "p", s))
-    elif pair == ("H", "h"):
-        out = _el((1, "h", s))
-    elif pair == ("H", "y"):
-        out = _el((-1, "y", s))
-    elif pair == ("H", "x"):
-        out = _el((1, "x", s))
-    elif pair == ("H", "p"):
-        out = _el((-1, "p", s))
-    elif pair == ("h", "x"):
-        out = SCAElement({("E", s): QI(k + 1 - n) - alpha})
-    elif pair == ("p", "y"):
-        out = SCAElement({("F", s): QI(k - n - 1) + alpha})
-    elif pair == ("h", "p"):
-        out = _el((1, "L", s))
-        out.add_term("H", s, -(QI(k - n + 1) - alpha) * _HALF)
-        if _delta(n, k):
-            t = QI(n - 1) + (alpha + ONE) * _HALF
-            cz = (t * t - QI(Fraction(1, 4))) / QI(6)
-    elif pair == ("x", "y"):
-        out = _el((-1, "L", s))
-        out.add_term("H", s, (QI(k - n - 1) + alpha) * _HALF)
-        if _delta(n, k):
-            t = QI(-n - 1) + (alpha + ONE) * _HALF
-            cz = -(t * t - QI(Fraction(1, 4))) / QI(6)
-    else:
+    if sa == "L":
+        if sb == "L":
+            terms = ((n - k, "L", s),)
+            cz = QI(Fraction(n * (n * n - 1), 12)) if _delta(n, k) else ZERO
+        elif sb in ("E", "H", "F"):
+            terms = ((-k, sb, s),)
+        elif sb in ("h", "y"):
+            terms = (((QI(n - 2 * k + 1) - alpha) * _HALF, sb, s),)
+        elif sb in ("p", "x"):
+            terms = (((QI(n - 2 * k - 1) + alpha) * _HALF, sb, s),)
+    elif sa == "H":
+        if sb == "E":
+            terms = ((2, "E", s),)
+        elif sb == "F":
+            terms = ((-2, "F", s),)
+        elif sb == "H":
+            terms = ()
+            cz = QI(Fraction(n, 3)) if _delta(n, k) else ZERO
+        elif sb in ("h", "x"):
+            terms = ((1, sb, s),)
+        elif sb in ("p", "y"):
+            terms = ((-1, sb, s),)
+    elif sa == "E":
+        if sb == "F":
+            terms = ((1, "H", s),)
+            cz = QI(Fraction(n, 6)) if _delta(n, k) else ZERO
+        elif sb == "y":
+            terms = ((1, "h", s),)
+        elif sb == "p":
+            terms = ((1, "x", s),)
+    elif sa == "F":
+        if sb == "h":
+            terms = ((1, "y", s),)
+        elif sb == "x":
+            terms = ((1, "p", s),)
+    elif sa == "h":
+        if sb == "x":
+            terms = ((QI(k + 1 - n) - alpha, "E", s),)
+        elif sb == "p":
+            terms = ((1, "L", s), (-(QI(k - n + 1) - alpha) * _HALF, "H", s))
+            if _delta(n, k):
+                t = QI(n - 1) + (alpha + ONE) * _HALF
+                cz = (t * t - _QUARTER) * _SIXTH
+    elif sa == "p":
+        if sb == "y":
+            terms = ((QI(k - n - 1) + alpha, "F", s),)
+    elif sa == "x":
+        if sb == "y":
+            terms = ((-1, "L", s), ((QI(k - n - 1) + alpha) * _HALF, "H", s))
+            if _delta(n, k):
+                t = QI(-n - 1) + (alpha + ONE) * _HALF
+                cz = -(t * t - _QUARTER) * _SIXTH
+    if terms is None:
         return None
-    if include_cocycle and not cz.is_zero():
-        out.central = out.central + cz
-    return out
+    return _el(*terms, central=cz if include_cocycle else ZERO)
+
+
+def _bracket_into(acc, alpha, a, b, sign, include_cocycle=True):
+    """Add sign * [a, b] into ``acc``, a dict from basis keys (sym, n) to
+    ``QI`` that holds the central coordinate under the key ``_CENTRAL``.
+    ``sign`` is +1 or -1 and ``alpha`` a ``QI``.  Entries that cancel stay
+    in ``acc`` as zeros; the caller drops them once, at the end."""
+    for (sa, na), ca in a.coeffs.items():
+        for (sb, nb), cb in b.coeffs.items():
+            br = s2a_basis_bracket(alpha, sa, na, sb, nb, include_cocycle)
+            # basis vectors carry the ONE singleton: skip those products
+            f = cb if ca is ONE else ca if cb is ONE else ca * cb
+            for key, c in br.coeffs.items():
+                _add_into(acc, key, c if f is ONE else c * f, sign)
+            if br.central:
+                c = br.central
+                _add_into(acc, _CENTRAL, c if f is ONE else c * f, sign)
+
+
+def _add_into(acc, key, c, sign):
+    """acc[key] += sign * c, for sign +1 or -1."""
+    cur = acc.get(key)
+    if sign > 0:
+        acc[key] = c if cur is None else cur + c
+    else:
+        acc[key] = -c if cur is None else cur - c
 
 
 def s2a_bracket(alpha, a: SCAElement, b: SCAElement, include_cocycle=True):
-    out = SCAElement()
-    for (sa, na), ca in a.coeffs.items():
-        for (sb, nb), cb in b.coeffs.items():
-            out = out + s2a_basis_bracket(
-                alpha, sa, na, sb, nb, include_cocycle
-            ).scale(ca * cb)
-    return out
+    acc = {}
+    _bracket_into(acc, QI.of(alpha), a, b, 1, include_cocycle)
+    central = acc.pop(_CENTRAL, ZERO)
+    return SCAElement._raw({key: c for key, c in acc.items() if c}, central)
+
+
+def super_jacobi_failure(alpha, basis):
+    """The first triple (ka, kb, kc) of basis keys (sym, n), in
+    ``product(basis, repeat=3)`` order, at which the graded Jacobi identity
+    with the central cocycle,
+    [A,[B,C]] - [[A,B],C] - (-1)^(|A||B|) [B,[A,C]] = 0,
+    fails for the basis vectors A, B, C; None when it holds on every
+    triple.  The three terms of a triple go into one accumulator, and
+    [A,B] is formed once per pair."""
+    alpha = QI.of(alpha)
+    for ka in basis:
+        A = SCAElement._raw({ka: ONE})
+        for kb in basis:
+            B = SCAElement._raw({kb: ONE})
+            AB = s2a_basis_bracket(alpha, *ka, *kb)
+            s3 = 1 if parity_of(ka[0]) and parity_of(kb[0]) else -1
+            for kc in basis:
+                acc = {}
+                _bracket_into(acc, alpha, A, s2a_basis_bracket(alpha, *kb, *kc), 1)
+                _bracket_into(acc, alpha, AB, SCAElement._raw({kc: ONE}), -1)
+                _bracket_into(acc, alpha, B, s2a_basis_bracket(alpha, *ka, *kc), s3)
+                if any(acc.values()):
+                    return ka, kb, kc
+    return None
 
 
 N2_SYMBOLS = ("L", "H", "h", "p")
@@ -236,13 +299,13 @@ def spectral_flow(alpha, a: SCAElement) -> SCAElement:
     for (sym, n), c in a.coeffs.items():
         if sym == "L":
             out.add_term("L", n, c)
-            out.add_term("H", n, -c * alpha / QI(2))
+            out.add_term("H", n, -c * alpha * _HALF)
             if n == 0:
-                out.central = out.central + c * alpha * alpha / QI(24)
+                out.central = out.central + c * alpha * alpha * _TWENTYFOURTH
         elif sym == "H":
             out.add_term("H", n, c)
             if n == 0:
-                out.central = out.central - c * alpha / QI(6)
+                out.central = out.central - c * alpha * _SIXTH
         elif sym in ("h", "p"):
             out.add_term(sym, n, c)
         else:
@@ -264,7 +327,7 @@ def deg(alpha, sym: str, n: int) -> QI:
 def L0_element(alpha) -> SCAElement:
     """The grading element: bracketing with it returns deg times identity."""
     alpha = QI.of(alpha)
-    return _el((-1, "L", 0)) + SCAElement({("H", 0): (ONE - alpha) / QI(2)})
+    return _el((-1, "L", 0)) + SCAElement({("H", 0): (ONE - alpha) * _HALF})
 
 
 DER_SYMBOLS = ("EE", "HH", "FF")

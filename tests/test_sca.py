@@ -1,8 +1,14 @@
+import io
+import json
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sweil import sca
+from sweil.cli import build_parser, resolve_config, run
 from sweil.scalars import QI, ZERO, ONE
 from sweil.liealg import StructureError
 from sweil.sca import (
@@ -27,6 +33,7 @@ from sweil.sca import (
     s2a_bracket,
     s_alpha_obstruction,
     spectral_flow,
+    super_jacobi_failure,
     vf_bracket,
     vf_realize,
 )
@@ -56,19 +63,113 @@ def test_super_antisymmetry(alpha):
         assert ab == expect, (sa, na, sb, nb)
 
 
+def reference_bracket(alpha, a, b, include_cocycle=True):
+    """The bracket as a sum of one scaled element per term pair."""
+    out = SCAElement()
+    for (sa, na), ca in a.coeffs.items():
+        for (sb, nb), cb in b.coeffs.items():
+            out = out + s2a_basis_bracket(
+                alpha, sa, na, sb, nb, include_cocycle
+            ).scale(ca * cb)
+    return out
+
+
+def reference_jacobi_holds(alpha, ka, kb, kc):
+    """[A,[B,C]] - [[A,B],C] - (-1)^(|A||B|) [B,[A,C]] == 0, as three
+    separately built terms."""
+    A, B, C = (SCAElement.basis(*k) for k in (ka, kb, kc))
+    t1 = reference_bracket(alpha, A, reference_bracket(alpha, B, C))
+    t2 = reference_bracket(alpha, reference_bracket(alpha, A, B), C)
+    t3 = reference_bracket(alpha, B, reference_bracket(alpha, A, C))
+    if A.parity() and B.parity():
+        t3 = t3.scale(QI(-1))
+    return (t1 - t2 - t3).is_zero()
+
+
+def reference_jacobi_failure(alpha, basis):
+    for triple in product(basis, repeat=3):
+        if not reference_jacobi_holds(alpha, *triple):
+            return triple
+    return None
+
+
+gaussian = st.builds(
+    QI,
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+) | st.sampled_from([ONE, QI(-1), QI(2)])
+elements = st.builds(
+    SCAElement,
+    st.dictionaries(
+        st.tuples(st.sampled_from(SYMBOLS), st.integers(-2, 2)),
+        gaussian,
+        max_size=4,
+    ),
+    gaussian | st.just(ZERO),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((ZERO, HALF)),
+    elements,
+    elements,
+    elements,
+    st.sampled_from((1, -1)),
+    st.booleans(),
+)
+def test_bracket_kernel_matches_reference(alpha, a, b, start, sign, cocycle):
+    ref = reference_bracket(alpha, a, b, cocycle)
+    assert s2a_bracket(alpha, a, b, cocycle) == ref
+    # the kernel adds into what the accumulator already holds
+    acc = dict(start.coeffs)
+    acc[sca._CENTRAL] = start.central
+    sca._bracket_into(acc, alpha, a, b, sign, cocycle)
+    central = acc.pop(sca._CENTRAL)
+    got = SCAElement(acc, central)
+    assert got == start + ref.scale(QI(sign))
+
+
 @pytest.mark.parametrize("alpha", (ZERO, HALF))
 def test_super_jacobi_with_cocycle(alpha):
     bl = basis_list(2)
-    for (sa, na), (sb, nb), (sc, nc) in product(bl, bl, bl):
-        A = SCAElement.basis(sa, na)
-        B = SCAElement.basis(sb, nb)
-        C = SCAElement.basis(sc, nc)
-        t1 = s2a_bracket(alpha, A, s2a_bracket(alpha, B, C))
-        t2 = s2a_bracket(alpha, s2a_bracket(alpha, A, B), C)
-        t3 = s2a_bracket(alpha, B, s2a_bracket(alpha, A, C))
-        if parity_of(sa) and parity_of(sb):
-            t3 = t3.scale(QI(-1))
-        assert (t1 - t2 - t3).is_zero(), (sa, na, sb, nb, sc, nc)
+    assert super_jacobi_failure(alpha, bl) is None
+    # independent three-term check on a fixed sample of the same triples
+    rng = random.Random(20001219)
+    for _ in range(3000):
+        ka, kb, kc = rng.choice(bl), rng.choice(bl), rng.choice(bl)
+        assert reference_jacobi_holds(alpha, ka, kb, kc), (ka, kb, kc)
+
+
+@pytest.mark.parametrize(
+    "pair, alpha", ((("H", "E"), QI(1)), (("h", "x"), HALF))
+)
+def test_seeded_table_defect_fails_jacobi(monkeypatch, pair, alpha):
+    listed = sca._s2a_listed
+
+    def flipped(alpha, sa, n, sb, k, include_cocycle):
+        out = listed(alpha, sa, n, sb, k, include_cocycle)
+        if (sa, sb) == pair:
+            out = out.scale(QI(-1))
+        return out
+
+    monkeypatch.setattr(sca, "_s2a_listed", flipped)
+    bl = basis_list(1)
+    bad = super_jacobi_failure(alpha, bl)
+    assert bad is not None
+    assert bad == reference_jacobi_failure(alpha, bl)
+
+    cfg = resolve_config(build_parser().parse_args(
+        ["sca-tables", "--alpha", str(alpha), "--window", "1",
+         "--format", "json"]
+    ))
+    buf = io.BytesIO()
+    assert run(cfg, out=buf) == 1
+    docs = json.loads(buf.getvalue())
+    (doc,) = [d for d in docs if d["check"] == "sca:super-jacobi"]
+    (sa, na), (sb, nb), (sc, nc) = bad
+    assert doc["status"] == "fail"
+    assert doc["witness"] == {"triple": f"({sa}[{na}],{sb}[{nb}],{sc}[{nc}])"}
 
 
 @pytest.mark.parametrize("alpha", (ZERO, HALF))
