@@ -15,6 +15,9 @@ one row per instance holding
 - the fermionic slots whose prefix parity gives its Koszul sign;
 - its net occupancy change per slot and the hash change that follows;
 - its scaled integer coefficient.
+An operator's central scalar is the empty generator product: an instance
+with no constraint, count factor or parity slot that changes nothing, so
+it acts as the scalar times the identity.
 An operator is applied to a block of states in one vectorized pass over
 that table: instances are dropped against the block's per-slot
 occupancy range, an instance x state mask is built one constraint
@@ -39,9 +42,12 @@ monomials is astronomically unlikely (and would be deterministic), and
 the engine is cross-validated column-by-column against the one-monomial
 engine in the tests.
 
-A bracket identity passes when a 3-prime modular checksum of its defect
-vanishes (a checksum certificate); a nonzero checksum runs the exact
-grouped-stream comparison, which finds the first failing box column.
+A bracket identity [A, B] = sum c_t T_t + z * 1 is checked with its
+central term as one more right-hand side: z times the identity operator,
+which every engine registers under the name ``IDENTITY``.  It passes when
+a 3-prime modular checksum of its defect vanishes (a checksum
+certificate); a nonzero checksum runs the exact grouped-stream
+comparison, which finds the first failing box column.
 
 Universe completeness: with ``mmax = emax + max(2 * smax_full, smax_all)``
 (``smax_*`` the largest absolute energy shift among the registered
@@ -64,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .scalars import QI, ZERO
+from .scalars import ONE, QI, ZERO
 from .fock import (
     _CREATOR_POSITIVE,
     Box,
@@ -74,7 +80,12 @@ from .fock import (
     make_monomial,
     normal_order_slots,
 )
+from .fieldops import SumOperator
 from .liealg import StructureError
+
+# name of the identity operator every engine registers; a case's central
+# term z is the right-hand side (z, IDENTITY)
+IDENTITY = "1"
 
 _HASH_SEED = 0x5EB11C0DE
 
@@ -421,10 +432,10 @@ def _term_products(universe: Universe, term, weight: QI, relative: bool):
 
 
 def _op_products(universe: Universe, op, relative: bool):
-    """Central scalar and the (keys, coeff) generator products of an
-    operator tree."""
+    """The (keys, coeff) generator products of an operator tree; its
+    central scalar is the empty product."""
     central, leaves = _leaf_iter(op, QI(1))
-    products = []
+    products = [] if central.is_zero() else [([], central)]
     for weight, leaf in leaves:
         if hasattr(leaf, "key"):
             key = leaf.key
@@ -433,16 +444,15 @@ def _op_products(universe: Universe, op, relative: bool):
         else:
             for term in leaf.terms:
                 products.extend(_term_products(universe, term, weight, relative))
-    return central, products
+    return products
 
 
 class _BulkOp:
-    __slots__ = ("name", "op", "central", "table", "den", "smax")
+    __slots__ = ("name", "op", "table", "den", "smax")
 
     def __init__(self, name, op):
         self.name = name
         self.op = op
-        self.central = ZERO
         self.table = None
         self.den = 1
         self.smax = 0
@@ -450,7 +460,7 @@ class _BulkOp:
 
 def _op_energy_span(op) -> int:
     """Largest |energy shift| among the leaves of an operator tree."""
-    central, leaves = _leaf_iter(op, QI(1))
+    _, leaves = _leaf_iter(op, QI(1))
     span = 0
     for _, leaf in leaves:
         if hasattr(leaf, "key"):
@@ -489,7 +499,7 @@ class BulkEngine:
         self._icache: dict[str, tuple] = {}
         self._bvec_cache: dict[tuple, tuple] = {}
         self._rhs_ck_cache: dict[tuple, tuple] = {}
-        self._central_w_cache: dict[int, int] = {}
+        self.register(IDENTITY, SumOperator((), central=ONE), need_full=False)
 
     # -- registration and compilation ---------------------------------
 
@@ -514,18 +524,14 @@ class BulkEngine:
         mmax = self.box.emax + max(1, 2 * smax_full, smax_all)
         self.universe = Universe(self.dim, mmax)
         for bop in self._ops.values():
-            central, products = _op_products(self.universe, bop.op, self.relative)
-            bop.central = central
             instances = []
-            for keys, c in products:
+            for keys, c in _op_products(self.universe, bop.op, self.relative):
                 inst = _compile_instance(self.universe, keys, c)
                 if inst is not None:
                     instances.append(inst)
             den = 1
             for c, *_ in instances:
                 den = lcm(den, c.re.denominator, c.im.denominator)
-            if not central.is_zero():
-                den = lcm(den, central.re.denominator, central.im.denominator)
             _bound(den < 1 << 24, f"denominator of {bop.name}")
             bop.den = den
             bop.table = _pack_table(self.universe, instances, den)
@@ -581,22 +587,7 @@ class BulkEngine:
             rows_ids = _keyed_lookup(pka, pkb, ka, kb)
             if int(rows_ids.min(initial=0)) < 0:
                 raise StructureError(f"{name} image missing from the level-1 domain")
-            self._box_mats[name] = self._with_central(
-                rows_ids, cols, re, im, nbox, self._ops[name]
-            )
-
-    def _with_central(self, rows, cols, re, im, ncols, bop):
-        """Append the central diagonal of an operator to its grouped box
-        COO; duplicate entries are fine downstream (streams are summed)."""
-        if not bop.central.is_zero():
-            cr = int(bop.central.re * bop.den)
-            ci = int(bop.central.im * bop.den)
-            diag = self.box_ids[:ncols].astype(np.int64)
-            rows = np.concatenate([rows, diag])
-            cols = np.concatenate([cols, np.arange(ncols, dtype=np.int64)])
-            re = np.concatenate([re, np.full(ncols, cr, dtype=np.int64)])
-            im = np.concatenate([im, np.full(ncols, ci, dtype=np.int64)])
-        return rows, cols, re, im
+            self._box_mats[name] = (rows_ids, cols, re, im)
 
     def _apply_all(self, bop, states, h1, h2, collect_rows: bool):
         """Apply the packed instance table of ``bop`` to every row of
@@ -696,23 +687,14 @@ class BulkEngine:
         picked out by ``ids``: (cols, key_h1, key_h2, re, im); column j
         is the image of state ids[j].  Entries may repeat within a
         column; downstream reductions sum them."""
-        bop = self._ops[name]
-        sub = self.l1_rows[ids]
-        h1 = self.l1_h1[ids]
-        h2 = self.l1_h2[ids]
-        nsub = len(ids)
         cols, ka, kb, re, im, _ = self._apply_all(
-            bop, sub, h1, h2, collect_rows=False
+            self._ops[name],
+            self.l1_rows[ids],
+            self.l1_h1[ids],
+            self.l1_h2[ids],
+            collect_rows=False,
         )
-        if not bop.central.is_zero():
-            cr = int(bop.central.re * bop.den)
-            ci = int(bop.central.im * bop.den)
-            cols = np.concatenate([cols, np.arange(nsub, dtype=np.int64)])
-            ka = np.concatenate([ka, h1])
-            kb = np.concatenate([kb, h2])
-            re = np.concatenate([re, np.full(nsub, cr, dtype=np.int64)])
-            im = np.concatenate([im, np.full(nsub, ci, dtype=np.int64)])
-        return (cols, ka, kb, re, im)
+        return cols, ka, kb, re, im
 
     # -- bracket checking ---------------------------------------------
 
@@ -816,49 +798,22 @@ class BulkEngine:
             self._rhs_ck_cache[(name, p)] = hit
         return hit
 
-    def _central_weight(self, pc):
-        """Cached sum of u(box state) * v(column) mod p over box columns."""
-        p = pc[0]
-        w = self._central_w_cache.get(p)
-        if w is None:
-            nbox = len(self.box_monos)
-            u = _state_weights(
-                p, pc[1], pc[2],
-                self.l1_h1[self.box_ids], self.l1_h2[self.box_ids],
-            )
-            v = _col_weights(
-                p, pc[3], pc[4], np.arange(nbox, dtype=np.int64)
-            )
-            w = int(np.sum(u * v % p) % p)
-            self._central_w_cache[p] = w
-        return w
-
-    def _checksum_zero(self, name_a, name_b, both_odd, rhs_terms, central, L):
+    def _checksum_zero(self, comps, rhs_terms, L):
         """True when the modular checksums of the defect vanish for every
         checksum prime.  The defect matrix D is contracted as u^T D v for
-        fixed pseudo-random weights, so compositions reduce to
-        (u^T A)(B v) and the product is never materialized."""
+        fixed pseudo-random weights, so a composition (outer, inner, mult)
+        reduces to (u^T outer)(inner v) and the product is never
+        materialized."""
         ops = self._ops
-        lf = L // (ops[name_a].den * ops[name_b].den)
-        comps = []
-
-        def comp(outer, inner, mult):
-            ids, pos = self._inner_ids(inner)
-            if len(ids) == 0:
-                return
-            stream = self._restricted_stream(outer, ids)
-            comps.append((stream, inner, mult))
-
-        if name_a == name_b:
-            if both_odd:
-                comp(name_a, name_a, 2 * lf)
-        else:
-            comp(name_a, name_b, lf)
-            comp(name_b, name_a, lf if both_odd else -lf)
+        streams = []
+        for outer, inner, mult in comps:
+            ids, _ = self._inner_ids(inner)
+            if len(ids):
+                streams.append((self._restricted_stream(outer, ids), inner, mult))
         for pc in _CHECK_CONSTS:
             p = pc[0]
             tot_re = tot_im = 0
-            for (scols, ka, kb, re, im), inner, mult in comps:
+            for (scols, ka, kb, re, im), inner, mult in streams:
                 if len(scols) == 0:
                     continue
                 b_re, b_im = self._inner_bvec(inner, pc)
@@ -879,21 +834,17 @@ class BulkEngine:
                 sre, sim = self._rhs_checksum(name, pc)
                 tot_re = (tot_re - (cr * sre - ci * sim)) % p
                 tot_im = (tot_im - (cr * sim + ci * sre)) % p
-            if central is not None and not central.is_zero():
-                zr, zi = int(central.re * L), int(central.im * L)
-                w = self._central_weight(pc)
-                tot_re = (tot_re - zr * w) % p
-                tot_im = (tot_im - zi * w) % p
             if tot_re or tot_im:
                 return False
         return True
 
-    def bracket_defect(self, name_a, name_b, both_odd, rhs_terms, central):
-        """First box column where [A, B] != sum c_t T_t + central, or None.
+    def bracket_defect(self, name_a, name_b, both_odd, rhs_terms):
+        """First box column where [A, B] != sum c_t T_t, or None.
 
-        rhs_terms is a list of (QI coefficient, operator name); central is
-        a QI scalar or None.  The bracket is the supercommutator:
-        AB + BA when both operators are odd, AB - BA otherwise.
+        rhs_terms is a list of (QI coefficient, operator name); a central
+        term z is the entry (z, IDENTITY).  The bracket is the
+        supercommutator: AB + BA when both operators are odd, AB - BA
+        otherwise.
 
         A vanishing defect is certified by the modular checksum pass; the
         exact grouped-stream comparison runs only when a checksum is
@@ -901,14 +852,19 @@ class BulkEngine:
         if not self._prepared:
             self.prepare()
         ops = self._ops
-        dA, dB = ops[name_a].den, ops[name_b].den
-        D = dA * dB
+        D = ops[name_a].den * ops[name_b].den
         L = D
         for c, name in rhs_terms:
             L = lcm(L, ops[name].den * lcm(c.re.denominator, c.im.denominator))
-        if central is not None and not central.is_zero():
-            L = lcm(L, central.re.denominator, central.im.denominator)
-        if self._checksum_zero(name_a, name_b, both_odd, rhs_terms, central, L):
+        lf = L // D
+        # (outer, inner, mult): the bracket as compositions outer o inner;
+        # [A, A] is AB - BA = 0 identically for the even-even and mixed
+        # cases, and 2 A o A for odd-odd
+        if name_a != name_b:
+            comps = [(name_a, name_b, lf), (name_b, name_a, lf if both_odd else -lf)]
+        else:
+            comps = [(name_a, name_a, 2 * lf)] if both_odd else []
+        if self._checksum_zero(comps, rhs_terms, L):
             return None
         streams = []
 
@@ -919,26 +875,12 @@ class BulkEngine:
             _bound(m * abs(mult) < 1 << 62, "scaled composition stream")
             streams.append((cols, ka, kb, re * mult, im * mult))
 
-        lf = L // D
-
-        def composed(outer, inner):
+        for outer, inner, mult in comps:
             rows, cols, bre, bim = self._box_mats[inner]
             ids, pos = self._inner_ids(inner)
-            if len(ids) == 0:
-                z = np.zeros(0, dtype=np.int64)
-                zu = np.zeros(0, dtype=np.uint64)
-                return z, zu, zu, z, z
-            mat = self._restricted_stream(outer, ids)
-            return self._product_stream(mat, (pos, cols, bre, bim))
-
-        if name_a == name_b:
-            # [A, A] is AB - BA = 0 identically for the even-even and
-            # mixed cases; for odd-odd it is 2 A o A
-            if both_odd:
-                push(*composed(name_a, name_a), 2 * lf)
-        else:
-            push(*composed(name_a, name_b), lf)
-            push(*composed(name_b, name_a), lf if both_odd else -lf)
+            if len(ids):
+                mat = self._restricted_stream(outer, ids)
+                push(*self._product_stream(mat, (pos, cols, bre, bim)), mult)
         for c, name in rhs_terms:
             rows, cols, re, im = self._box_mats[name]
             s = L // ops[name].den
@@ -951,19 +893,6 @@ class BulkEngine:
                 self.l1_h2[rows],
                 -(re * cr - im * ci),
                 -(re * ci + im * cr),
-                1,
-            )
-        if central is not None and not central.is_zero():
-            nbox = len(self.box_monos)
-            zr = -int(central.re * L)
-            zi = -int(central.im * L)
-            _bound(max(abs(zr), abs(zi)) < 1 << 62, "scaled central term")
-            push(
-                np.arange(nbox, dtype=np.int64),
-                self.l1_h1[self.box_ids],
-                self.l1_h2[self.box_ids],
-                np.full(nbox, zr, dtype=np.int64),
-                np.full(nbox, zi, dtype=np.int64),
                 1,
             )
         if not streams:

@@ -53,15 +53,17 @@ from .verify import (
 )
 from .cohomology import cohomology_table, harmonic_lefschetz_report
 
-COMMANDS = (
-    "verify-n2",
-    "verify-s2a",
-    "verify-chain",
-    "verify-relative",
-    "sca-tables",
-    "cohomology",
-    "kahler",
-)
+# each command with the configuration keys it reads; it takes these flags
+# (plus --config) and no others
+COMMANDS = {
+    "verify-n2": ("backend", "emax", "b0max", "window", "fmt"),
+    "verify-s2a": ("backend", "alpha", "emax", "b0max", "window", "fmt"),
+    "verify-chain": ("backend", "emax", "b0max", "window", "fmt"),
+    "verify-relative": ("backend", "emax", "b0max", "window", "fmt"),
+    "sca-tables": ("alpha", "window", "fmt"),
+    "cohomology": ("backend", "emax", "b0max", "rel", "fmt"),
+    "kahler": ("backend", "emax", "fmt"),
+}
 
 CSV_HEADER = (
     "E",
@@ -364,6 +366,18 @@ def _read_config_file(path) -> dict:
     return out
 
 
+# flag and argparse options of each configuration key
+_FLAGS = {
+    "backend": ("--backend", {}),
+    "alpha": ("--alpha", {}),
+    "emax": ("--emax", {"type": int}),
+    "b0max": ("--b0max", {"type": int}),
+    "window": ("--window", {"type": int}),
+    "rel": ("--rel", {"action": "store_true", "default": None}),
+    "fmt": ("--format", {"dest": "fmt", "choices": ("json", "csv", "text")}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sweil",
@@ -372,17 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
         "the harmonic/Lefschetz operator package.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, keys in COMMANDS.items():
         p = sub.add_parser(name)
         # every default is None: resolve_config fills unset flags from the
         # config file, then from _CONFIG_DEFAULTS
-        p.add_argument("--backend")
-        p.add_argument("--alpha")
-        p.add_argument("--emax", type=int)
-        p.add_argument("--b0max", type=int)
-        p.add_argument("--window", type=int)
-        p.add_argument("--rel", action="store_true", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
+        for key in keys:
+            flag, options = _FLAGS[key]
+            p.add_argument(flag, **options)
         p.add_argument("--config")
     return parser
 
@@ -399,15 +409,17 @@ _CONFIG_DEFAULTS = {
 
 
 def resolve_config(args) -> dict:
-    """Merge explicit flags over config-file values over the defaults,
-    and validate."""
-    values = {k: getattr(args, k) for k in _CONFIG_DEFAULTS}
+    """Merge explicit flags over config-file values over the defaults, for
+    the keys the command reads, and validate."""
+    values = {k: getattr(args, k) for k in COMMANDS[args.command]}
     if args.config:
         file_values = _read_config_file(args.config)
         for key, raw in file_values.items():
             dest = "fmt" if key == "format" else key
             if dest not in _CONFIG_DEFAULTS:
                 raise UsageError(f"unknown config key: {key}")
+            if dest not in values:
+                raise UsageError(f"{args.command} does not read config key: {key}")
             # command-line flags take precedence over the config file
             if values[dest] is not None:
                 continue
@@ -421,32 +433,27 @@ def resolve_config(args) -> dict:
                     raise UsageError(f"bad config value {key} = {raw!r}")
             else:
                 values[dest] = raw
-    for key, default in _CONFIG_DEFAULTS.items():
-        if values[key] is None:
-            values[key] = default
-    if values["emax"] < 0 or values["b0max"] < 0 or values["window"] < 0:
+    for key, value in values.items():
+        if value is None:
+            values[key] = _CONFIG_DEFAULTS[key]
+    if any(values.get(k, 0) < 0 for k in ("emax", "b0max", "window")):
         raise UsageError("box budgets must be nonnegative")
     if values["fmt"] not in ("json", "csv", "text"):
         raise UsageError(f"unknown format: {values['fmt']}")
-    try:
-        backend = parse_backend(values["backend"])
-    except (StructureError, ValueError) as exc:
-        raise UsageError(f"bad backend {values['backend']!r}: {exc}")
-    try:
-        alpha = QI.of(parse_qi(values["alpha"]))
-    except (StructureError, ValueError) as exc:
-        raise UsageError(f"bad alpha {values['alpha']!r}: {exc}")
-    return {
-        "backend": backend,
-        "alpha": alpha,
-        "emax": values["emax"],
-        "b0max": values["b0max"],
-        "window": values["window"],
-        "rel": values["rel"],
-        "fmt": values["fmt"],
-        "box": Box(emax=values["emax"], b0max=values["b0max"]),
-        "command": args.command,
-    }
+    if "backend" in values:
+        try:
+            values["backend"] = parse_backend(values["backend"])
+        except (StructureError, ValueError) as exc:
+            raise UsageError(f"bad backend {values['backend']!r}: {exc}")
+    if "alpha" in values:
+        try:
+            values["alpha"] = QI.of(parse_qi(values["alpha"]))
+        except (StructureError, ValueError) as exc:
+            raise UsageError(f"bad alpha {values['alpha']!r}: {exc}")
+    if "b0max" in values:
+        values["box"] = Box(emax=values["emax"], b0max=values["b0max"])
+    values["command"] = args.command
+    return values
 
 
 def run(cfg, out=None) -> int:

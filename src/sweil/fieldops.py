@@ -83,21 +83,21 @@ class Operator:
     def __init__(self):
         self._memo = {}
 
-    def apply_monomial(self, m: FockMonomial, relative=False, pad=0) -> FockVector:
-        key = (m, relative, pad)
+    def apply_monomial(self, m: FockMonomial, relative=False) -> FockVector:
+        key = (m, relative)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._apply_monomial(m, relative, pad)
+            hit = self._apply_monomial(m, relative)
             self._memo[key] = hit
         return hit
 
-    def _apply_monomial(self, m, relative, pad):
+    def _apply_monomial(self, m, relative):
         raise NotImplementedError
 
-    def apply(self, v: FockVector, relative=False, pad=0) -> FockVector:
+    def apply(self, v: FockVector, relative=False) -> FockVector:
         out = FockVector()
         for m, c in v.terms.items():
-            for m2, c2 in self.apply_monomial(m, relative, pad).terms.items():
+            for m2, c2 in self.apply_monomial(m, relative).terms.items():
                 out.add_term(m2, c * c2)
         return out
 
@@ -139,9 +139,10 @@ def _interval(cons, v, lo=None, hi=None):
     return lo, hi
 
 
-def _term_window(term: TermShape, bounds: dict, pad: int):
+def _term_window(term: TermShape, bounds: dict, pad: int = 0):
     """Integer points of summation variables that can possibly contribute,
-    given the ``_slot_bounds`` of the input monomial."""
+    given the ``_slot_bounds`` of the input monomial; ``pad`` widens each
+    variable's range on both sides, which changes no output."""
     nv = term.nvars
     if nv == 0:
         return [()]
@@ -239,13 +240,13 @@ class FieldOperator(Operator):
             raise StructureError("central summand requires an even shiftless operator")
         return parity, shift
 
-    def _apply_monomial(self, m, relative, pad):
+    def _apply_monomial(self, m, relative):
         out = FockVector()
         if not self.central.is_zero():
             out.add_term(m, self.central)
         bounds = _slot_bounds(m)
         for term in self.terms:
-            for vs in _term_window(term, bounds, pad):
+            for vs in _term_window(term, bounds):
                 keys = [
                     GenKey(s.family, s.comp, s.mode_at(vs)) for s in term.slots
                 ]
@@ -272,12 +273,12 @@ class SumOperator(Operator):
         shifts = {op.shift for _, op in self.parts}
         self.shift = shifts.pop() if len(shifts) == 1 else None
 
-    def _apply_monomial(self, m, relative, pad):
+    def _apply_monomial(self, m, relative):
         out = FockVector()
         if not self.central.is_zero():
             out.add_term(m, self.central)
         for c, op in self.parts:
-            for m2, c2 in op.apply_monomial(m, relative, pad).terms.items():
+            for m2, c2 in op.apply_monomial(m, relative).terms.items():
                 out.add_term(m2, c * c2)
         return out
 
@@ -294,10 +295,8 @@ class ComposeOperator(Operator):
         if outer.shift is not None and inner.shift is not None:
             self.shift = tuple(a + b for a, b in zip(outer.shift, inner.shift))
 
-    def _apply_monomial(self, m, relative, pad):
-        return self.outer.apply(
-            self.inner.apply_monomial(m, relative, pad), relative, pad
-        )
+    def _apply_monomial(self, m, relative):
+        return self.outer.apply(self.inner.apply_monomial(m, relative), relative)
 
 
 class ProjectedOperator(Operator):
@@ -313,10 +312,10 @@ class ProjectedOperator(Operator):
         self.parity = op.parity
         self.shift = op.shift
 
-    def _apply_monomial(self, m, relative, pad):
+    def _apply_monomial(self, m, relative):
         _, _, _, a0, b0 = m.degrees()
         out = FockVector()
-        for m2, c in self.op.apply_monomial(m, relative, pad).terms.items():
+        for m2, c in self.op.apply_monomial(m, relative).terms.items():
             _, _, _, a, b = m2.degrees()
             if (a, b) == (a0 + self.da, b0 + self.db):
                 out.add_term(m2, c)
@@ -709,17 +708,6 @@ def star(v: FockVector) -> FockVector:
         sign, m2 = star_monomial(m)
         out.add_term(m2, c if sign == 1 else -c)
     return out
-
-
-class StarOperator(Operator):
-    parity = 0
-    name = "star"
-
-    def __init__(self):
-        super().__init__()
-
-    def _apply_monomial(self, m, relative, pad):
-        return star(FockVector.of(m))
 
 
 def _boson_factorials(m: FockMonomial) -> int:

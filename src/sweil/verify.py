@@ -31,7 +31,7 @@ from .fieldops import (
     super_commutator,
 )
 from .sca import SCAElement, s2a_basis_bracket
-from .bulkrep import BulkEngine
+from .bulkrep import IDENTITY, BulkEngine
 
 N2_TABLE_SYMBOLS = ("L", "H", "h", "p")
 S2A_TABLE_SYMBOLS = ("L", "E", "H", "F", "h", "p", "x", "y")
@@ -90,7 +90,7 @@ class GeneratorOperator(Operator):
         self.parity = 1 if key.is_fermionic() else 0
         self.name = f"{key.family}({key.comp},{key.mode})"
 
-    def _apply_monomial(self, m, relative, pad):
+    def _apply_monomial(self, m, relative):
         return apply_generator(self.key, FockVector.of(m), relative)
 
 
@@ -130,9 +130,7 @@ class FastOp:
     def col(self, i: int):
         c = self.cols.get(i)
         if c is None:
-            v = self.op.apply_monomial(
-                self.engine.monos[i], self.engine.relative, 0
-            )
+            v = self.op.apply_monomial(self.engine.monos[i], self.engine.relative)
             den = self.den
             for _, q in v.terms.items():
                 den = lcm(den, q.re.denominator, q.im.denominator)
@@ -229,34 +227,28 @@ class _BulkSuite:
         self.box = box
         self.relative = relative
         self.engine = BulkEngine(dim, box, relative)
-        self.ops: dict = {}
 
     def op(self, name: str, operator, need_full: bool = True) -> str:
-        if name not in self.ops:
-            self.ops[name] = operator
-        self.engine.register(name, operator, need_full)
-        return name
+        return self.engine.register(name, operator, need_full)
 
     def report(self, check: str, params: tuple, cases) -> RelationReport:
-        """cases: iterable of (label, name_a, name_b, both_odd,
-        rhs_terms, central) with rhs_terms a list of (QI, name)."""
+        """cases: iterable of (label, name_a, name_b, both_odd, rhs_terms)
+        with rhs_terms a list of (QI, name); a central term z is the entry
+        (z, bulkrep.IDENTITY)."""
         witness = None
-        for label, a, b, both_odd, rhs_terms, central in cases:
-            bad = self.engine.bracket_defect(a, b, both_odd, rhs_terms, central)
+        ops = self.engine._ops
+        for label, a, b, both_odd, rhs_terms in cases:
+            bad = self.engine.bracket_defect(a, b, both_odd, rhs_terms)
             if bad is None:
                 continue
             m = self.engine.box_monos[bad]
             v = FockVector.of(m)
-            lhs = super_commutator(self.ops[a], self.ops[b]).apply(
+            lhs = super_commutator(ops[a].op, ops[b].op).apply(
                 v, relative=self.relative
             )
             rhs = FockVector()
             for c, name in rhs_terms:
-                rhs = rhs + self.ops[name].apply(
-                    v, relative=self.relative
-                ).scale(c)
-            if central is not None:
-                rhs = rhs + v.scale(central)
+                rhs = rhs + ops[name].op.apply(v, relative=self.relative).scale(c)
             witness = _witness(label, m, lhs, rhs)
             break
         return RelationReport(
@@ -339,11 +331,12 @@ def check_representation(
     cases = []
     for sa, na, sb, nb, el in pairs:
         a, b = nm(sa, na), nm(sb, nb)
-        both_odd = bool(suite.ops[a].parity and suite.ops[b].parity)
+        both_odd = bool(builder(sa, na).parity and builder(sb, nb).parity)
         rhs_terms = [(c, nm(sym, n)) for (sym, n), c in el.items()]
-        cases.append(
-            (f"[{a},{b}]", a, b, both_odd, rhs_terms, el.central * charge)
-        )
+        z = el.central * charge
+        if not z.is_zero():
+            rhs_terms.append((z, IDENTITY))
+        cases.append((f"[{a},{b}]", a, b, both_odd, rhs_terms))
     return suite.report(check, params, cases)
 
 
@@ -384,12 +377,12 @@ def check_chain_identities(backend: GradedBackend, box: Box, window: int = 2):
         suite.report(
             "chain:d-squared",
             _params(backend=backend.name),
-            [("d.d", "d", "d", True, [], None)],
+            [("d.d", "d", "d", True, [])],
         ),
         suite.report(
             "chain:koszul-squared",
             _params(backend=backend.name),
-            [("kz.kz", "kz", "kz", True, [], None)],
+            [("kz.kz", "kz", "kz", True, [])],
         ),
         suite.report(
             "chain:homotopy",
@@ -401,7 +394,6 @@ def check_chain_identities(backend: GradedBackend, box: Box, window: int = 2):
                     f"tau({j},{n})",
                     True,
                     [(ONE, f"theta({j},{n})")],
-                    None,
                 )
                 for j, n in span
             ],
@@ -410,7 +402,7 @@ def check_chain_identities(backend: GradedBackend, box: Box, window: int = 2):
             "chain:theta-commutes",
             _params(backend=backend.name, window=window),
             [
-                (f"[d,theta({j},{n})]", "d", f"theta({j},{n})", False, [], None)
+                (f"[d,theta({j},{n})]", "d", f"theta({j},{n})", False, [])
                 for j, n in span
             ],
         ),
@@ -428,7 +420,7 @@ def check_d_compatibility(backend: GradedBackend, box: Box, window: int = 2):
             op = builder(sym, n)
             name = suite.op(f"{sym}[{n}]", op)
             cases.append(
-                (f"[{sym}[{n}],d]", name, "d", bool(op.parity), [], None)
+                (f"[{sym}[{n}],d]", name, "d", bool(op.parity), [])
             )
     return suite.report(
         "d-compatibility",
@@ -481,7 +473,6 @@ def check_relative_derext(backend: GradedBackend, box: Box, window: int = 1):
                     nm(src, k),
                     False,
                     [(coeff, nm(tgt, k + shift))],
-                    None,
                 )
             )
     report = suite.report(

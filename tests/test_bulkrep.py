@@ -19,6 +19,7 @@ from sweil.liealg import (
 )
 from sweil.fock import Box, FockVector, GenKey
 from sweil.fieldops import (
+    SumOperator,
     build_differential_d,
     build_koszul_h,
     build_s2alpha_family,
@@ -55,12 +56,22 @@ def _sl2_wrong_constant():
     return loop_backend(LieAlgebraSpec(c, good.form, "sl2-mutated"))
 
 
-def _representation(backend, family, window, charge=None):
+def _n2_central_off_by_one(backend, sym, n):
+    """N=2 builder whose operator (sym, n) carries one more unit of
+    central scalar."""
+    build = n2_builder(backend)
+    op = build(sym, n)
+    wrong = SumOperator([(ONE, op)], central=ONE, name=op.name)
+    return lambda s, k: wrong if (s, k) == (sym, n) else build(s, k)
+
+
+def _representation(backend, family, window, charge=None, builder=None):
     if family == "n2":
-        builder, table, symbols = n2_builder(backend), n2_table, N2_TABLE_SYMBOLS
+        default, table, symbols = n2_builder(backend), n2_table, N2_TABLE_SYMBOLS
     else:
-        builder = s2a_builder(backend, 0)
+        default = s2a_builder(backend, 0)
         table, symbols = s2a_table(0), S2A_TABLE_SYMBOLS
+    builder = builder or default
     if charge is None:
         charge = claimed_charge(backend)
     return [
@@ -76,6 +87,10 @@ SUITES = {
     "s2a-ab1": lambda: _representation(AB1, "s2a", 1),
     "n2-wrong-charge": lambda: _representation(
         SL2, "n2", 1, claimed_charge(SL2) + ONE
+    ),
+    # L[0] is on the right-hand side of [L[1], L[-1]]
+    "n2-wrong-central": lambda: _representation(
+        SL2, "n2", 1, builder=_n2_central_off_by_one(SL2, "L", 0)
     ),
     "chain-sl2": lambda: check_chain_identities(SL2, SMALL, window=1),
     "chain-wrong-constant": lambda: check_chain_identities(
@@ -298,7 +313,7 @@ def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypa
         ids = rng.choice(engine.n1, size=min(size, engine.n1), replace=False)
         blocks.append(np.sort(ids))
     for name, bop in engine._ops.items():
-        _, products = _op_products(u, bop.op, relative)
+        products = _op_products(u, bop.op, relative)
         for ids in blocks:
             states = engine.l1_rows[ids]
             h1, h2 = engine.l1_h1[ids], engine.l1_h2[ids]
@@ -315,8 +330,8 @@ def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypa
 def test_box_matrices_match_operator_apply(backend):
     """Each column of a compiled box matrix, decoded through the level-1
     rows and divided by the operator's denominator, is the operator
-    applied to that box monomial (the matrices carry the central
-    diagonal, which S'(2,1/2) L[0] has)."""
+    applied to that box monomial (the central scalar of S'(2,1/2) L[0]
+    enters as the empty generator product)."""
     ops = {
         "d": build_differential_d(backend),
         "theta": build_theta_adjoint(backend, 0, 1),
@@ -328,7 +343,8 @@ def test_box_matrices_match_operator_apply(backend):
         engine.register(name, op)
     engine.prepare()
     u = engine.universe
-    assert not engine._ops["L[0]"].central.is_zero()
+    assert ([], ops["L[0]"].central) in _op_products(u, ops["L[0]"], False)
+    assert not ops["L[0]"].central.is_zero()
     for name, op in ops.items():
         rows, cols, re, im = engine._box_mats[name]
         den = engine._ops[name].den
@@ -385,6 +401,14 @@ def test_bounds_hold_without_asserts():
             eng.prepare()
         except OverflowError:
             print("raised")
+
+        # a central scalar is an instance coefficient, under the same bound
+        eng = BulkEngine(1, Box(emax=1, b0max=0))
+        eng.register("big-central", SumOperator((), central=1 << 31))
+        try:
+            eng.prepare()
+        except OverflowError:
+            print("raised")
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -395,4 +419,4 @@ def test_bounds_hold_without_asserts():
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
-    assert out.stdout.split() == ["raised"] * 3
+    assert out.stdout.split() == ["raised"] * 4

@@ -97,10 +97,21 @@ def test_abelian_relative_cohomology_csv():
         assert cells[6] == cells[3]  # coh_dim == dim: the differential is 0
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify-s2a", "--backend", "bogus"]) == 2
     assert main(["verify-chain", "--emax", "-1"]) == 2
     assert main(["verify-chain", "--config", "/nonexistent/path"]) == 2
+    # a flag the command does not read, on the command line or as a
+    # config key
+    for argv in (["kahler", "--b0max", "5"], ["sca-tables", "--backend", "witt"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("backend = witt\n")
+    assert main(["sca-tables", "--config", str(cfgfile)]) == 2
+    cfgfile.write_text("rel = yes\n")
+    assert main(["verify-chain", "--config", str(cfgfile)]) == 2
     capsys.readouterr()
 
 
@@ -147,7 +158,7 @@ def test_flag_equal_to_default_beats_config(tmp_path):
     # --emax 3 and --format text are the defaults, but given explicitly
     cfg = resolve_config(
         parser.parse_args(
-            ["verify-chain", "--emax", "3", "--format", "text",
+            ["cohomology", "--emax", "3", "--format", "text",
              "--config", str(cfgfile)]
         )
     )
