@@ -22,7 +22,8 @@ An operator is applied to a block of states in one vectorized pass over
 that table: instances are dropped against the block's per-slot
 occupancy range, an instance x state mask is built one constraint
 column at a time, and the count factors, signs, output keys and (when
-asked for) output rows of all (instance, state) pairs are taken at once.
+asked for) instance indices of all (instance, state) pairs are taken at
+once; output rows are built only for the states the level-1 domain keeps.
 A table and block whose mask would exceed a fixed cell budget are taken
 in consecutive instance chunks, so memory follows the output, not the
 product of table and block sizes.
@@ -136,26 +137,6 @@ def _col_weights(p, r5, r6, cols):
     """Per-entry column weight v = mix(col) mod p, as int64 residues."""
     c = cols.astype(np.uint64)
     return ((c * r5 + r6) % np.uint64(p)).astype(np.int64)
-
-
-def _keyed_lookup(pka, pkb, qa, qb):
-    """Exact position of each query key pair in a pool sorted by its
-    first word (ties unordered); -1 where absent.  First-word runs of
-    length one are resolved vectorized; longer runs -- 64-bit
-    coincidences between distinct states -- are scanned directly."""
-    lo = np.searchsorted(pka, qa, side="left")
-    hi = np.searchsorted(pka, qa, side="right")
-    pos = np.full(len(qa), -1, dtype=np.int64)
-    one = np.flatnonzero(hi - lo == 1)
-    cand = lo[one]
-    hit = pkb[cand] == qb[one]
-    pos[one[hit]] = cand[hit]
-    for i in np.flatnonzero(hi - lo > 1).tolist():
-        for j in range(int(lo[i]), int(hi[i])):
-            if pkb[j] == qb[i]:
-                pos[i] = j
-                break
-    return pos
 
 
 def _group_order(ka, kb):
@@ -475,10 +456,25 @@ def _op_energy_span(op) -> int:
     return span
 
 
-def _empty_stream(nslots: int):
+def _empty_stream():
     z = np.zeros(0, dtype=np.int64)
     zu = np.zeros(0, dtype=np.uint64)
-    return z, zu, zu, z, z, np.zeros((0, nslots), dtype=np.uint8)
+    return z, zu, zu, z, z, z
+
+
+def _image_rows(bop, states, cols, inst):
+    """Output occupancy rows of the (instance, state) pairs ``inst`` x
+    ``cols``: each state's row plus its instance's occupancy change."""
+    t = bop.table
+    rows = states[cols]
+    at = np.arange(len(cols))
+    for j in range(t.dslot.shape[1]):
+        p = t.dslot[inst, j]
+        occ = rows[at, p] + t.dval[inst, j]
+        if occ.min(initial=0) < 0:
+            raise StructureError(f"{bop.name} emptied an unoccupied slot")
+        rows[at, p] = occ
+    return rows
 
 
 class BulkEngine:
@@ -539,69 +535,73 @@ class BulkEngine:
         self._prepared = True
 
     def _build_domain(self):
-        """Phase A: apply every operator to the box, collect the union of
-        box and one-step-image monomials as the level-1 domain.  The pool
-        of (key, occupancy row) pairs is merged incrementally so that no
-        duplicated row storage accumulates."""
+        """Phase A: apply every operator to the box; the level-1 domain is
+        the set of box and one-step-image monomials.  The box keys and
+        every operator's grouped image keys are grouped together once:
+        group ranks are the level-1 ids of the box monomials and of every
+        box matrix row, and an occupancy row is built only for each
+        group's representative.  IDENTITY's box matrix is the box itself
+        and is written down directly."""
         u = self.universe
         nbox = len(self.box_monos)
         box_rows = np.zeros((nbox, u.nslots), dtype=np.uint8)
         for i, m in enumerate(self.box_monos):
             box_rows[i] = u.row_of(m)
         bh1, bh2 = u.hash_rows(box_rows)
-        order = np.argsort(bh1, kind="stable")
-        pka, pkb = bh1[order], bh2[order]
-        pool_rows = box_rows[order]
         raw = {}
+        kas, kbs = [bh1], [bh2]
         for name, bop in self._ops.items():
-            cols, ka, kb, re, im, rows = self._apply_all(
+            if name == IDENTITY:
+                continue
+            cols, ka, kb, re, im, inst = self._apply_all(
                 bop, box_rows, bh1, bh2, collect_rows=True
             )
-            # sum duplicate (col, key) contributions before storing
+            # sum duplicate (col, key) contributions before pooling
             cols, ka, kb, re, im, first = _group_keyed(cols, ka, kb, re, im)
-            raw[name] = (cols, ka, kb, re, im)
-            if len(rows):
-                rows = rows[first]
-                # unique candidate keys, in ascending first-word order
-                # (required so batch insertion keeps the pool sorted)
-                korder, knew = _group_order(ka, kb)
-                reps = korder[np.flatnonzero(knew)]
-                uka, ukb = ka[reps], kb[reps]
-                pos = _keyed_lookup(pka, pkb, uka, ukb)
-                novel = pos < 0
-                if novel.any():
-                    ins = np.searchsorted(pka, uka[novel], side="left")
-                    pka = np.insert(pka, ins, uka[novel])
-                    pkb = np.insert(pkb, ins, ukb[novel])
-                    pool_rows = np.insert(
-                        pool_rows, ins, rows[reps[novel]], axis=0
-                    )
-        self.n1 = len(pka)
-        self.l1_rows = pool_rows
-        self.l1_h1 = pka
-        self.l1_h2 = pkb
-        self.box_ids = _keyed_lookup(pka, pkb, bh1, bh2)
-        if int(self.box_ids.min(initial=0)) < 0:
-            raise StructureError("box monomial missing from the level-1 domain")
-        for name, (cols, ka, kb, re, im) in raw.items():
-            rows_ids = _keyed_lookup(pka, pkb, ka, kb)
-            if int(rows_ids.min(initial=0)) < 0:
-                raise StructureError(f"{name} image missing from the level-1 domain")
+            raw[name] = (cols, re, im, inst[first])
+            kas.append(ka)
+            kbs.append(kb)
+        pka, pkb = np.concatenate(kas), np.concatenate(kbs)
+        del kas, kbs
+        order, new = _group_order(pka, pkb)
+        ids = np.empty(len(order), dtype=np.int64)
+        ids[order] = np.cumsum(new) - 1
+        reps = order[new]
+        self.n1 = len(reps)
+        self.l1_h1, self.l1_h2 = pka[reps], pkb[reps]
+        del pka, pkb
+        is_rep = np.zeros(len(order), dtype=bool)
+        is_rep[reps] = True
+        self.box_ids = ids[:nbox]
+        self.l1_rows = np.empty((self.n1, u.nslots), dtype=np.uint8)
+        at = np.flatnonzero(is_rep[:nbox])
+        self.l1_rows[self.box_ids[at]] = box_rows[at]
+        one = np.ones(nbox, dtype=np.int64)
+        self._box_mats[IDENTITY] = (self.box_ids, np.arange(nbox), one, 0 * one)
+        start = nbox
+        for name, (cols, re, im, inst) in raw.items():
+            stop = start + len(cols)
+            rows_ids = ids[start:stop]
+            at = np.flatnonzero(is_rep[start:stop])
+            self.l1_rows[rows_ids[at]] = _image_rows(
+                self._ops[name], box_rows, cols[at], inst[at]
+            )
             self._box_mats[name] = (rows_ids, cols, re, im)
+            start = stop
 
     def _apply_all(self, bop, states, h1, h2, collect_rows: bool):
         """Apply the packed instance table of ``bop`` to every row of
         ``states`` in one vectorized pass per chunk of instances.
 
-        Returns (cols, key_h1, key_h2, re, im, out_rows), one entry per
-        (instance, state) pair in instance-major order; out_rows is the
-        stacked output occupancy rows when requested (possibly with
-        duplicates), else an empty array."""
+        Returns (cols, key_h1, key_h2, re, im, inst), one entry per
+        (instance, state) pair in instance-major order; inst is each
+        pair's table row when requested (``_image_rows`` turns the pairs
+        into output occupancy rows), else an empty array."""
         t = bop.table
         u = self.universe
         n = len(states)
         if n == 0 or len(t.re) == 0:
-            return _empty_stream(u.nslots)
+            return _empty_stream()
         # slot-major copy of the block plus the row of ones that padded
         # table entries read
         block = np.ones((u.nslots + 1, n), dtype=np.uint8)
@@ -613,7 +613,7 @@ class BulkEngine:
         )
         sel = np.flatnonzero(live.all(axis=1))
         if len(sel) == 0:
-            return _empty_stream(u.nslots)
+            return _empty_stream()
         pre = None
         if t.fslot.shape[1]:
             # exclusive prefix counts over the fermionic slots (mod 256,
@@ -625,22 +625,20 @@ class BulkEngine:
         # consecutive instance chunks keep the instance-major order
         step = max(1, _MASK_CELLS // n)
         parts = [
-            self._apply_chunk(
-                bop, states, block, pre, h1, h2, sel[i : i + step], collect_rows
-            )
+            self._apply_chunk(bop, block, pre, h1, h2, sel[i : i + step], collect_rows)
             for i in range(0, len(sel), step)
         ]
         if len(parts) == 1:
             return parts[0]
         return tuple(np.concatenate(col) for col in zip(*parts))
 
-    def _apply_chunk(self, bop, states, block, pre, h1, h2, sel, collect_rows):
+    def _apply_chunk(self, bop, block, pre, h1, h2, sel, collect_rows):
         """The stream of the table instances ``sel`` on the block; see
         _apply_all.  ``block`` is the slot-major block, ``pre`` its
         exclusive fermionic prefix counts (None if the table has no
         parity slots)."""
         t = bop.table
-        n = len(states)
+        n = block.shape[1]
         # instance x state mask, one constraint column at a time;
         # occupancy - lo wraps around below lo, so one comparison with
         # the span checks both ends
@@ -650,8 +648,7 @@ class BulkEngine:
             mask &= occ <= t.cspan[sel, j][:, None]
             del occ
         # (instance, state) pairs in instance-major order; the flat index
-        # becomes the state index in place, so the stream holds no
-        # instance index array
+        # becomes the state index in place
         inst = np.repeat(sel, np.count_nonzero(mask, axis=1))
         cols = np.flatnonzero(mask)
         del mask
@@ -669,16 +666,8 @@ class BulkEngine:
         re = t.re[inst] * fac
         im = t.im[inst] * fac
         if not collect_rows:
-            return cols, ka, kb, re, im, np.zeros((0, states.shape[1]), np.uint8)
-        rows = states[cols]
-        at = np.arange(len(cols))
-        for j in range(t.dslot.shape[1]):
-            p = t.dslot[inst, j]
-            occ = rows[at, p] + t.dval[inst, j]
-            if occ.min(initial=0) < 0:
-                raise StructureError(f"{bop.name} emptied an unoccupied slot")
-            rows[at, p] = occ
-        return cols, ka, kb, re, im, rows
+            inst = np.zeros(0, dtype=np.int64)
+        return cols, ka, kb, re, im, inst
 
     # -- restricted column builds --------------------------------------
 
@@ -798,43 +787,49 @@ class BulkEngine:
             self._rhs_ck_cache[(name, p)] = hit
         return hit
 
+    def _composition_sums(self, outer, inner):
+        """Per checksum prime, (re, im) of u^T (outer o inner) v mod p,
+        taken as (u^T outer)(inner v) on the inner support so that the
+        product is never materialized; an empty image gives no sums."""
+        ids, _ = self._inner_ids(inner)
+        scols, ka, kb, re, im = self._restricted_stream(outer, ids)
+        if len(scols) == 0:
+            return []
+        sums = []
+        for pc in _CHECK_CONSTS:
+            p = pc[0]
+            b_re, b_im = self._inner_bvec(inner, pc)
+            u = _state_weights(p, pc[1], pc[2], ka, kb)
+            pa_re = (re % p) * u % p
+            pa_im = (im % p) * u % p
+            qre = b_re[scols]
+            qim = b_im[scols]
+            s_re = int(np.sum((pa_re * qre - pa_im * qim) % p) % p)
+            s_im = int(np.sum((pa_re * qim + pa_im * qre) % p) % p)
+            sums.append((s_re, s_im))
+        return sums
+
     def _checksum_zero(self, comps, rhs_terms, L):
         """True when the modular checksums of the defect vanish for every
         checksum prime.  The defect matrix D is contracted as u^T D v for
-        fixed pseudo-random weights, so a composition (outer, inner, mult)
-        reduces to (u^T outer)(inner v) and the product is never
-        materialized."""
+        fixed pseudo-random weights.  Each composition's stream is reduced
+        to its per-prime sums before the next one is built."""
         ops = self._ops
-        streams = []
+        tot = [[0, 0] for _ in _CHECK_CONSTS]
         for outer, inner, mult in comps:
-            ids, _ = self._inner_ids(inner)
-            if len(ids):
-                streams.append((self._restricted_stream(outer, ids), inner, mult))
-        for pc in _CHECK_CONSTS:
-            p = pc[0]
-            tot_re = tot_im = 0
-            for (scols, ka, kb, re, im), inner, mult in streams:
-                if len(scols) == 0:
-                    continue
-                b_re, b_im = self._inner_bvec(inner, pc)
-                u = _state_weights(p, pc[1], pc[2], ka, kb)
-                pa_re = (re % p) * u % p
-                pa_im = (im % p) * u % p
-                qre = b_re[scols]
-                qim = b_im[scols]
-                s_re = int(np.sum((pa_re * qre - pa_im * qim) % p) % p)
-                s_im = int(np.sum((pa_re * qim + pa_im * qre) % p) % p)
-                tot_re = (tot_re + s_re * mult) % p
-                tot_im = (tot_im + s_im * mult) % p
+            for t, (s_re, s_im) in zip(tot, self._composition_sums(outer, inner)):
+                t[0] += s_re * mult
+                t[1] += s_im * mult
+        for (tot_re, tot_im), pc in zip(tot, _CHECK_CONSTS):
             for c, name in rhs_terms:
                 s = L // ops[name].den
                 cr, ci = int(c.re * s), int(c.im * s)
                 if cr == 0 and ci == 0:
                     continue
                 sre, sim = self._rhs_checksum(name, pc)
-                tot_re = (tot_re - (cr * sre - ci * sim)) % p
-                tot_im = (tot_im - (cr * sim + ci * sre)) % p
-            if tot_re or tot_im:
+                tot_re -= cr * sre - ci * sim
+                tot_im -= cr * sim + ci * sre
+            if tot_re % pc[0] or tot_im % pc[0]:
                 return False
         return True
 

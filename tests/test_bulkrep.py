@@ -244,9 +244,11 @@ def _grouped(entries):
 
 
 def _kernel_entries(engine, name, states, h1, h2):
-    cols, ka, kb, re, im, rows = engine._apply_all(
-        engine._ops[name], states, h1, h2, collect_rows=True
+    bop = engine._ops[name]
+    cols, ka, kb, re, im, inst = engine._apply_all(
+        bop, states, h1, h2, collect_rows=True
     )
+    rows = bulkrep._image_rows(bop, states, cols, inst)
     return list(
         zip(
             cols.tolist(),
@@ -326,6 +328,36 @@ def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypa
             assert got == want, (family, name, len(ids), "chunked")
 
 
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_level1_pool_invariants(family, relative):
+    """The level-1 pool holds distinct rows whose keys are their hashes,
+    the box monomials sit at box_ids, and IDENTITY's closed-form box
+    matrix is what compiling and applying its table gives."""
+    backend, ops = FAMILIES[family]
+    box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
+    engine = BulkEngine(backend.dim, box, relative)
+    for name, op in ops():
+        engine.register(name, op)
+    engine.prepare()
+    u = engine.universe
+    h1, h2 = u.hash_rows(engine.l1_rows)
+    assert np.array_equal(h1, engine.l1_h1) and np.array_equal(h2, engine.l1_h2)
+    assert len(np.unique(engine.l1_rows, axis=0)) == engine.n1
+    box_rows = np.array([u.row_of(m) for m in engine.box_monos], dtype=np.uint8)
+    assert np.array_equal(engine.l1_rows[engine.box_ids], box_rows)
+    bop = engine._ops[bulkrep.IDENTITY]
+    cols, ka, kb, re, im, inst = engine._apply_all(
+        bop, box_rows, *u.hash_rows(box_rows), collect_rows=True
+    )
+    rows_ids, got_cols, got_re, got_im = engine._box_mats[bulkrep.IDENTITY]
+    assert np.array_equal(
+        engine.l1_rows[rows_ids], bulkrep._image_rows(bop, box_rows, cols, inst)
+    )
+    assert np.array_equal(got_cols, cols)
+    assert np.array_equal(got_re, re) and np.array_equal(got_im, im)
+
+
 @pytest.mark.parametrize("backend", [SL2, AB1], ids=["sl2", "ab1"])
 def test_box_matrices_match_operator_apply(backend):
     """Each column of a compiled box matrix, decoded through the level-1
@@ -358,12 +390,12 @@ def test_box_matrices_match_operator_apply(backend):
 
 
 def test_bounds_hold_without_asserts():
-    """The int64 bounds and the packed kernel's emptied-slot guard are
-    explicit raises, so python -O keeps them."""
+    """The int64 bounds and the output-row builder's emptied-slot guard
+    are explicit raises, so python -O keeps them."""
     code = textwrap.dedent(
         """
         import numpy as np
-        from sweil.bulkrep import BulkEngine, _group_keyed, _pack_table
+        from sweil.bulkrep import BulkEngine, _group_keyed, _image_rows, _pack_table
         from sweil.fieldops import SumOperator
         from sweil.fock import Box, GenKey
         from sweil.liealg import StructureError
@@ -388,8 +420,9 @@ def test_bounds_hold_without_asserts():
         bop.table = _pack_table(eng.universe, [(ONE, [], [], [], [(slot, -1)])], 1)
         ids = eng.box_ids
         rows, h1, h2 = eng.l1_rows[ids], eng.l1_h1[ids], eng.l1_h2[ids]
+        cols, *_, inst = eng._apply_all(bop, rows, h1, h2, True)
         try:
-            eng._apply_all(bop, rows, h1, h2, True)
+            _image_rows(bop, rows, cols, inst)
         except StructureError:
             print("raised")
 
