@@ -202,13 +202,21 @@ class Universe:
             raise StructureError(f"generator {key} outside the slot universe")
         return i
 
-    def row_of(self, mono: FockMonomial) -> np.ndarray:
-        row = np.zeros(self.nslots, dtype=np.uint8)
-        for k in mono.bosons:
-            row[self.creator_slot(k)] += 1
-        for k in mono.fermions:
-            row[self.creator_slot(k)] += 1
-        return row
+    def rows_of(self, monos) -> np.ndarray:
+        """Occupancy rows of ``monos``, one per monomial, built with one
+        scatter-add over all (monomial, slot) pairs."""
+        rows = np.zeros((len(monos), self.nslots), dtype=np.uint8)
+        keys = [k for m in monos for part in m for k in part]
+        get = self.index.get
+        slots = np.array([get(k, -1) for k in keys], dtype=np.int64)
+        if len(slots) and slots.min() < 0:
+            bad = keys[int(np.argmin(slots))]
+            raise StructureError(f"generator {bad} outside the slot universe")
+        owner = np.repeat(
+            np.arange(len(monos)), [len(bos) + len(fer) for bos, fer in monos]
+        )
+        np.add.at(rows, (owner, slots), 1)
+        return rows
 
     def mono_of(self, row) -> FockMonomial:
         bosons = []
@@ -544,9 +552,7 @@ class BulkEngine:
         and is written down directly."""
         u = self.universe
         nbox = len(self.box_monos)
-        box_rows = np.zeros((nbox, u.nslots), dtype=np.uint8)
-        for i, m in enumerate(self.box_monos):
-            box_rows[i] = u.row_of(m)
+        box_rows = u.rows_of(self.box_monos)
         bh1, bh2 = u.hash_rows(box_rows)
         raw = {}
         kas, kbs = [bh1], [bh2]

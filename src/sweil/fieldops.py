@@ -12,6 +12,14 @@ assignment's generator product maps the input to one monomial times an
 integer (``fock.product_on_monomial``), so the term's coefficient is
 multiplied once, by that integer.
 
+A window depends on the input monomial only through the bounds it puts
+on the term's slots.  So each FieldOperator keeps, per term shape, a
+dict from that bound signature to the window, and per window point the
+normal-ordered generator keys, their sign and, once a product at that
+point has been nonzero, the coefficient.  Applying an operator to a
+monomial then costs a signature lookup and one generator product per
+window point; the plans live on the operator object, like its memo.
+
 This module also builds every concrete operator family: the adjoint and
 weight-density Witt representations, the N=2 and S'(2,alpha) quadratic
 expansions, the differentials d and the Koszul operator, the sl(2) triple
@@ -201,6 +209,51 @@ def _term_window(term: TermShape, bounds: dict, pad: int = 0):
     return out
 
 
+class _TermPlan:
+    """What one term shape's application to a monomial computes that depends
+    only on the operator, kept across monomials.
+
+    ``reads`` lists the (slot family, component) bounds ``_term_window``
+    reads, with their defaults; their values form a monomial's bound
+    signature, and ``windows`` maps each signature seen to its window.  A
+    window is a list of points [keys, sign, coeff, vs], shared between
+    windows through ``points``: the normal-ordered keys and sign of the
+    assignment ``vs``, and its coefficient, None until a product at that
+    point is first nonzero."""
+
+    __slots__ = ("term", "reads", "windows", "points")
+
+    def __init__(self, term: TermShape):
+        self.term = term
+        self.reads = tuple(
+            ((s.family, s.comp), 1 if s.family in _CREATOR_POSITIVE else 0)
+            for s in term.slots
+        )
+        self.windows = {}
+        self.points = {}
+
+    def window(self, bounds: dict) -> list:
+        """The window of a monomial with these ``_slot_bounds``."""
+        sig = tuple([bounds.get(slot, d) for slot, d in self.reads])
+        hit = self.windows.get(sig)
+        if hit is None:
+            hit = self.windows[sig] = [
+                self._point(vs) for vs in _term_window(self.term, bounds)
+            ]
+        return hit
+
+    def _point(self, vs):
+        point = self.points.get(vs)
+        if point is None:
+            term = self.term
+            keys = [GenKey(s.family, s.comp, s.mode_at(vs)) for s in term.slots]
+            sign = 1
+            if term.normal:
+                sign, keys = normal_order_slots(keys)
+            point = self.points[vs] = [keys, sign, None, vs]
+        return point
+
+
 class FieldOperator(Operator):
     def __init__(self, terms, central=ZERO, name=""):
         super().__init__()
@@ -208,6 +261,7 @@ class FieldOperator(Operator):
         self.central = QI.of(central)
         self.name = name
         self.parity, self.shift = self._declare()
+        self._plans = tuple(_TermPlan(term) for term in self.terms)
 
     def _declare(self):
         parity = None
@@ -245,18 +299,14 @@ class FieldOperator(Operator):
         if not self.central.is_zero():
             out.add_term(m, self.central)
         bounds = _slot_bounds(m)
-        for term in self.terms:
-            for vs in _term_window(term, bounds):
-                keys = [
-                    GenKey(s.family, s.comp, s.mode_at(vs)) for s in term.slots
-                ]
-                sign = 1
-                if term.normal:
-                    sign, keys = normal_order_slots(keys)
+        for plan in self._plans:
+            for point in plan.window(bounds):
+                keys, sign, c, vs = point
                 factor, m2 = product_on_monomial(keys, m, relative)
                 if not factor:
                     continue
-                c = term.coeff(vs)
+                if c is None:
+                    c = point[2] = plan.term.coeff(vs)
                 if not c.is_zero():
                     out.add_term(m2, scale_int(c, sign * factor))
         return out

@@ -20,6 +20,12 @@ passes), an annihilator removes its partner (a fermion picks up a sign, a
 boson the partner's multiplicity).  ``product_on_monomial`` computes that
 (integer, monomial) pair in one pass; ``apply_generator`` and
 ``apply_product`` wrap it for vectors.
+
+A monomial is a NamedTuple of its two key tuples, so hashing, equality and
+construction run in C; it is the key of every per-monomial memo and
+vector.  ``enumerate_box`` appends bosonic creators in ``_bsort_key``
+order and fermionic ones in ``_fsort_key`` order, so each monomial it
+builds is already canonical and inside the box.
 """
 
 from __future__ import annotations
@@ -66,9 +72,12 @@ def _bsort_key(k: GenKey):
     return (_BRANK[k.family], k.mode, k.comp)
 
 
-@dataclass(frozen=True)
-class FockMonomial:
-    """Canonical monomial: sorted boson tuple, strictly sorted fermion tuple."""
+class FockMonomial(NamedTuple):
+    """Canonical monomial: sorted boson tuple, strictly sorted fermion tuple.
+
+    A plain tuple underneath, so hashing, equality and construction (the
+    monomial is a dict key in every per-monomial memo and vector) run in C.
+    """
 
     bosons: tuple
     fermions: tuple
@@ -106,9 +115,6 @@ class FockMonomial:
 
     def energy(self) -> int:
         return self.degrees()[0]
-
-    def b0_count(self) -> int:
-        return sum(1 for k in self.bosons if k.family == "b" and k.mode == 0)
 
     def has_zero_mode_fermion(self) -> bool:
         return any(k.mode == 0 for k in self.fermions)
@@ -342,62 +348,55 @@ class Box:
     b0max: int = 0
     zero_fermions_allowed: bool = True
 
-    def admits(self, m: FockMonomial) -> bool:
-        if m.energy() > self.emax or m.b0_count() > self.b0max:
-            return False
-        return self.zero_fermions_allowed or not m.has_zero_mode_fermion()
-
 
 def enumerate_box(dim: int, box: Box):
-    """Deterministic, duplicate-free enumeration of the monomials in a box."""
+    """Deterministic, duplicate-free enumeration of the monomials in a box,
+    sorted by ``_mono_sort_key``.
+
+    The bosonic parts take the bosonic creators in ``_bsort_key`` order,
+    each as often as the energy and mode-0 budgets allow; the fermionic
+    parts take the fermionic creators in ``_fsort_key`` order, each at
+    most once.  Every pair of parts within the energy budget is then a
+    canonical monomial of the box, built without canonicalizing."""
     if box.emax < 0 or box.b0max < 0:
         raise StructureError("box bounds must be nonnegative")
-    gens = []
+    emax = box.emax
+    bos = []
+    fer = []
     for c in range(dim):
-        for k in range(1, box.emax + 1):
-            gens.append(GenKey("g", c, k))
-            gens.append(GenKey("b", c, -k))
-            gens.append(GenKey("e", c, k))
-            gens.append(GenKey("t", c, -k))
-        gens.append(GenKey("b", c, 0))
+        for k in range(1, emax + 1):
+            bos += [GenKey("g", c, k), GenKey("b", c, -k)]
+            fer += [GenKey("e", c, k), GenKey("t", c, -k)]
+        bos.append(GenKey("b", c, 0))
         if box.zero_fermions_allowed:
-            gens.append(GenKey("t", c, 0))
-    gens.sort()
-
-    out = []
-
-    def rec(idx, chosen, energy, b0):
-        if idx == len(gens):
-            sign, mono = make_monomial(chosen)
-            if sign not in (1, -1):
-                raise StructureError("box enumeration repeated a fermionic creator")
-            if box.admits(mono):
-                out.append(mono)
-            return
-        g = gens[idx]
-        cost = g.mode if g.family in ("g", "e") else -g.mode
-        zero_b = g.family == "b" and g.mode == 0
-        max_rep = 1 if g.is_fermionic() else (
-            box.b0max - b0 if zero_b else (box.emax - energy) // cost if cost else 0
-        )
-        if not zero_b and cost == 0 and not g.is_fermionic():
-            max_rep = 0
-        n = 0
-        while True:
-            if energy + n * cost <= box.emax and (not zero_b or b0 + n <= box.b0max):
-                rec(idx + 1, chosen + [g] * n, energy + n * cost, b0 + (n if zero_b else 0))
-            else:
-                break
-            if n >= max_rep:
-                break
-            n += 1
-        return
-
-    rec(0, [], 0, 0)
-    # rec refers to itself through its closure cell; dropping the name
-    # breaks that cycle, so out is freed by refcount, not at the next
-    # cyclic collection
-    del rec
+            fer.append(GenKey("t", c, 0))
+    # (energy, mode-0 count, keys); a part grows only by keys sorted after
+    # all of its own, so every part stays in canonical order
+    bos_parts = [(0, 0, ())]
+    for key in sorted(bos, key=_bsort_key):
+        cost = abs(key.mode)
+        zero = key.mode == 0
+        grown = []
+        for energy, b0, keys in bos_parts:
+            n = 1
+            while energy + n * cost <= emax and b0 + n * zero <= box.b0max:
+                grown.append((energy + n * cost, b0 + n * zero, keys + (key,) * n))
+                n += 1
+        bos_parts += grown
+    fer_parts = [(0, ())]
+    for key in sorted(fer, key=_fsort_key):
+        cost = abs(key.mode)
+        fer_parts += [(e + cost, keys + (key,)) for e, keys in fer_parts if e + cost <= emax]
+    # fermionic parts of energy at most E, for each E
+    upto = [[] for _ in range(emax + 1)]
+    for energy, keys in fer_parts:
+        for budget in range(energy, emax + 1):
+            upto[budget].append(keys)
+    out = [
+        FockMonomial(bkeys, fkeys)
+        for energy, _, bkeys in bos_parts
+        for fkeys in upto[emax - energy]
+    ]
     out.sort(key=_mono_sort_key)
     return out
 

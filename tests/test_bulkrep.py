@@ -11,13 +11,14 @@ import pytest
 from sweil.scalars import ONE, QI, ZERO
 from sweil.liealg import (
     LieAlgebraSpec,
+    StructureError,
     abelian,
     builtin_sl2_orthonormal,
     fmu_backend,
     loop_backend,
     witt_backend,
 )
-from sweil.fock import Box, FockVector, GenKey
+from sweil.fock import Box, FockMonomial, FockVector, GenKey, enumerate_box
 from sweil.fieldops import (
     SumOperator,
     build_differential_d,
@@ -328,6 +329,28 @@ def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypa
             assert got == want, (family, name, len(ids), "chunked")
 
 
+def _ref_rows(universe, monos):
+    """Occupancy rows built with one slot increment per key."""
+    rows = np.zeros((len(monos), universe.nslots), dtype=np.uint8)
+    for i, m in enumerate(monos):
+        for k in m.bosons + m.fermions:
+            rows[i, universe.creator_slot(k)] += 1
+    return rows
+
+
+def test_rows_of_counts_every_key():
+    """The single scatter-add of ``Universe.rows_of`` counts bosonic
+    multiplicities and rejects a key outside the slot universe."""
+    u = bulkrep.Universe(2, 3)
+    monos = enumerate_box(2, Box(emax=2, b0max=2))
+    rows = u.rows_of(monos)
+    assert np.array_equal(rows, _ref_rows(u, monos))
+    assert rows.max() == 2
+    assert u.rows_of([]).shape == (0, u.nslots)
+    with pytest.raises(StructureError, match="outside the slot universe"):
+        u.rows_of(monos[:3] + [FockMonomial((GenKey("g", 0, 4),), ())])
+
+
 @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_level1_pool_invariants(family, relative):
@@ -344,7 +367,7 @@ def test_level1_pool_invariants(family, relative):
     h1, h2 = u.hash_rows(engine.l1_rows)
     assert np.array_equal(h1, engine.l1_h1) and np.array_equal(h2, engine.l1_h2)
     assert len(np.unique(engine.l1_rows, axis=0)) == engine.n1
-    box_rows = np.array([u.row_of(m) for m in engine.box_monos], dtype=np.uint8)
+    box_rows = _ref_rows(u, engine.box_monos)
     assert np.array_equal(engine.l1_rows[engine.box_ids], box_rows)
     bop = engine._ops[bulkrep.IDENTITY]
     cols, ka, kb, re, im, inst = engine._apply_all(

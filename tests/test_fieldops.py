@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ from sweil.fieldops import (
     star_monomial,
     super_commutator,
 )
+from test_bulkrep import FAMILIES as BULK_FAMILIES
 
 SL2 = loop_backend(builtin_sl2_orthonormal())
 AB1 = loop_backend(abelian(1, with_form=True))
@@ -294,6 +296,125 @@ def test_window_is_the_feasible_set():
                     if term.normal:
                         keys = normal_order_slots(keys)[1]
                     assert product_on_monomial(keys, m, False)[0] == 0, (term, m, vs)
+
+
+# -- per-operator term plans against the per-call loop -----------------
+
+
+def _per_call_apply(op, m, relative):
+    """The loop that FieldOperator._apply_monomial ran before its term
+    plans: every term's window, keys, sign and coefficient recomputed at
+    every point for every monomial; SumOperator parts summed with their
+    weights."""
+    out = FockVector()
+    if not op.central.is_zero():
+        out.add_term(m, op.central)
+    if isinstance(op, SumOperator):
+        for c, part in op.parts:
+            for m2, c2 in _per_call_apply(part, m, relative).terms.items():
+                out.add_term(m2, c * c2)
+        return out
+    bounds = _slot_bounds(m)
+    for term in op.terms:
+        for vs in _term_window(term, bounds):
+            keys = [GenKey(s.family, s.comp, s.mode_at(vs)) for s in term.slots]
+            sign = 1
+            if term.normal:
+                sign, keys = normal_order_slots(keys)
+            factor, m2 = product_on_monomial(keys, m, relative)
+            if not factor:
+                continue
+            c = term.coeff(vs)
+            if not c.is_zero():
+                out.add_term(m2, c * QI(sign * factor))
+    return out
+
+
+def _family_ops(family):
+    """The field and sum operators of a relation-suite family."""
+    _, ops = BULK_FAMILIES[family]
+    return [op for _, op in ops() if isinstance(op, (FieldOperator, SumOperator))]
+
+
+def _fresh(op):
+    """A copy of ``op`` with empty memos and term plans."""
+    if isinstance(op, SumOperator):
+        return SumOperator([(c, _fresh(p)) for c, p in op.parts], op.central, op.name)
+    return FieldOperator(op.terms, op.central, op.name)
+
+
+def _field_parts(op):
+    if isinstance(op, SumOperator):
+        return [f for _, part in op.parts for f in _field_parts(part)]
+    return [op]
+
+
+def _plan_boxes(family):
+    dim = BULK_FAMILIES[family][0].dim
+    return [
+        (relative, enumerate_box(dim, Box(emax=1, b0max=1, zero_fermions_allowed=not relative)))
+        for relative in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
+def test_term_plans_match_per_call_loop(family):
+    """Every operator of every relation-suite family gives, on small
+    absolute and relative boxes, what the per-call loop gives.  The box is
+    applied twice with the memo bypassed, so the second pass takes every
+    window, key and coefficient from the term plans."""
+    ops = [_fresh(op) for op in _family_ops(family)]
+    fields = [f for op in ops for f in _field_parts(op)]
+    for relative, box in _plan_boxes(family):
+        for _ in range(2):
+            for f in fields:
+                f._memo.clear()
+            for op in ops:
+                for m in box:
+                    want = _per_call_apply(op, m, relative)
+                    assert op._apply_monomial(m, relative) == want, (op.name, m)
+    assert all(plan.windows for f in fields for plan in f._plans)
+
+
+@pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
+def test_term_coefficient_evaluated_once_where_product_nonzero(family):
+    """A term's coefficient is evaluated at most once per window point,
+    across monomials, boxes and both models, and only at the points where
+    some generator product is nonzero."""
+    calls = {}
+
+    def counted(term, key):
+        def coeff(vs):
+            calls[key + (vs,)] = calls.get(key + (vs,), 0) + 1
+            return term.coeff(vs)
+
+        return dataclasses.replace(term, coeff=coeff)
+
+    fields = [f for op in _family_ops(family) for f in _field_parts(op)]
+    counting = [
+        FieldOperator([counted(t, (i, j)) for j, t in enumerate(f.terms)], f.central)
+        for i, f in enumerate(fields)
+    ]
+    nonzero = set()
+    for relative, box in _plan_boxes(family):
+        for _ in range(2):
+            for i, f in enumerate(counting):
+                f._memo.clear()
+                for m in box:
+                    f.apply_monomial(m, relative)
+                    bounds = _slot_bounds(m)
+                    for j, term in enumerate(f.terms):
+                        for vs in _term_window(term, bounds):
+                            keys = [
+                                GenKey(s.family, s.comp, s.mode_at(vs))
+                                for s in term.slots
+                            ]
+                            if term.normal:
+                                keys = normal_order_slots(keys)[1]
+                            if product_on_monomial(keys, m, relative)[0]:
+                                nonzero.add((i, j, vs))
+    assert calls and max(calls.values()) == 1
+    assert set(calls) == nonzero
 
 
 # -- sl(2) triple on the relative model --------------------------------

@@ -170,6 +170,71 @@ def test_enumerate_box_b0():
     assert len(out) == 3
 
 
+def _admits(box, m):
+    """Whether the monomial ``m`` lies in ``box``."""
+    if m.energy() > box.emax:
+        return False
+    if sum(1 for k in m.bosons if k.family == "b" and k.mode == 0) > box.b0max:
+        return False
+    return box.zero_fermions_allowed or not m.has_zero_mode_fermion()
+
+
+def _ref_enumerate_box(dim, box):
+    """The enumerator that ``enumerate_box`` replaced: every multiplicity
+    of every generator in GenKey order, each product canonicalized by
+    ``make_monomial`` and kept if the box admits it."""
+    gens = []
+    for c in range(dim):
+        for k in range(1, box.emax + 1):
+            gens += [g(c, k), b(c, -k), e(c, k), t(c, -k)]
+        gens.append(b(c, 0))
+        if box.zero_fermions_allowed:
+            gens.append(t(c, 0))
+    gens.sort()
+    out = []
+
+    def rec(idx, chosen, energy, b0):
+        if idx == len(gens):
+            sign, m = make_monomial(chosen)
+            assert sign in (1, -1)
+            if _admits(box, m):
+                out.append(m)
+            return
+        key = gens[idx]
+        cost = key.mode if key.family in ("g", "e") else -key.mode
+        zero_b = key.family == "b" and key.mode == 0
+        max_rep = 1 if key.is_fermionic() else (
+            box.b0max - b0 if zero_b else (box.emax - energy) // cost
+        )
+        n = 0
+        while energy + n * cost <= box.emax and (not zero_b or b0 + n <= box.b0max):
+            rec(idx + 1, chosen + [key] * n, energy + n * cost, b0 + (n if zero_b else 0))
+            if n >= max_rep:
+                break
+            n += 1
+
+    rec(0, [], 0, 0)
+    return sorted(out, key=lambda m: (
+        tuple((k.family != "g", k.mode, k.comp) for k in m.bosons),
+        tuple((k.family != "e", k.mode, k.comp) for k in m.fermions),
+    ))
+
+
+@pytest.mark.parametrize("zero_fermions", [True, False])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_enumerate_box_matches_canonicalizing_reference(dim, zero_fermions):
+    """The canonical-order enumerator gives the reference's monomials in
+    the reference's order, and each is canonical: ``make_monomial`` maps
+    its keys back to it with sign 1."""
+    for emax in range(4):
+        for b0max in range(3):
+            box = Box(emax=emax, b0max=b0max, zero_fermions_allowed=zero_fermions)
+            got = enumerate_box(dim, box)
+            assert got == _ref_enumerate_box(dim, box), box
+            for m in got:
+                assert make_monomial(m.bosons + m.fermions) == (1, m)
+
+
 def test_box_deg_constraints():
     """A box carries no degree filter; the (E, Deg_S) slices of
     slice_monomials, bucketed by Deg_Lambda, cut it into disjoint pieces
@@ -193,7 +258,7 @@ def test_box_deg_constraints():
                 for deg_l, monos in slices.items():
                     for m in monos:
                         assert m.degrees()[:3] == (energy, deg_s, deg_l)
-                        if box.admits(m):
+                        if _admits(box, m):
                             pieces.append(m)
         assert len(pieces) == len(set(pieces)) == len(whole)
         assert set(pieces) == set(whole)
