@@ -69,16 +69,13 @@ from math import lcm
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .scalars import ONE, QI, ZERO
 from .fock import (
     _CREATOR_POSITIVE,
     Box,
-    FockMonomial,
     GenKey,
     enumerate_box,
-    make_monomial,
     normal_order_slots,
 )
 from .fieldops import SumOperator
@@ -97,6 +94,11 @@ _FULL = 255
 # larger table or block is taken in instance chunks, which bounds the
 # mask and the per-pair temporaries whatever the box size
 _MASK_CELLS = 1 << 22
+
+# (outer entry, inner entry) pairs that _product_stream forms at once; a
+# larger product is taken in outer chunks, which bounds the per-pair
+# temporaries whatever the size of a failing case
+_PAIR_CELLS = 1 << 20
 
 
 def _bound(ok, what: str):
@@ -217,17 +219,6 @@ class Universe:
         )
         np.add.at(rows, (owner, slots), 1)
         return rows
-
-    def mono_of(self, row) -> FockMonomial:
-        bosons = []
-        fermions = []
-        for i in np.flatnonzero(row):
-            k = self.slots[i]
-            (fermions if k.is_fermionic() else bosons).extend([k] * int(row[i]))
-        sign, mono = make_monomial(bosons + fermions)
-        if sign != 1:
-            raise StructureError("occupancy row is not in canonical slot order")
-        return mono
 
     def hash_rows(self, rows: np.ndarray):
         r = rows.astype(np.uint64)
@@ -464,10 +455,11 @@ def _op_energy_span(op) -> int:
     return span
 
 
-def _empty_stream():
-    z = np.zeros(0, dtype=np.int64)
-    zu = np.zeros(0, dtype=np.uint64)
-    return z, zu, zu, z, z, z
+def _empty_stream(n=0):
+    """Stream arrays (cols, key_h1, key_h2, re, im, inst) of length ``n``,
+    uninitialized."""
+    types = (np.int64, np.uint64, np.uint64, np.int64, np.int64, np.int64)
+    return tuple(np.empty(n, dtype=t) for t in types)
 
 
 def _image_rows(bop, states, cols, inst):
@@ -564,6 +556,8 @@ class BulkEngine:
             )
             # sum duplicate (col, key) contributions before pooling
             cols, ka, kb, re, im, first = _group_keyed(cols, ka, kb, re, im)
+            _bound(np.abs(re).max(initial=0) < 1 << 30, "grouped real entry")
+            _bound(np.abs(im).max(initial=0) < 1 << 30, "grouped imaginary entry")
             raw[name] = (cols, re, im, inst[first])
             kas.append(ka)
             kbs.append(kb)
@@ -693,59 +687,6 @@ class BulkEngine:
 
     # -- bracket checking ---------------------------------------------
 
-    def _product_stream(self, full, box):
-        """Grouped stream of (outer o inner) on box columns.
-
-        outer is a keyed restricted COO over nsub columns, inner a
-        grouped box COO whose rows are already positions in the
-        restricted column space.  The product is taken by exact int64
-        sparse matrix multiplication after interning the outer output
-        keys; every accumulation bound is checked before multiplying."""
-        cola, ka, kb, re, im = full
-        pos, cols, bre, bim = box
-        nbox = len(self.box_monos)
-        z = np.zeros(0, dtype=np.int64)
-        zu = np.zeros(0, dtype=np.uint64)
-        if len(ka) == 0 or len(cols) == 0:
-            return z, zu, zu, z, z
-        nsub = int(pos.max(initial=-1)) + 1
-        nsub = max(nsub, int(cola.max(initial=-1)) + 1)
-        order, new = _group_order(ka, kb)
-        ska, skb = ka[order], kb[order]
-        rowidx = np.empty(len(ka), dtype=np.int64)
-        rowidx[order] = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        ktab_a, ktab_b = ska[starts], skb[starts]
-        shape_a = (len(ktab_a), nsub)
-        ar = sparse.coo_matrix((re, (rowidx, cola)), shape=shape_a).tocsr()
-        ai = sparse.coo_matrix((im, (rowidx, cola)), shape=shape_a).tocsr()
-        shape_b = (nsub, nbox)
-        br = sparse.coo_matrix((bre, (pos, cols)), shape=shape_b).tocsc()
-        bi = sparse.coo_matrix((bim, (pos, cols)), shape=shape_b).tocsc()
-        mar = int(np.abs(ar.data).max(initial=0))
-        mai = int(np.abs(ai.data).max(initial=0))
-        mbr = int(np.abs(br.data).max(initial=0))
-        mbi = int(np.abs(bi.data).max(initial=0))
-        kmax = int(np.diff(br.indptr).max(initial=0))
-        kmax = max(kmax, int(np.diff(bi.indptr).max(initial=0)))
-        _bound((mar * mbr + mai * mbi) * kmax < 1 << 62, "product real part")
-        _bound((mar * mbi + mai * mbr) * kmax < 1 << 62, "product imaginary part")
-        cr = (ar @ br - ai @ bi).tocoo()
-        ci = (ar @ bi + ai @ br).tocoo()
-        oc = np.concatenate(
-            [cr.col.astype(np.int64), ci.col.astype(np.int64)]
-        )
-        rows_out = np.concatenate([cr.row, ci.row])
-        oka = ktab_a[rows_out]
-        okb = ktab_b[rows_out]
-        ore = np.concatenate(
-            [cr.data, np.zeros(len(ci.data), dtype=np.int64)]
-        )
-        oim = np.concatenate(
-            [np.zeros(len(cr.data), dtype=np.int64), ci.data]
-        )
-        return oc, oka, okb, ore, oim
-
     def _inner_ids(self, inner):
         """Cached (ids, pos): distinct level-1 rows hit by the inner box
         matrix and each entry's position among them."""
@@ -793,12 +734,12 @@ class BulkEngine:
             self._rhs_ck_cache[(name, p)] = hit
         return hit
 
-    def _composition_sums(self, outer, inner):
+    def _composition_sums(self, stream, inner):
         """Per checksum prime, (re, im) of u^T (outer o inner) v mod p,
-        taken as (u^T outer)(inner v) on the inner support so that the
-        product is never materialized; an empty image gives no sums."""
-        ids, _ = self._inner_ids(inner)
-        scols, ka, kb, re, im = self._restricted_stream(outer, ids)
+        where ``stream`` is the outer operator's restricted stream on the
+        inner support: taken as (u^T outer)(inner v), so that the product
+        is never materialized; an empty image gives no sums."""
+        scols, ka, kb, re, im = stream
         if len(scols) == 0:
             return []
         sums = []
@@ -815,15 +756,21 @@ class BulkEngine:
             sums.append((s_re, s_im))
         return sums
 
-    def _checksum_zero(self, comps, rhs_terms, L):
+    def _checksum_zero(self, comps, rhs_terms, L, kept):
         """True when the modular checksums of the defect vanish for every
         checksum prime.  The defect matrix D is contracted as u^T D v for
-        fixed pseudo-random weights.  Each composition's stream is reduced
-        to its per-prime sums before the next one is built."""
+        fixed pseudo-random weights.  Each composition's restricted stream
+        is reduced to its per-prime sums before the next one is built; the
+        last one is left in ``kept`` under (outer, inner) for the exact
+        path."""
         ops = self._ops
         tot = [[0, 0] for _ in _CHECK_CONSTS]
         for outer, inner, mult in comps:
-            for t, (s_re, s_im) in zip(tot, self._composition_sums(outer, inner)):
+            kept.clear()
+            ids, _ = self._inner_ids(inner)
+            kept[outer, inner] = self._restricted_stream(outer, ids)
+            sums = self._composition_sums(kept[outer, inner], inner)
+            for t, (s_re, s_im) in zip(tot, sums):
                 t[0] += s_re * mult
                 t[1] += s_im * mult
         for (tot_re, tot_im), pc in zip(tot, _CHECK_CONSTS):
@@ -849,7 +796,10 @@ class BulkEngine:
 
         A vanishing defect is certified by the modular checksum pass; the
         exact grouped-stream comparison runs only when a checksum is
-        nonzero, and then pins down the first failing column."""
+        nonzero, and then pins down the first failing column.  It takes
+        the compositions last first, starting from the restricted stream
+        the checksum pass kept, so one restricted stream is alive at a
+        time."""
         if not self._prepared:
             self.prepare()
         ops = self._ops
@@ -865,7 +815,8 @@ class BulkEngine:
             comps = [(name_a, name_b, lf), (name_b, name_a, lf if both_odd else -lf)]
         else:
             comps = [(name_a, name_a, 2 * lf)] if both_odd else []
-        if self._checksum_zero(comps, rhs_terms, L):
+        kept = {}
+        if self._checksum_zero(comps, rhs_terms, L, kept):
             return None
         streams = []
 
@@ -876,12 +827,13 @@ class BulkEngine:
             _bound(m * abs(mult) < 1 << 62, "scaled composition stream")
             streams.append((cols, ka, kb, re * mult, im * mult))
 
-        for outer, inner, mult in comps:
+        for outer, inner, mult in reversed(comps):
             rows, cols, bre, bim = self._box_mats[inner]
             ids, pos = self._inner_ids(inner)
-            if len(ids):
+            mat = kept.pop((outer, inner), None)
+            if mat is None:
                 mat = self._restricted_stream(outer, ids)
-                push(*self._product_stream(mat, (pos, cols, bre, bim)), mult)
+            push(*_product_stream(mat, (pos, cols, bre, bim)), mult)
         for c, name in rhs_terms:
             rows, cols, re, im = self._box_mats[name]
             s = L // ops[name].den
@@ -898,26 +850,12 @@ class BulkEngine:
             )
         if not streams:
             return None
-        cols = np.concatenate([s[0] for s in streams])
-        ka = np.concatenate([s[1] for s in streams])
-        kb = np.concatenate([s[2] for s in streams])
-        re = np.concatenate([s[3] for s in streams])
-        im = np.concatenate([s[4] for s in streams])
-        cu = cols.astype(np.uint64)
-        order, new = _group_order(ka + cu * _COL_R1, kb + cu * _COL_R2)
-        cols = cols[order]
-        re, im = re[order], im[order]
-        starts = np.flatnonzero(new)
-        gsizes = np.diff(np.append(starts, len(cols)))
-        gmax = int(gsizes.max(initial=1))
-        _bound(int(np.abs(re).max(initial=0)) * gmax < 1 << 62, "defect group sum")
-        _bound(int(np.abs(im).max(initial=0)) * gmax < 1 << 62, "defect group sum")
-        sre = np.add.reduceat(re, starts)
-        sim = np.add.reduceat(im, starts)
-        bad = (sre != 0) | (sim != 0)
-        if not bad.any():
-            return None
-        return int(cols[starts[bad]].min())
+        # the per-composition streams go before the grouping sort, which
+        # holds the run's memory peak on a large failing case
+        merged = [np.concatenate(s) for s in zip(*streams)]
+        streams.clear()
+        cols, *_ = _group_keyed(*merged)
+        return int(cols.min()) if len(cols) else None
 
 
 def _group_keyed(cols, ka, kb, re, im):
@@ -928,24 +866,68 @@ def _group_keyed(cols, ka, kb, re, im):
         return cols, ka, kb, re, im, np.zeros(0, dtype=np.int64)
     cu = cols.astype(np.uint64)
     order, new = _group_order(ka + cu * _COL_R1, kb + cu * _COL_R2)
-    cols, ka, kb = cols[order], ka[order], kb[order]
+    del cu
     re, im = re[order], im[order]
     starts = np.flatnonzero(new)
-    gmax = int(np.diff(np.append(starts, len(cols))).max(initial=1))
+    gmax = int(np.diff(np.append(starts, len(re))).max(initial=1))
     emax = max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
     _bound(emax * gmax < 1 << 62, "grouped entry sum")
     sre = np.add.reduceat(re, starts)
     sim = np.add.reduceat(im, starts)
     keep = (sre != 0) | (sim != 0)
-    _bound(np.abs(sre).max(initial=0) < 1 << 30, "grouped real entry")
-    _bound(np.abs(sim).max(initial=0) < 1 << 30, "grouped imaginary entry")
     first = order[starts[keep]]
-    return (
-        cols[starts[keep]],
-        ka[starts[keep]],
-        kb[starts[keep]],
-        sre[keep],
-        sim[keep],
-        first,
-    )
+    return cols[first], ka[first], kb[first], sre[keep], sim[keep], first
 
+
+def _product_stream(outer, inner):
+    """Stream (cols, key_h1, key_h2, re, im) of the composition
+    outer o inner on box columns.
+
+    ``outer`` is a keyed restricted stream whose columns are positions in
+    the restricted column space, ``inner`` a box stream (pos, cols, re,
+    im) whose rows are such positions.  The product is a join: every pair
+    of an outer and an inner entry that meet in a restricted column gives
+    one entry (the inner entry's box column, the outer entry's key, their
+    complex product).  Entries may repeat; the caller's (col, key)
+    grouping sums them.  The inner entries are sorted by position and
+    counted per position, and each outer entry is repeated once per inner
+    entry of its column, in consecutive outer chunks of at most
+    ``_PAIR_CELLS`` pairs (an outer entry with more pairs is a chunk of
+    its own).  The entry bound is checked before multiplying."""
+    cola, ka, kb, are, aim = outer
+    pos, cols, bre, bim = inner
+    if len(cola) == 0 or len(pos) == 0:
+        return _empty_stream()[:5]
+    ma = max(int(np.abs(are).max()), int(np.abs(aim).max()))
+    mb = max(int(np.abs(bre).max()), int(np.abs(bim).max()))
+    _bound(2 * ma * mb < 1 << 62, "product entry")
+    by_pos = np.argsort(pos, kind="stable")
+    count = np.bincount(pos, minlength=int(cola.max()) + 1)
+    # where each position's inner entries start in by_pos
+    first = np.cumsum(count) - count
+    # outer entry e forms pairs offs[e] .. ends[e] - 1
+    reps = count[cola]
+    ends = np.cumsum(reps)
+    offs = ends - reps
+    out = _empty_stream(int(ends[-1]))[:5]
+    start = 0
+    while start < len(cola):
+        lo = int(offs[start])
+        stop = int(np.searchsorted(ends, lo + _PAIR_CELLS, side="right"))
+        stop = max(stop, start + 1)
+        hi = int(ends[stop - 1])
+        o = np.repeat(np.arange(start, stop), reps[start:stop])
+        # the k-th pair of outer entry e takes the k-th inner entry of
+        # its column
+        j = by_pos[first[cola[o]] + (np.arange(lo, hi) - offs[o])]
+        oc, oka, okb, ore, oim = (a[lo:hi] for a in out)
+        np.take(cols, j, out=oc)
+        np.take(ka, o, out=oka)
+        np.take(kb, o, out=okb)
+        ar, ai, br, bi = are[o], aim[o], bre[j], bim[j]
+        np.multiply(ar, br, out=ore)
+        ore -= ai * bi
+        np.multiply(ar, bi, out=oim)
+        oim += ai * br
+        start = stop
+    return out

@@ -307,20 +307,6 @@ def apply_product(keys, m: FockMonomial, relative=False) -> FockVector:
     return FockVector({m2: QI(factor)})
 
 
-def normal_order_pair(a: GenKey, b: GenKey):
-    """Normal order the written product ``a b`` of a same-statistics pair.
-
-    Returns (sign, (first, second)): annihilators are moved right, a
-    fermionic swap contributes -1, and the contraction term is dropped.
-    """
-    if a.is_fermionic() != b.is_fermionic():
-        raise StructureError("normal ordering is defined within one statistics family")
-    if (not a.is_creator()) and b.is_creator():
-        sign = -1 if a.is_fermionic() else 1
-        return sign, (b, a)
-    return 1, (a, b)
-
-
 def normal_order_slots(keys):
     """Stably move annihilators right of creators; fermionic swaps give -1.
 

@@ -169,9 +169,6 @@ class GradedBackend:
     def dim(self) -> int:
         return self.spec.dim if self.kind == "loop" else 1
 
-    def has_bracket(self) -> bool:
-        return self.kind in ("loop", "witt")
-
     def bracket(self, a, b):
         """Bracket/action of component-mode pairs; returns (coeffs, mode).
 

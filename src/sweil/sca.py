@@ -10,10 +10,9 @@ brackets and guards the typed tables against transcription drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import QI, ZERO, ONE, I
+from .scalars import QI, ZERO, ONE
 from .liealg import StructureError
 
 EVEN_SYMBOLS = ("L", "E", "H", "F")
@@ -65,10 +64,6 @@ class SCAElement:
     def basis(sym, n, coeff=ONE) -> "SCAElement":
         parity_of(sym)
         return SCAElement({(sym, n): coeff})
-
-    @staticmethod
-    def center(c=ONE) -> "SCAElement":
-        return SCAElement(central=c)
 
     def add_term(self, sym, n, c):
         key = (sym, n)

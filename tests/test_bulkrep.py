@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sweil.scalars import ONE, QI, ZERO
 from sweil.liealg import (
@@ -18,7 +19,14 @@ from sweil.liealg import (
     loop_backend,
     witt_backend,
 )
-from sweil.fock import Box, FockMonomial, FockVector, GenKey, enumerate_box
+from sweil.fock import (
+    Box,
+    FockMonomial,
+    FockVector,
+    GenKey,
+    enumerate_box,
+    make_monomial,
+)
 from sweil.fieldops import (
     SumOperator,
     build_differential_d,
@@ -381,6 +389,17 @@ def test_level1_pool_invariants(family, relative):
     assert np.array_equal(got_re, re) and np.array_equal(got_im, im)
 
 
+def _mono_of(universe, row) -> FockMonomial:
+    """The monomial of an occupancy row, whose slot order (bosons, then
+    fermions in canonical order) must need no reordering."""
+    keys = []
+    for i in np.flatnonzero(row):
+        keys.extend([universe.slots[i]] * int(row[i]))
+    sign, mono = make_monomial(keys)
+    assert sign == 1, "occupancy row is not in canonical slot order"
+    return mono
+
+
 @pytest.mark.parametrize("backend", [SL2, AB1], ids=["sl2", "ab1"])
 def test_box_matrices_match_operator_apply(backend):
     """Each column of a compiled box matrix, decoded through the level-1
@@ -406,7 +425,8 @@ def test_box_matrices_match_operator_apply(backend):
         got = [FockVector() for _ in engine.box_monos]
         for r, c, x, y in zip(rows.tolist(), cols.tolist(), re.tolist(), im.tolist()):
             got[c].add_term(
-                u.mono_of(engine.l1_rows[r]), QI(Fraction(x, den), Fraction(y, den))
+                _mono_of(u, engine.l1_rows[r]),
+                QI(Fraction(x, den), Fraction(y, den)),
             )
         for col, m in enumerate(engine.box_monos):
             assert got[col] == op.apply(FockVector.of(m)), (name, m)
@@ -418,7 +438,13 @@ def test_bounds_hold_without_asserts():
     code = textwrap.dedent(
         """
         import numpy as np
-        from sweil.bulkrep import BulkEngine, _group_keyed, _image_rows, _pack_table
+        from sweil.bulkrep import (
+            BulkEngine,
+            _group_keyed,
+            _image_rows,
+            _pack_table,
+            _product_stream,
+        )
         from sweil.fieldops import SumOperator
         from sweil.fock import Box, GenKey
         from sweil.liealg import StructureError
@@ -465,6 +491,15 @@ def test_bounds_hold_without_asserts():
             eng.prepare()
         except OverflowError:
             print("raised")
+
+        # a product of two entries that would overflow int64
+        zero = np.zeros(1, dtype=np.int64)
+        big = np.array([1 << 32], dtype=np.int64)
+        key = np.ones(1, dtype=np.uint64)
+        try:
+            _product_stream((zero, key, key, big, zero), (zero, zero, big, zero))
+        except OverflowError:
+            print("raised")
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -475,4 +510,115 @@ def test_bounds_hold_without_asserts():
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
-    assert out.stdout.split() == ["raised"] * 4
+    assert out.stdout.split() == ["raised"] * 5
+
+
+# -- the exact product on the failure path -----------------------------
+
+_VALUE = st.integers(-2, 2)
+
+
+@st.composite
+def _product_operands(draw):
+    """An outer restricted stream and an inner box stream over a few
+    restricted columns, with few distinct keys and values so that keys
+    repeat, groups cancel and some columns have entries on one side only."""
+    npos = draw(st.integers(1, 4))
+    outer = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, npos - 1),
+                st.integers(0, 2),
+                st.integers(0, 1),
+                _VALUE,
+                _VALUE,
+            ),
+            max_size=12,
+        )
+    )
+    inner = draw(
+        st.lists(
+            st.tuples(st.integers(0, npos - 1), st.integers(0, 3), _VALUE, _VALUE),
+            max_size=12,
+        )
+    )
+    return outer, inner
+
+
+def _arrays(entries, dtypes):
+    cols = list(zip(*entries)) or [()] * len(dtypes)
+    return tuple(np.array(c, dtype=t) for c, t in zip(cols, dtypes))
+
+
+def _summed(entries):
+    """(col, key_h1, key_h2) -> summed (re, im), without zero sums."""
+    sums = {}
+    for col, ka, kb, re, im in entries:
+        r0, i0 = sums.get((col, ka, kb), (0, 0))
+        sums[col, ka, kb] = (r0 + re, i0 + im)
+    return {k: v for k, v in sums.items() if v != (0, 0)}
+
+
+def _reference_product(outer, inner):
+    """outer o inner, one Python-integer product per matching pair."""
+    return _summed(
+        (col, ka, kb, ar * br - ai * bi, ar * bi + ai * br)
+        for c, ka, kb, ar, ai in outer
+        for p, col, br, bi in inner
+        if c == p
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_operands())
+@example(([], [(0, 0, 1, 1)]))
+@example(([(0, 0, 0, 1, 0)], []))
+# a group that cancels, and an outer column (1) with no inner partner
+@example(([(0, 0, 0, 1, 0), (0, 0, 0, -1, 0), (1, 1, 0, 2, 1)], [(0, 2, 1, -1)]))
+def test_product_stream_matches_dict_reference(operands):
+    """The join product summed per (col, key) equals the dict-based
+    product, in one chunk and with the pair budget forced to one pair."""
+    outer, inner = operands
+    a = _arrays(outer, (np.int64, np.uint64, np.uint64, np.int64, np.int64))
+    b = _arrays(inner, (np.int64, np.int64, np.int64, np.int64))
+    want = _reference_product(outer, inner)
+    got = bulkrep._product_stream(a, b)
+    assert [x.dtype for x in got] == [np.int64, np.uint64, np.uint64, np.int64, np.int64]
+    assert _summed(zip(*(x.tolist() for x in got))) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bulkrep, "_PAIR_CELLS", 1)
+        got = bulkrep._product_stream(a, b)
+    assert _summed(zip(*(x.tolist() for x in got))) == want
+
+
+def test_failure_path_runs_without_scipy():
+    """A fresh interpreter imports the CLI and takes one bracket check down
+    its failure path (a flipped sl(2) structure constant) without loading
+    scipy."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import sweil.cli
+        from sweil.fock import Box
+        from sweil.liealg import LieAlgebraSpec, builtin_sl2_orthonormal, loop_backend
+        from sweil.scalars import ONE
+        from sweil.verify import check_chain_identities
+
+        good = builtin_sl2_orthonormal()
+        c = [[list(col) for col in row] for row in good.c]
+        c[0][1][2] = c[0][1][2] + ONE
+        wrong = loop_backend(LieAlgebraSpec(c, good.form, "sl2-mutated"))
+        reports = check_chain_identities(wrong, Box(emax=1, b0max=1), window=1)
+        print(any(not r.passed and r.witness for r in reports))
+        print("scipy" in sys.modules)
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert out.stdout.split() == ["True", "False"]

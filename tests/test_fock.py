@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sweil.scalars import QI, ONE
-from sweil.liealg import StructureError
 from sweil.fock import (
     Box,
     FockMonomial,
@@ -14,7 +13,6 @@ from sweil.fock import (
     enumerate_box,
     format_monomial,
     make_monomial,
-    normal_order_pair,
     normal_order_slots,
     parse_monomial,
     product_on_monomial,
@@ -126,18 +124,32 @@ def test_energy_additive_and_nonnegative():
         assert m.energy() >= 0
 
 
+def normal_order_pair(a: GenKey, b: GenKey):
+    """Normal order the written product ``a b`` of a same-statistics pair.
+
+    Returns (sign, [first, second]): an annihilator written before a
+    creator moves right, a fermionic swap contributes -1, and the
+    contraction term is dropped.
+    """
+    if (not a.is_creator()) and b.is_creator():
+        return (-1 if a.is_fermionic() else 1), [b, a]
+    return 1, [a, b]
+
+
 def test_normal_order_pair():
+    """The two-key rule, and normal_order_slots on every same-statistics
+    pair agreeing with it."""
     # :t(u_1) e(u'_1): -> -e(u'_1) t(u_1)
-    sign, (first, second) = normal_order_pair(t(0, 1), e(0, 1))
-    assert sign == -1 and first == e(0, 1) and second == t(0, 1)
+    assert normal_order_pair(t(0, 1), e(0, 1)) == (-1, [e(0, 1), t(0, 1)])
     # :b(u_0) g(u'_0): unchanged (both annihilator-side order already normal)
-    sign, pair = normal_order_pair(b(0, 0), g(0, 0))
-    assert sign == 1 and pair == (b(0, 0), g(0, 0))
+    assert normal_order_pair(b(0, 0), g(0, 0)) == (1, [b(0, 0), g(0, 0)])
     # distinct modes: creator moved left with coefficient 1
-    sign, pair = normal_order_pair(b(0, 1), g(0, 2))
-    assert sign == 1 and pair == (g(0, 2), b(0, 1))
-    with pytest.raises(StructureError):
-        normal_order_pair(b(0, 0), e(0, 1))
+    assert normal_order_pair(b(0, 1), g(0, 2)) == (1, [g(0, 2), b(0, 1)])
+    keys = [g(0, 2), g(1, 0), b(0, 1), b(0, 0), e(0, 1), e(1, 0), t(0, 1), t(1, -1)]
+    for x in keys:
+        for y in keys:
+            if x.is_fermionic() == y.is_fermionic():
+                assert normal_order_slots([x, y]) == normal_order_pair(x, y), (x, y)
 
 
 def test_normal_order_slots_sign():

@@ -355,7 +355,7 @@ def test_n2_symbol_guard():
 
 
 def test_element_arithmetic_and_parity():
-    a = SCAElement.basis("L", 1, QI(2)) + SCAElement.center(QI(3))
+    a = SCAElement.basis("L", 1, QI(2)) + SCAElement(central=QI(3))
     assert a.parity() == 0
     assert (a - a).is_zero()
     odd = SCAElement.basis("h", 1)
