@@ -47,8 +47,13 @@ A bracket identity [A, B] = sum c_t T_t + z * 1 is checked with its
 central term as one more right-hand side: z times the identity operator,
 which every engine registers under the name ``IDENTITY``.  It passes when
 a 3-prime modular checksum of its defect vanishes (a checksum
-certificate); a nonzero checksum runs the exact grouped-stream
-comparison, which finds the first failing box column.
+certificate).  A nonzero checksum runs the exact comparison, which
+builds each composition outer o inner with the same table kernel: the
+outer table is applied to the state of every entry of the inner box
+matrix, and each output entry, times its inner entry, lands on that
+entry's box column.  Each composition is summed per (column, monomial),
+then grouped once more with the right-hand sides; the smallest column
+left is the first failing box column.
 
 Universe completeness: with ``mmax = emax + max(2 * smax_full, smax_all)``
 (``smax_*`` the largest absolute energy shift among the registered
@@ -95,16 +100,16 @@ _FULL = 255
 # mask and the per-pair temporaries whatever the box size
 _MASK_CELLS = 1 << 22
 
-# (outer entry, inner entry) pairs that _product_stream forms at once; a
-# larger product is taken in outer chunks, which bounds the per-pair
-# temporaries whatever the size of a failing case
-_PAIR_CELLS = 1 << 20
-
 
 def _bound(ok, what: str):
     """Explicit int64 bound check: raises instead of risking overflow."""
     if not ok:
         raise OverflowError(f"int64 bound exceeded: {what}")
+
+
+def _absmax(re, im) -> int:
+    """Largest absolute real or imaginary part of a stream, 0 if empty."""
+    return max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
 
 
 # odd multipliers extending the 128-bit state hash with the box column,
@@ -455,11 +460,10 @@ def _op_energy_span(op) -> int:
     return span
 
 
-def _empty_stream(n=0):
-    """Stream arrays (cols, key_h1, key_h2, re, im, inst) of length ``n``,
-    uninitialized."""
+def _empty_stream():
+    """Empty stream arrays (cols, key_h1, key_h2, re, im, inst)."""
     types = (np.int64, np.uint64, np.uint64, np.int64, np.int64, np.int64)
-    return tuple(np.empty(n, dtype=t) for t in types)
+    return tuple(np.empty(0, dtype=t) for t in types)
 
 
 def _image_rows(bop, states, cols, inst):
@@ -674,8 +678,10 @@ class BulkEngine:
     def _restricted_stream(self, name: str, ids):
         """Keyed COO stream of the operator applied to the level-1 states
         picked out by ``ids``: (cols, key_h1, key_h2, re, im); column j
-        is the image of state ids[j].  Entries may repeat within a
-        column; downstream reductions sum them."""
+        is the image of state ids[j].  Ids may repeat: the checksum passes
+        distinct ids, the exact path one id per box-matrix entry.
+        Entries may repeat within a column; downstream reductions sum
+        them."""
         cols, ka, kb, re, im, _ = self._apply_all(
             self._ops[name],
             self.l1_rows[ids],
@@ -756,20 +762,20 @@ class BulkEngine:
             sums.append((s_re, s_im))
         return sums
 
-    def _checksum_zero(self, comps, rhs_terms, L, kept):
+    def _checksum_zero(self, comps, rhs_terms, L):
         """True when the modular checksums of the defect vanish for every
         checksum prime.  The defect matrix D is contracted as u^T D v for
-        fixed pseudo-random weights.  Each composition's restricted stream
-        is reduced to its per-prime sums before the next one is built; the
-        last one is left in ``kept`` under (outer, inner) for the exact
-        path."""
+        fixed pseudo-random weights.  Each composition's outer operator is
+        applied once to each distinct state the inner box matrix reaches,
+        and that stream is reduced to its per-prime sums before the next
+        one is built."""
         ops = self._ops
         tot = [[0, 0] for _ in _CHECK_CONSTS]
         for outer, inner, mult in comps:
-            kept.clear()
             ids, _ = self._inner_ids(inner)
-            kept[outer, inner] = self._restricted_stream(outer, ids)
-            sums = self._composition_sums(kept[outer, inner], inner)
+            sums = self._composition_sums(
+                self._restricted_stream(outer, ids), inner
+            )
             for t, (s_re, s_im) in zip(tot, sums):
                 t[0] += s_re * mult
                 t[1] += s_im * mult
@@ -795,11 +801,12 @@ class BulkEngine:
         otherwise.
 
         A vanishing defect is certified by the modular checksum pass; the
-        exact grouped-stream comparison runs only when a checksum is
-        nonzero, and then pins down the first failing column.  It takes
-        the compositions last first, starting from the restricted stream
-        the checksum pass kept, so one restricted stream is alive at a
-        time."""
+        exact comparison runs only when a checksum is nonzero, and then
+        pins down the first failing column.  It applies each composition's
+        outer operator to the state of every inner box-matrix entry, one
+        output entry per (inner entry, outer instance that feeds its
+        state), and sums the composition per (column, key) before the next
+        one is built."""
         if not self._prepared:
             self.prepare()
         ops = self._ops
@@ -815,31 +822,34 @@ class BulkEngine:
             comps = [(name_a, name_b, lf), (name_b, name_a, lf if both_odd else -lf)]
         else:
             comps = [(name_a, name_a, 2 * lf)] if both_odd else []
-        kept = {}
-        if self._checksum_zero(comps, rhs_terms, L, kept):
+        if self._checksum_zero(comps, rhs_terms, L):
             return None
         streams = []
 
         def push(cols, ka, kb, re, im, mult):
             if len(cols) == 0:
                 return
-            m = max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
-            _bound(m * abs(mult) < 1 << 62, "scaled composition stream")
+            _bound(_absmax(re, im) * abs(mult) < 1 << 62, "scaled composition stream")
             streams.append((cols, ka, kb, re * mult, im * mult))
 
-        for outer, inner, mult in reversed(comps):
+        for outer, inner, mult in comps:
             rows, cols, bre, bim = self._box_mats[inner]
-            ids, pos = self._inner_ids(inner)
-            mat = kept.pop((outer, inner), None)
-            if mat is None:
-                mat = self._restricted_stream(outer, ids)
-            push(*_product_stream(mat, (pos, cols, bre, bim)), mult)
+            # output entry e is outer applied to the state of inner entry
+            # at[e], so it lands on that entry's box column
+            at, ka, kb, are, aim = self._restricted_stream(outer, rows)
+            m = 2 * _absmax(are, aim) * _absmax(bre, bim)
+            _bound(m < 1 << 62, "product entry")
+            br, bi = bre[at], bim[at]
+            re = are * br - aim * bi
+            im = are * bi + aim * br
+            del are, aim, br, bi
+            push(*_group_keyed(cols[at], ka, kb, re, im)[:5], mult)
         for c, name in rhs_terms:
             rows, cols, re, im = self._box_mats[name]
             s = L // ops[name].den
             cr, ci = int(c.re * s), int(c.im * s)
-            m = max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
-            _bound(2 * m * max(abs(cr), abs(ci)) < 1 << 62, f"scaled {name} stream")
+            m = 2 * _absmax(re, im) * max(abs(cr), abs(ci))
+            _bound(m < 1 << 62, f"scaled {name} stream")
             push(
                 cols,
                 self.l1_h1[rows],
@@ -850,8 +860,7 @@ class BulkEngine:
             )
         if not streams:
             return None
-        # the per-composition streams go before the grouping sort, which
-        # holds the run's memory peak on a large failing case
+        # the per-composition streams go before the final grouping sort
         merged = [np.concatenate(s) for s in zip(*streams)]
         streams.clear()
         cols, *_ = _group_keyed(*merged)
@@ -870,64 +879,10 @@ def _group_keyed(cols, ka, kb, re, im):
     re, im = re[order], im[order]
     starts = np.flatnonzero(new)
     gmax = int(np.diff(np.append(starts, len(re))).max(initial=1))
-    emax = max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
-    _bound(emax * gmax < 1 << 62, "grouped entry sum")
+    _bound(_absmax(re, im) * gmax < 1 << 62, "grouped entry sum")
     sre = np.add.reduceat(re, starts)
     sim = np.add.reduceat(im, starts)
     keep = (sre != 0) | (sim != 0)
     first = order[starts[keep]]
     return cols[first], ka[first], kb[first], sre[keep], sim[keep], first
 
-
-def _product_stream(outer, inner):
-    """Stream (cols, key_h1, key_h2, re, im) of the composition
-    outer o inner on box columns.
-
-    ``outer`` is a keyed restricted stream whose columns are positions in
-    the restricted column space, ``inner`` a box stream (pos, cols, re,
-    im) whose rows are such positions.  The product is a join: every pair
-    of an outer and an inner entry that meet in a restricted column gives
-    one entry (the inner entry's box column, the outer entry's key, their
-    complex product).  Entries may repeat; the caller's (col, key)
-    grouping sums them.  The inner entries are sorted by position and
-    counted per position, and each outer entry is repeated once per inner
-    entry of its column, in consecutive outer chunks of at most
-    ``_PAIR_CELLS`` pairs (an outer entry with more pairs is a chunk of
-    its own).  The entry bound is checked before multiplying."""
-    cola, ka, kb, are, aim = outer
-    pos, cols, bre, bim = inner
-    if len(cola) == 0 or len(pos) == 0:
-        return _empty_stream()[:5]
-    ma = max(int(np.abs(are).max()), int(np.abs(aim).max()))
-    mb = max(int(np.abs(bre).max()), int(np.abs(bim).max()))
-    _bound(2 * ma * mb < 1 << 62, "product entry")
-    by_pos = np.argsort(pos, kind="stable")
-    count = np.bincount(pos, minlength=int(cola.max()) + 1)
-    # where each position's inner entries start in by_pos
-    first = np.cumsum(count) - count
-    # outer entry e forms pairs offs[e] .. ends[e] - 1
-    reps = count[cola]
-    ends = np.cumsum(reps)
-    offs = ends - reps
-    out = _empty_stream(int(ends[-1]))[:5]
-    start = 0
-    while start < len(cola):
-        lo = int(offs[start])
-        stop = int(np.searchsorted(ends, lo + _PAIR_CELLS, side="right"))
-        stop = max(stop, start + 1)
-        hi = int(ends[stop - 1])
-        o = np.repeat(np.arange(start, stop), reps[start:stop])
-        # the k-th pair of outer entry e takes the k-th inner entry of
-        # its column
-        j = by_pos[first[cola[o]] + (np.arange(lo, hi) - offs[o])]
-        oc, oka, okb, ore, oim = (a[lo:hi] for a in out)
-        np.take(cols, j, out=oc)
-        np.take(ka, o, out=oka)
-        np.take(kb, o, out=okb)
-        ar, ai, br, bi = are[o], aim[o], bre[j], bim[j]
-        np.multiply(ar, br, out=ore)
-        ore -= ai * bi
-        np.multiply(ar, bi, out=oim)
-        oim += ai * br
-        start = stop
-    return out

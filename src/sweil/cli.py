@@ -65,6 +65,16 @@ COMMANDS = {
     "kahler": ("backend", "emax", "fmt"),
 }
 
+# backend kinds each command that takes --backend can run on
+BACKEND_KINDS = {
+    "verify-n2": ("loop", "fmu"),
+    "verify-s2a": ("loop",),
+    "verify-chain": ("loop", "witt"),
+    "verify-relative": ("loop",),
+    "cohomology": ("loop", "witt"),
+    "kahler": ("loop",),
+}
+
 CSV_HEADER = (
     "E",
     "DegS",
@@ -441,10 +451,17 @@ def resolve_config(args) -> dict:
     if values["fmt"] not in ("json", "csv", "text"):
         raise UsageError(f"unknown format: {values['fmt']}")
     if "backend" in values:
+        text = values["backend"]
         try:
-            values["backend"] = parse_backend(values["backend"])
+            values["backend"] = parse_backend(text)
         except (StructureError, ValueError) as exc:
-            raise UsageError(f"bad backend {values['backend']!r}: {exc}")
+            raise UsageError(f"bad backend {text!r}: {exc}")
+        kinds = BACKEND_KINDS[args.command]
+        if values["backend"].kind not in kinds:
+            raise UsageError(
+                f"{args.command} runs on {' or '.join(kinds)} backends, "
+                f"not {text!r}"
+            )
     if "alpha" in values:
         try:
             values["alpha"] = QI.of(parse_qi(values["alpha"]))

@@ -10,7 +10,7 @@ from itertools import chain
 from typing import Optional
 
 from .scalars import QI, ZERO, ONE
-from .liealg import GradedBackend, StructureError, dense_rank
+from .liealg import GradedBackend, StructureError
 from .fock import (
     Box,
     FockVector,
@@ -170,13 +170,6 @@ def exact_rank_kernel(mat: Matrix):
     deterministic pivoting (lowest row index first)."""
     kernel = [cmb for cmb in _eliminate(mat.cols) if cmb is not None]
     return mat.ncols - len(kernel), kernel
-
-
-def dense_rank_oracle(mat: Matrix) -> int:
-    """Independent naive dense elimination, for cross-checking ranks."""
-    return dense_rank(
-        [[mat.get(i, j) for j in range(mat.ncols)] for i in range(mat.nrows)]
-    )
 
 
 def solve_in_span(basis: Matrix, targets: Matrix) -> Optional[Matrix]:
@@ -494,44 +487,6 @@ def koszul_single_pair_report(backend, max_excitation=4, mode_range=2):
 
 
 # -- harmonic / Lefschetz report ---------------------------------------
-
-
-def bigraded_slice(backend, energy, deg_s, a, b, ambient=None):
-    """Relative piece with fixed fermionic bidegree (a, b); ``ambient`` is
-    as for ``piece_basis`` at Deg_Lambda = a - b."""
-    piece = piece_basis(backend, energy, deg_s, a - b, True, ambient)
-    keep = []
-    for j in range(piece.dim):
-        v = piece.vector(j)
-        ok = True
-        for m, _ in v.terms.items():
-            _, _, _, am, bm = m.degrees()
-            if (am, bm) != (a, b):
-                ok = False
-                break
-        if ok:
-            keep.append(j)
-    # degree-zero invariance commutes with the bidegree split, so the
-    # kernel basis decomposes; verify rather than assume
-    split = {}
-    for j in range(piece.dim):
-        v = piece.vector(j)
-        for m, c in v.terms.items():
-            _, _, _, am, bm = m.degrees()
-            split.setdefault((am, bm), set()).add(j)
-    for key, js in split.items():
-        for key2, js2 in split.items():
-            if key != key2 and js & js2:
-                raise StructureError(
-                    "invariant basis mixes fermionic bidegrees"
-                )
-    amb = piece.ambient
-    cols = [piece.basis.cols[j] for j in keep]
-    basis = Matrix(len(amb), len(cols))
-    for j, c in enumerate(cols):
-        basis.cols[j] = dict(c)
-    out = GradedPiece(backend, energy, deg_s, a - b, True, amb, basis)
-    return out
 
 
 def classical_operator(backend, sym) -> Operator:

@@ -66,12 +66,7 @@ class SCAElement:
         return SCAElement({(sym, n): coeff})
 
     def add_term(self, sym, n, c):
-        key = (sym, n)
-        cur = self.coeffs.get(key, ZERO) + c
-        if cur.is_zero():
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = cur
+        _accumulate(self.coeffs, (sym, n), c)
 
     def __add__(self, other):
         out = SCAElement(dict(self.coeffs), self.central + other.central)
@@ -230,6 +225,17 @@ def _bracket_into(acc, alpha, a, b, sign, include_cocycle=True):
             if br.central:
                 c = br.central
                 _add_into(acc, _CENTRAL, c if f is ONE else c * f, sign)
+
+
+def _accumulate(acc, key, c):
+    """acc[key] += c, dropping the key when the sum is zero."""
+    cur = acc.get(key)
+    if cur is not None:
+        c = cur + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
 
 
 def _add_into(acc, key, c, sign):
@@ -394,13 +400,6 @@ def kahler_bracket(a: dict, b: dict) -> dict:
     the Laplacian is central."""
     out = {}
 
-    def add(sym, c):
-        cur = out.get(sym, ZERO) + c
-        if cur.is_zero():
-            out.pop(sym, None)
-        else:
-            out[sym] = cur
-
     for sa, ca in a.items():
         for sb, cb in b.items():
             hit = _ktable(sa, sb)
@@ -411,7 +410,7 @@ def kahler_bracket(a: dict, b: dict) -> dict:
                     continue
                 sign = ONE if kahler_parity(sa) and kahler_parity(sb) else QI(-1)
             for sym, k in hit:
-                add(sym, ca * cb * QI(k) * sign)
+                _accumulate(out, sym, ca * cb * QI(k) * sign)
     return out
 
 
@@ -487,12 +486,7 @@ class SuperVectorField:
                     self.terms[key] = c
 
     def add_term(self, slot, mask, tpow, c):
-        key = (slot, mask, tpow)
-        cur = self.terms.get(key, ZERO) + c
-        if cur.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = cur
+        _accumulate(self.terms, (slot, mask, tpow), c)
 
     def __add__(self, other):
         out = SuperVectorField(dict(self.terms))
@@ -534,24 +528,15 @@ def _derive_function(slot, func):
     """Apply the derivation slot to a function dict {(mask, tpow): coeff}."""
     out = {}
 
-    def add(mask, tpow, c):
-        if c.is_zero():
-            return
-        cur = out.get((mask, tpow), ZERO) + c
-        if cur.is_zero():
-            out.pop((mask, tpow), None)
-        else:
-            out[(mask, tpow)] = cur
-
     for (mask, tpow), c in func.items():
         if slot == "t":
             if tpow != 0:
-                add(mask, tpow - 1, c * QI(tpow))
+                _accumulate(out, (mask, tpow - 1), c * QI(tpow))
         else:
             i = 0 if slot == "1" else 1
             sign, m2 = _theta_derive(mask, i)
             if sign:
-                add(m2, tpow, c * QI(sign))
+                _accumulate(out, (m2, tpow), c * QI(sign))
     return out
 
 
@@ -559,21 +544,12 @@ def _apply_field_to_function(x: SuperVectorField, func):
     """X(g) for a coefficient function g: Grassmann-multiply f_a * d_a(g)."""
     out = {}
 
-    def add(mask, tpow, c):
-        if c.is_zero():
-            return
-        cur = out.get((mask, tpow), ZERO) + c
-        if cur.is_zero():
-            out.pop((mask, tpow), None)
-        else:
-            out[(mask, tpow)] = cur
-
     for (slot, mask, tpow), c in x.terms.items():
         dg = _derive_function(slot, func)
         for (m2, p2), c2 in dg.items():
             sign, m3 = _grassmann_mul(mask, m2)
             if sign:
-                add(m3, tpow + p2, c * c2 * QI(sign))
+                _accumulate(out, (m3, tpow + p2), c * c2 * QI(sign))
     return out
 
 
@@ -644,25 +620,16 @@ def divergence(x: SuperVectorField):
     """Div as a coefficient function {(mask, tpow): coeff}."""
     out = {}
 
-    def add(mask, tpow, c):
-        if c.is_zero():
-            return
-        cur = out.get((mask, tpow), ZERO) + c
-        if cur.is_zero():
-            out.pop((mask, tpow), None)
-        else:
-            out[(mask, tpow)] = cur
-
     for (slot, mask, tpow), c in x.terms.items():
         if slot == "t":
             d = _derive_function("t", {(mask, tpow): c})
             for (m2, p2), c2 in d.items():
-                add(m2, p2, c2)
+                _accumulate(out, (m2, p2), c2)
         else:
             sgn = QI(-1 if _mask_parity(mask) else 1)
             d = _derive_function(slot, {(mask, tpow): c})
             for (m2, p2), c2 in d.items():
-                add(m2, p2, c2 * sgn)
+                _accumulate(out, (m2, p2), c2 * sgn)
     return out
 
 
@@ -672,18 +639,9 @@ def s_alpha_obstruction(alpha, x: SuperVectorField):
     alpha = QI.of(alpha)
     out = {}
 
-    def add(mask, tpow, c):
-        if c.is_zero():
-            return
-        cur = out.get((mask, tpow), ZERO) + c
-        if cur.is_zero():
-            out.pop((mask, tpow), None)
-        else:
-            out[(mask, tpow)] = cur
-
     for (m2, p2), c2 in divergence(x).items():
-        add(m2, p2 + 1, c2)
+        _accumulate(out, (m2, p2 + 1), c2)
     for (slot, mask, tpow), c in x.terms.items():
         if slot == "t":
-            add(mask, tpow, c * alpha)
+            _accumulate(out, (mask, tpow), c * alpha)
     return out

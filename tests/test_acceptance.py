@@ -15,11 +15,17 @@ import json
 from sweil import cli
 from sweil.cohomology import (
     cohomology_table,
-    dense_rank_oracle,
     exact_rank_kernel,
     koszul_single_pair_report,
 )
-from sweil.liealg import parse_backend
+from sweil.liealg import dense_rank, parse_backend
+
+
+def dense_rank_oracle(mat) -> int:
+    """Rank of a sparse matrix by naive dense elimination."""
+    return dense_rank(
+        [[mat.get(i, j) for j in range(mat.ncols)] for i in range(mat.nrows)]
+    )
 
 
 def _run(line: str):

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from sweil.scalars import ONE, QI, ZERO
 from sweil.liealg import (
@@ -34,8 +33,9 @@ from sweil.fieldops import (
     build_s2alpha_family,
     build_sl2_EHF,
     build_theta_adjoint,
+    super_commutator,
 )
-from sweil import bulkrep
+from sweil import bulkrep, verify
 from sweil.bulkrep import BulkEngine, _op_products
 from sweil.verify import (
     N2_TABLE_SYMBOLS,
@@ -439,11 +439,11 @@ def test_bounds_hold_without_asserts():
         """
         import numpy as np
         from sweil.bulkrep import (
+            IDENTITY,
             BulkEngine,
             _group_keyed,
             _image_rows,
             _pack_table,
-            _product_stream,
         )
         from sweil.fieldops import SumOperator
         from sweil.fock import Box, GenKey
@@ -492,14 +492,21 @@ def test_bounds_hold_without_asserts():
         except OverflowError:
             print("raised")
 
-        # a product of two entries that would overflow int64
-        zero = np.zeros(1, dtype=np.int64)
-        big = np.array([1 << 32], dtype=np.int64)
-        key = np.ones(1, dtype=np.uint64)
+        # a composition whose product entries would overflow int64: the
+        # identity's table and tau's box matrix scaled by 2**32, with the
+        # checksum bypassed so that the exact path runs
+        eng = BulkEngine(1, Box(emax=1, b0max=0))
+        eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
+        eng.prepare()
+        one = eng._ops[IDENTITY]
+        one.table = one.table._replace(re=one.table.re << 32)
+        rows, cols, re, im = eng._box_mats["tau"]
+        eng._box_mats["tau"] = (rows, cols, re << 32, im)
+        eng._checksum_zero = lambda *args: False
         try:
-            _product_stream((zero, key, key, big, zero), (zero, zero, big, zero))
-        except OverflowError:
-            print("raised")
+            eng.bracket_defect(IDENTITY, "tau", False, [])
+        except OverflowError as exc:
+            print("raised" if "product entry" in str(exc) else exc)
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -513,82 +520,57 @@ def test_bounds_hold_without_asserts():
     assert out.stdout.split() == ["raised"] * 5
 
 
-# -- the exact product on the failure path -----------------------------
-
-_VALUE = st.integers(-2, 2)
+# -- the first failing column against the per-monomial engine ---------
 
 
-@st.composite
-def _product_operands(draw):
-    """An outer restricted stream and an inner box stream over a few
-    restricted columns, with few distinct keys and values so that keys
-    repeat, groups cancel and some columns have entries on one side only."""
-    npos = draw(st.integers(1, 4))
-    outer = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, npos - 1),
-                st.integers(0, 2),
-                st.integers(0, 1),
-                _VALUE,
-                _VALUE,
-            ),
-            max_size=12,
-        )
-    )
-    inner = draw(
-        st.lists(
-            st.tuples(st.integers(0, npos - 1), st.integers(0, 3), _VALUE, _VALUE),
-            max_size=12,
-        )
-    )
-    return outer, inner
+def _suite_cases(suite, monkeypatch):
+    """(bulk suite, case) for every case a relation suite checks, passing
+    cases too (a report stops at its first failing case)."""
+    seen = []
+    report = verify._BulkSuite.report
+
+    def recording(self, check, params, cases):
+        cases = list(cases)
+        seen.extend((self, case) for case in cases)
+        return report(self, check, params, cases)
+
+    monkeypatch.setattr(verify._BulkSuite, "report", recording)
+    SUITES[suite]()
+    monkeypatch.undo()
+    return seen
 
 
-def _arrays(entries, dtypes):
-    cols = list(zip(*entries)) or [()] * len(dtypes)
-    return tuple(np.array(c, dtype=t) for c, t in zip(cols, dtypes))
+def _slow_first_defect(suite, a, b, rhs_terms):
+    """First box column where [A, B] - sum c_t T_t is nonzero in the
+    per-monomial engine, or None."""
+    ops = suite.engine._ops
+    lhs = super_commutator(ops[a].op, ops[b].op)
+    for col, m in enumerate(suite.engine.box_monos):
+        v = FockVector.of(m)
+        d = lhs.apply(v, relative=suite.relative)
+        for c, name in rhs_terms:
+            d = d - ops[name].op.apply(v, relative=suite.relative).scale(c)
+        if not d.is_zero():
+            return col
+    return None
 
 
-def _summed(entries):
-    """(col, key_h1, key_h2) -> summed (re, im), without zero sums."""
-    sums = {}
-    for col, ka, kb, re, im in entries:
-        r0, i0 = sums.get((col, ka, kb), (0, 0))
-        sums[col, ka, kb] = (r0 + re, i0 + im)
-    return {k: v for k, v in sums.items() if v != (0, 0)}
-
-
-def _reference_product(outer, inner):
-    """outer o inner, one Python-integer product per matching pair."""
-    return _summed(
-        (col, ka, kb, ar * br - ai * bi, ar * bi + ai * br)
-        for c, ka, kb, ar, ai in outer
-        for p, col, br, bi in inner
-        if c == p
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(_product_operands())
-@example(([], [(0, 0, 1, 1)]))
-@example(([(0, 0, 0, 1, 0)], []))
-# a group that cancels, and an outer column (1) with no inner partner
-@example(([(0, 0, 0, 1, 0), (0, 0, 0, -1, 0), (1, 1, 0, 2, 1)], [(0, 2, 1, -1)]))
-def test_product_stream_matches_dict_reference(operands):
-    """The join product summed per (col, key) equals the dict-based
-    product, in one chunk and with the pair budget forced to one pair."""
-    outer, inner = operands
-    a = _arrays(outer, (np.int64, np.uint64, np.uint64, np.int64, np.int64))
-    b = _arrays(inner, (np.int64, np.int64, np.int64, np.int64))
-    want = _reference_product(outer, inner)
-    got = bulkrep._product_stream(a, b)
-    assert [x.dtype for x in got] == [np.int64, np.uint64, np.uint64, np.int64, np.int64]
-    assert _summed(zip(*(x.tolist() for x in got))) == want
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bulkrep, "_PAIR_CELLS", 1)
-        got = bulkrep._product_stream(a, b)
-    assert _summed(zip(*(x.tolist() for x in got))) == want
+@pytest.mark.parametrize(
+    "suite", ["chain-wrong-constant", "n2-wrong-central", "n2-wrong-charge"]
+)
+def test_bracket_defect_is_first_slow_defect(suite, monkeypatch):
+    """For every case of a suite with a seeded wrong claim, bracket_defect
+    is the first box column where the per-monomial engine finds a nonzero
+    defect, or None where it finds none; as shipped and with one instance
+    per mask chunk."""
+    cases = _suite_cases(suite, monkeypatch)
+    want = [_slow_first_defect(s, a, b, rhs) for s, (_, a, b, _, rhs) in cases]
+    assert None in want and any(w is not None for w in want)
+    got = [s.engine.bracket_defect(*case[1:]) for s, case in cases]
+    assert got == want
+    monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
+    got = [s.engine.bracket_defect(*case[1:]) for s, case in cases]
+    assert got == want
 
 
 def test_failure_path_runs_without_scipy():

@@ -113,6 +113,26 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     cfgfile.write_text("rel = yes\n")
     assert main(["verify-chain", "--config", str(cfgfile)]) == 2
     capsys.readouterr()
+    # a backend the subcommand cannot run on, given as a flag or a config
+    # value, is rejected before any work with a one-line error
+    for argv in (
+        ["kahler", "--backend", "witt"],
+        ["kahler", "--backend", "fmu:1/2:0"],
+        ["verify-s2a", "--backend", "witt"],
+        ["verify-s2a", "--backend", "fmu:1/2:0"],
+        ["verify-n2", "--backend", "witt"],
+        ["verify-chain", "--backend", "fmu:1/2:0"],
+        ["verify-relative", "--backend", "fmu:1/2:0"],
+        ["verify-relative", "--backend", "witt"],
+        ["cohomology", "--backend", "fmu:1/2:0"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "backends, not" in err, argv
+    cfgfile.write_text("backend = witt\n")
+    assert main(["kahler", "--config", str(cfgfile)]) == 2
+    assert "kahler runs on loop backends" in capsys.readouterr().err
 
 
 def test_csv_rejected_for_relation_suites():

@@ -9,6 +9,7 @@ from sweil.liealg import (
     StructureError,
     abelian,
     builtin_sl2_orthonormal,
+    dense_rank,
     loop_backend,
 )
 from sweil.fock import Box, FockVector, GenKey, VACUUM, enumerate_box
@@ -20,13 +21,12 @@ from sweil.fieldops import (
 )
 from sweil import cohomology
 from sweil.cohomology import (
+    GradedPiece,
     Matrix,
     _completing_units,
     adjoint_matrix,
     assemble_matrix,
-    bigraded_slice,
     cohomology_table,
-    dense_rank_oracle,
     exact_rank_kernel,
     gram_matrix,
     harmonic_lefschetz_report,
@@ -43,6 +43,13 @@ AB1 = loop_backend(abelian(1, with_form=True))
 
 
 # -- exact linear algebra ----------------------------------------------
+
+
+def dense_rank_oracle(mat: Matrix) -> int:
+    """Independent naive dense elimination, for cross-checking ranks."""
+    return dense_rank(
+        [[mat.get(i, j) for j in range(mat.ncols)] for i in range(mat.nrows)]
+    )
 
 
 def mat(rows):
@@ -280,6 +287,44 @@ def test_sl2_full_table_has_consistent_ranks():
 def test_koszul_contraction_acyclicity():
     assert koszul_single_pair_report(AB1) == []
     assert koszul_single_pair_report(SL2, max_excitation=3, mode_range=1) == []
+
+
+def bigraded_slice(backend, energy, deg_s, a, b, ambient=None):
+    """Relative piece with fixed fermionic bidegree (a, b); ``ambient`` is
+    as for ``piece_basis`` at Deg_Lambda = a - b."""
+    piece = piece_basis(backend, energy, deg_s, a - b, True, ambient)
+    keep = []
+    for j in range(piece.dim):
+        v = piece.vector(j)
+        ok = True
+        for m, _ in v.terms.items():
+            _, _, _, am, bm = m.degrees()
+            if (am, bm) != (a, b):
+                ok = False
+                break
+        if ok:
+            keep.append(j)
+    # degree-zero invariance commutes with the bidegree split, so the
+    # kernel basis decomposes; verify rather than assume
+    split = {}
+    for j in range(piece.dim):
+        v = piece.vector(j)
+        for m, c in v.terms.items():
+            _, _, _, am, bm = m.degrees()
+            split.setdefault((am, bm), set()).add(j)
+    for key, js in split.items():
+        for key2, js2 in split.items():
+            if key != key2 and js & js2:
+                raise StructureError(
+                    "invariant basis mixes fermionic bidegrees"
+                )
+    amb = piece.ambient
+    cols = [piece.basis.cols[j] for j in keep]
+    basis = Matrix(len(amb), len(cols))
+    for j, c in enumerate(cols):
+        basis.cols[j] = dict(c)
+    out = GradedPiece(backend, energy, deg_s, a - b, True, amb, basis)
+    return out
 
 
 def test_bigraded_slice_refines_piece():
