@@ -37,17 +37,29 @@ Koszul signs of creation/annihilation are (-1)^(number of occupied
 fermionic slots before the touched slot), exactly as in the one-monomial
 engine.  The parity corrections from an instance's own earlier steps do
 not depend on the state, so they are folded into its coefficient when
-it is compiled.  Output monomials are identified by a 128-bit linear
-hash of the occupancy row; an accidental hash collision between distinct
-monomials is astronomically unlikely (and would be deterministic), and
-the engine is cross-validated column-by-column against the one-monomial
-engine in the tests.
+it is compiled.  The level-1 domain (the box and its one-step images),
+the box matrices and the exact comparison identify monomials by a
+128-bit linear hash of the occupancy row; an accidental hash collision
+between distinct monomials is astronomically unlikely (and would be
+deterministic), and the engine is cross-validated column-by-column
+against the one-monomial engine in the tests.
 
 A bracket identity [A, B] = sum c_t T_t + z * 1 is checked with its
 central term as one more right-hand side: z times the identity operator,
 which every engine registers under the name ``IDENTITY``.  It passes when
 a 3-prime modular checksum of its defect vanishes (a checksum
-certificate).  A nonzero checksum runs the exact comparison, which
+certificate): the defect matrix D is contracted as u^T D v mod p, with v
+a pseudo-random weight per box column and u(m) = prod_s z_s^occ_s(m) a
+product of seeded per-slot weights over the monomial's occupancy.  So
+the checksum weights a composition's outputs by their occupancy, not by
+their hash: an instance with occupancy change delta takes u(state) to
+u(state) * z^delta, and each composition outer o inner is summed inside
+the table kernel, one instance chunk at a time, as
+sum_inst c z^delta * sum_states fac * sign * u(state) * b(state), where
+b is the inner box matrix times v.  The pass path forms no output keys
+and no output stream.
+
+A nonzero checksum runs the exact comparison, which
 builds each composition outer o inner with the same table kernel: the
 outer table is applied to the state of every entry of the inner box
 matrix, and each output entry, times its inner entry, lands on that
@@ -117,33 +129,46 @@ def _absmax(re, im) -> int:
 _COL_R1 = np.uint64(0x9E3779B97F4A7C15)
 _COL_R2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
-# primes just below 2**31 for the modular defect checksums: residues fit
-# int64 products without overflow, so no runtime bound checks are needed
+# primes just below 2**31 for the modular defect checksums: the product
+# of two residues fits int64
 _CHECK_PRIMES = (2147483629, 2147483563, 2147483423)
+_CHECK_P = np.array(_CHECK_PRIMES, dtype=np.int64)[:, None]
 _CHECK_SEED = 0xF0CC5EED
+# seed of the per-slot weights z_s of the occupancy weights u
+_SLOT_SEED = 0x5107CE11
 
 
 def _check_consts():
     rng = np.random.Generator(np.random.PCG64(_CHECK_SEED))
     out = []
     for p in _CHECK_PRIMES:
-        r = rng.integers(1, 2**63, size=4, dtype=np.uint64) | np.uint64(1)
-        out.append((p, r[0], r[1], r[2], r[3]))
+        r = rng.integers(1, 2**63, size=2, dtype=np.uint64) | np.uint64(1)
+        out.append((p, r[0], r[1]))
     return tuple(out)
 
 
 _CHECK_CONSTS = _check_consts()
 
 
-def _state_weights(p, r3, r4, ka, kb):
-    """Per-entry state weight u = mix(key) mod p, as int64 residues."""
-    return ((ka * r3 + kb * r4) % np.uint64(p)).astype(np.int64)
-
-
 def _col_weights(p, r5, r6, cols):
     """Per-entry column weight v = mix(col) mod p, as int64 residues."""
     c = cols.astype(np.uint64)
     return ((c * r5 + r6) % np.uint64(p)).astype(np.int64)
+
+
+def _power_table(nslots: int, k: int) -> np.ndarray:
+    """(prime, slot, k + e) -> z_s**e mod p for |e| <= k, with one seeded
+    weight z_s in [2, p) per slot and prime; z_s**-1 is taken once per
+    slot."""
+    rng = np.random.Generator(np.random.PCG64(_SLOT_SEED))
+    tab = np.ones((len(_CHECK_PRIMES), nslots, 2 * k + 1), dtype=np.int64)
+    for i, p in enumerate(_CHECK_PRIMES):
+        z = rng.integers(2, p, size=nslots, dtype=np.int64)
+        zi = np.array([pow(int(x), -1, p) for x in z], dtype=np.int64)
+        for e in range(1, k + 1):
+            tab[i, :, k + e] = tab[i, :, k + e - 1] * z % p
+            tab[i, :, k - e] = tab[i, :, k - e + 1] * zi % p
+    return tab
 
 
 def _group_order(ka, kb):
@@ -433,7 +458,7 @@ def _op_products(universe: Universe, op, relative: bool):
 
 
 class _BulkOp:
-    __slots__ = ("name", "op", "table", "den", "smax")
+    __slots__ = ("name", "op", "table", "den", "smax", "cz")
 
     def __init__(self, name, op):
         self.name = name
@@ -441,6 +466,8 @@ class _BulkOp:
         self.table = None
         self.den = 1
         self.smax = 0
+        # per table row and checksum prime, (re, im) of c * z**delta mod p
+        self.cz = None
 
 
 def _op_energy_span(op) -> int:
@@ -496,9 +523,8 @@ class BulkEngine:
         self._full_names: set[str] = set()
         self._prepared = False
         self._box_mats: dict[str, tuple] = {}
-        self._icache: dict[str, tuple] = {}
-        self._bvec_cache: dict[tuple, tuple] = {}
-        self._rhs_ck_cache: dict[tuple, tuple] = {}
+        self._inner_cache: dict[str, tuple] = {}
+        self._rhs_cache: dict[str, list] = {}
         self.register(IDENTITY, SumOperator((), central=ONE), need_full=False)
 
     # -- registration and compilation ---------------------------------
@@ -545,11 +571,30 @@ class BulkEngine:
         group ranks are the level-1 ids of the box monomials and of every
         box matrix row, and an occupancy row is built only for each
         group's representative.  IDENTITY's box matrix is the box itself
-        and is written down directly."""
+        and is written down directly.
+
+        The checksum weights come from the same provenance: u of a box
+        monomial from its occupancy, u of an image representative as
+        u(box column) * z**delta of its table row."""
         u = self.universe
         nbox = len(self.box_monos)
         box_rows = u.rows_of(self.box_monos)
         bh1, bh2 = u.hash_rows(box_rows)
+        k = max(
+            [int(box_rows.max(initial=0))]
+            + [int(np.abs(b.table.dval).max(initial=0)) for b in self._ops.values()]
+        )
+        self._ztab = _power_table(u.nslots, k)
+        slots = np.broadcast_to(np.arange(u.nslots), box_rows.shape)
+        box_u = self._zpow(slots, box_rows)
+        zd = {}
+        for name, bop in self._ops.items():
+            t = bop.table
+            zd[name] = self._zpow(t.dslot, t.dval)
+            bop.cz = tuple(
+                ((x % _CHECK_P) * zd[name] % _CHECK_P).astype(np.uint32)
+                for x in (t.re, t.im)
+            )
         raw = {}
         kas, kbs = [bh1], [bh2]
         for name, bop in self._ops.items():
@@ -578,8 +623,11 @@ class BulkEngine:
         is_rep[reps] = True
         self.box_ids = ids[:nbox]
         self.l1_rows = np.empty((self.n1, u.nslots), dtype=np.uint8)
+        # per checksum prime, u of every level-1 state
+        self.l1_u = np.empty((len(_CHECK_PRIMES), self.n1), dtype=np.uint32)
         at = np.flatnonzero(is_rep[:nbox])
         self.l1_rows[self.box_ids[at]] = box_rows[at]
+        self.l1_u[:, self.box_ids[at]] = box_u[:, at]
         one = np.ones(nbox, dtype=np.int64)
         self._box_mats[IDENTITY] = (self.box_ids, np.arange(nbox), one, 0 * one)
         start = nbox
@@ -590,34 +638,55 @@ class BulkEngine:
             self.l1_rows[rows_ids[at]] = _image_rows(
                 self._ops[name], box_rows, cols[at], inst[at]
             )
+            self.l1_u[:, rows_ids[at]] = (
+                box_u[:, cols[at]] * zd[name][:, inst[at]] % _CHECK_P
+            )
             self._box_mats[name] = (rows_ids, cols, re, im)
             start = stop
 
-    def _apply_all(self, bop, states, h1, h2, collect_rows: bool):
-        """Apply the packed instance table of ``bop`` to every row of
-        ``states`` in one vectorized pass per chunk of instances.
+    def _zpow(self, slots, exps):
+        """Per checksum prime, prod_j z[slots[..., j]] ** exps[..., j] mod p
+        over the last axis, from the engine's power table; shape
+        (primes,) + exps.shape[:-1]."""
+        k = self._ztab.shape[2] // 2
+        _bound(
+            max(int(exps.max(initial=0)), -int(exps.min(initial=0))) <= k,
+            "occupancy of the z-power table",
+        )
+        out = np.ones((len(_CHECK_PRIMES),) + exps.shape[:-1], dtype=np.int64)
+        for j in range(exps.shape[-1]):
+            e = exps[..., j]
+            if e.any():
+                out *= self._ztab[:, slots[..., j], e.astype(np.int64) + k]
+                out %= _CHECK_P
+        return out
 
-        Returns (cols, key_h1, key_h2, re, im, inst), one entry per
-        (instance, state) pair in instance-major order; inst is each
-        pair's table row when requested (``_image_rows`` turns the pairs
-        into output occupancy rows), else an empty array."""
+    def _pair_chunks(self, bop, states):
+        """The (instance, state) pairs of the packed instance table of
+        ``bop`` on the rows of ``states``, one chunk of instances at a
+        time, in instance-major order.  Yields (counts, inst, cols, fac):
+        the number of pairs of each instance of the chunk, each pair's
+        table row and state, and its count factor times its Koszul sign."""
         t = bop.table
         u = self.universe
         n = len(states)
         if n == 0 or len(t.re) == 0:
-            return _empty_stream()
+            return
         # slot-major copy of the block plus the row of ones that padded
         # table entries read
         block = np.ones((u.nslots + 1, n), dtype=np.uint8)
         block[:-1] = states.T
         # drop instances that no state of the block can feed
         hi = t.clo + t.cspan
-        live = (block.max(axis=1)[t.cslot] >= t.clo) & (
-            block.min(axis=1)[t.cslot] <= hi
-        )
+        bmax = block.max(axis=1)
+        live = (bmax[t.cslot] >= t.clo) & (block.min(axis=1)[t.cslot] <= hi)
         sel = np.flatnonzero(live.all(axis=1))
         if len(sel) == 0:
-            return _empty_stream()
+            return
+        # a count factor times a coefficient or a checksum weight, each
+        # below 2**31, must fit int64
+        top = int(bmax.max()) + max(int(t.boff.max(initial=0)), 0)
+        _bound(top ** t.bslot.shape[1] < 1 << 32, "count factor x weight")
         pre = None
         if t.fslot.shape[1]:
             # exclusive prefix counts over the fermionic slots (mod 256,
@@ -628,17 +697,12 @@ class BulkEngine:
             )
         # consecutive instance chunks keep the instance-major order
         step = max(1, _MASK_CELLS // n)
-        parts = [
-            self._apply_chunk(bop, block, pre, h1, h2, sel[i : i + step], collect_rows)
-            for i in range(0, len(sel), step)
-        ]
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        for i in range(0, len(sel), step):
+            yield self._apply_chunk(bop, block, pre, sel[i : i + step])
 
-    def _apply_chunk(self, bop, block, pre, h1, h2, sel, collect_rows):
-        """The stream of the table instances ``sel`` on the block; see
-        _apply_all.  ``block`` is the slot-major block, ``pre`` its
+    def _apply_chunk(self, bop, block, pre, sel):
+        """The pairs of the table instances ``sel`` on the block; see
+        _pair_chunks.  ``block`` is the slot-major block, ``pre`` its
         exclusive fermionic prefix counts (None if the table has no
         parity slots)."""
         t = bop.table
@@ -653,7 +717,8 @@ class BulkEngine:
             del occ
         # (instance, state) pairs in instance-major order; the flat index
         # becomes the state index in place
-        inst = np.repeat(sel, np.count_nonzero(mask, axis=1))
+        counts = np.count_nonzero(mask, axis=1)
+        inst = np.repeat(sel, counts)
         cols = np.flatnonzero(mask)
         del mask
         cols %= n
@@ -665,23 +730,67 @@ class BulkEngine:
             for j in range(1, t.fslot.shape[1]):
                 par ^= pre[t.fslot[inst, j], cols]
             np.negative(fac, out=fac, where=(par & 1).view(bool))
-        ka = h1[cols] + t.dh1[inst]
-        kb = h2[cols] + t.dh2[inst]
-        re = t.re[inst] * fac
-        im = t.im[inst] * fac
-        if not collect_rows:
-            inst = np.zeros(0, dtype=np.int64)
-        return cols, ka, kb, re, im, inst
+        return counts, inst, cols, fac
+
+    def _apply_all(self, bop, states, h1, h2, collect_rows: bool):
+        """Keyed COO stream of ``bop`` applied to every row of ``states``
+        (key words ``h1``, ``h2``).
+
+        Returns (cols, key_h1, key_h2, re, im, inst), one entry per
+        (instance, state) pair in instance-major order; inst is each
+        pair's table row when requested (``_image_rows`` turns the pairs
+        into output occupancy rows), else an empty array."""
+        t = bop.table
+        parts = []
+        for _, inst, cols, fac in self._pair_chunks(bop, states):
+            parts.append(
+                (
+                    cols,
+                    h1[cols] + t.dh1[inst],
+                    h2[cols] + t.dh2[inst],
+                    t.re[inst] * fac,
+                    t.im[inst] * fac,
+                    inst if collect_rows else np.zeros(0, dtype=np.int64),
+                )
+            )
+        if not parts:
+            return _empty_stream()
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def _apply_sums(self, bop, states, w_re, w_im):
+        """Per checksum prime, (re, im) mod p of sum u(out) * w(state) *
+        entry over the output entries of ``bop`` applied to ``states``,
+        where ``w_re``, ``w_im`` hold the state weights per prime
+        (``w_im`` None when they are all real).  Each
+        instance chunk is reduced as it is built: u(out) = u(state) *
+        z**delta, so the sum is sum_inst c z**delta * sum_pairs fac * w,
+        with u(state) folded into w; no stream is formed."""
+        cz_re, cz_im = bop.cz
+        sums = [[0, 0] for _ in _CHECK_PRIMES]
+        for counts, inst, cols, fac in self._pair_chunks(bop, states):
+            # one reduceat segment per instance with pairs (reduceat
+            # returns an element, not zero, for an empty segment)
+            ends = np.cumsum(counts)
+            starts = (ends - counts)[counts > 0]
+            first = inst[starts]
+            for i, (p, tot) in enumerate(zip(_CHECK_PRIMES, sums)):
+                sr = _segment_sums(fac, w_re[i, cols], starts, p)
+                si = 0 if w_im is None else _segment_sums(fac, w_im[i, cols], starts, p)
+                a, b = cz_re[i, first], cz_im[i, first]
+                tot[0] += int(((a * sr - b * si) % p).sum())
+                tot[1] += int(((a * si + b * sr) % p).sum())
+        return sums
 
     # -- restricted column builds --------------------------------------
 
     def _restricted_stream(self, name: str, ids):
         """Keyed COO stream of the operator applied to the level-1 states
         picked out by ``ids``: (cols, key_h1, key_h2, re, im); column j
-        is the image of state ids[j].  Ids may repeat: the checksum passes
-        distinct ids, the exact path one id per box-matrix entry.
-        Entries may repeat within a column; downstream reductions sum
-        them."""
+        is the image of state ids[j].  The exact path passes one id per
+        box-matrix entry, repeats included.  Entries may repeat within a
+        column; downstream reductions sum them."""
         cols, ka, kb, re, im, _ = self._apply_all(
             self._ops[name],
             self.l1_rows[ids],
@@ -693,104 +802,91 @@ class BulkEngine:
 
     # -- bracket checking ---------------------------------------------
 
-    def _inner_ids(self, inner):
-        """Cached (ids, pos): distinct level-1 rows hit by the inner box
-        matrix and each entry's position among them."""
-        hit = self._icache.get(inner)
-        if hit is None:
-            rows = self._box_mats[inner][0]
-            ids = np.unique(rows)
-            pos = np.searchsorted(ids, rows)
-            hit = (ids, pos)
-            self._icache[inner] = hit
-        return hit
-
-    def _inner_bvec(self, inner, pc):
-        """Cached weighted column sums b_k = sum_j B[k, j] v(j) mod p of
-        the inner box matrix, per checksum prime."""
-        p = pc[0]
-        hit = self._bvec_cache.get((inner, p))
+    def _inner_weights(self, inner):
+        """Cached (ids, ub_re, ub_im): the distinct level-1 rows hit by
+        the inner box matrix B and, per checksum prime, u(k) * b_k mod p
+        with b_k = sum_j B[k, j] v(j), as uint32 residues; ub_im is None
+        when every b_k is real."""
+        hit = self._inner_cache.get(inner)
         if hit is None:
             rows, cols, bre, bim = self._box_mats[inner]
-            ids, pos = self._inner_ids(inner)
-            v = _col_weights(p, pc[3], pc[4], cols)
-            b_re = np.zeros(len(ids), dtype=np.int64)
-            b_im = np.zeros(len(ids), dtype=np.int64)
-            np.add.at(b_re, pos, (bre % p) * v % p)
-            np.add.at(b_im, pos, (bim % p) * v % p)
-            b_re %= p
-            b_im %= p
-            hit = (b_re, b_im)
-            self._bvec_cache[(inner, p)] = hit
+            ids, pos = np.unique(rows, return_inverse=True)
+            ub_re = np.empty((len(_CHECK_PRIMES), len(ids)), dtype=np.uint32)
+            ub_im = np.empty_like(ub_re)
+            for i, (p, r5, r6) in enumerate(_CHECK_CONSTS):
+                v = _col_weights(p, r5, r6, cols)
+                for out, x in ((ub_re, bre), (ub_im, bim)):
+                    b = np.zeros(len(ids), dtype=np.int64)
+                    np.add.at(b, pos, (x % p) * v % p)
+                    out[i] = b % p * self.l1_u[i, ids] % p
+            hit = (ids, ub_re, ub_im if ub_im.any() else None)
+            self._inner_cache[inner] = hit
         return hit
 
-    def _rhs_checksum(self, name, pc):
-        """Cached (sum re*u*v, sum im*u*v) mod p of an operator's box
-        matrix stream, per checksum prime."""
-        p = pc[0]
-        hit = self._rhs_ck_cache.get((name, p))
+    def _rhs_sums(self, name):
+        """Cached per checksum prime (sum re*u*v, sum im*u*v) mod p of an
+        operator's box matrix."""
+        hit = self._rhs_cache.get(name)
         if hit is None:
             rows, cols, re, im = self._box_mats[name]
-            u = _state_weights(p, pc[1], pc[2], self.l1_h1[rows], self.l1_h2[rows])
-            v = _col_weights(p, pc[3], pc[4], cols)
-            w = u * v % p
-            sre = int(np.sum((re % p) * w % p) % p)
-            sim = int(np.sum((im % p) * w % p) % p)
-            hit = (sre, sim)
-            self._rhs_ck_cache[(name, p)] = hit
+            hit = []
+            for i, (p, r5, r6) in enumerate(_CHECK_CONSTS):
+                w = self.l1_u[i, rows] * _col_weights(p, r5, r6, cols) % p
+                hit.append(
+                    (
+                        int(np.sum((re % p) * w % p) % p),
+                        int(np.sum((im % p) * w % p) % p),
+                    )
+                )
+            self._rhs_cache[name] = hit
         return hit
 
-    def _composition_sums(self, stream, inner):
-        """Per checksum prime, (re, im) of u^T (outer o inner) v mod p,
-        where ``stream`` is the outer operator's restricted stream on the
-        inner support: taken as (u^T outer)(inner v), so that the product
-        is never materialized; an empty image gives no sums."""
-        scols, ka, kb, re, im = stream
-        if len(scols) == 0:
-            return []
-        sums = []
-        for pc in _CHECK_CONSTS:
-            p = pc[0]
-            b_re, b_im = self._inner_bvec(inner, pc)
-            u = _state_weights(p, pc[1], pc[2], ka, kb)
-            pa_re = (re % p) * u % p
-            pa_im = (im % p) * u % p
-            qre = b_re[scols]
-            qim = b_im[scols]
-            s_re = int(np.sum((pa_re * qre - pa_im * qim) % p) % p)
-            s_im = int(np.sum((pa_re * qim + pa_im * qre) % p) % p)
-            sums.append((s_re, s_im))
-        return sums
-
-    def _checksum_zero(self, comps, rhs_terms, L):
-        """True when the modular checksums of the defect vanish for every
-        checksum prime.  The defect matrix D is contracted as u^T D v for
-        fixed pseudo-random weights.  Each composition's outer operator is
-        applied once to each distinct state the inner box matrix reaches,
-        and that stream is reduced to its per-prime sums before the next
-        one is built."""
+    def _defect_sums(self, comps, rhs_terms, L):
+        """Per checksum prime, (re, im) of u^T D v mod p for the defect
+        matrix D of a case scaled by L, with u(m) = prod_s z_s**occ_s(m)
+        over a monomial's occupancy and v the box-column weights.  Each
+        composition outer o inner is reduced inside the table kernel, as
+        (u^T outer) applied to (inner v) over the distinct states the
+        inner box matrix reaches."""
         ops = self._ops
-        tot = [[0, 0] for _ in _CHECK_CONSTS]
+        tot = [[0, 0] for _ in _CHECK_PRIMES]
         for outer, inner, mult in comps:
-            ids, _ = self._inner_ids(inner)
-            sums = self._composition_sums(
-                self._restricted_stream(outer, ids), inner
-            )
+            ids, ub_re, ub_im = self._inner_weights(inner)
+            sums = self._apply_sums(ops[outer], self.l1_rows[ids], ub_re, ub_im)
             for t, (s_re, s_im) in zip(tot, sums):
                 t[0] += s_re * mult
                 t[1] += s_im * mult
-        for (tot_re, tot_im), pc in zip(tot, _CHECK_CONSTS):
-            for c, name in rhs_terms:
-                s = L // ops[name].den
-                cr, ci = int(c.re * s), int(c.im * s)
-                if cr == 0 and ci == 0:
-                    continue
-                sre, sim = self._rhs_checksum(name, pc)
-                tot_re -= cr * sre - ci * sim
-                tot_im -= cr * sim + ci * sre
-            if tot_re % pc[0] or tot_im % pc[0]:
-                return False
-        return True
+        for c, name in rhs_terms:
+            s = L // ops[name].den
+            cr, ci = int(c.re * s), int(c.im * s)
+            if cr == 0 and ci == 0:
+                continue
+            for t, (sre, sim) in zip(tot, self._rhs_sums(name)):
+                t[0] -= cr * sre - ci * sim
+                t[1] -= cr * sim + ci * sre
+        return [(re % p, im % p) for (re, im), p in zip(tot, _CHECK_PRIMES)]
+
+    def _checksum_zero(self, comps, rhs_terms, L):
+        """True when the modular checksum u^T D v of the defect (see
+        _defect_sums) vanishes for every checksum prime."""
+        return not any(re or im for re, im in self._defect_sums(comps, rhs_terms, L))
+
+    def _compositions(self, name_a, name_b, both_odd, rhs_terms):
+        """(comps, L) of a bracket case: the common denominator L of its
+        scaled defect, and the bracket as (outer, inner, mult)
+        compositions; [A, A] is AB - BA = 0 identically for the even-even
+        and mixed cases, and 2 A o A for odd-odd."""
+        ops = self._ops
+        D = ops[name_a].den * ops[name_b].den
+        L = D
+        for c, name in rhs_terms:
+            L = lcm(L, ops[name].den * lcm(c.re.denominator, c.im.denominator))
+        lf = L // D
+        if name_a != name_b:
+            comps = [(name_a, name_b, lf), (name_b, name_a, lf if both_odd else -lf)]
+        else:
+            comps = [(name_a, name_a, 2 * lf)] if both_odd else []
+        return comps, L
 
     def bracket_defect(self, name_a, name_b, both_odd, rhs_terms):
         """First box column where [A, B] != sum c_t T_t, or None.
@@ -810,18 +906,7 @@ class BulkEngine:
         if not self._prepared:
             self.prepare()
         ops = self._ops
-        D = ops[name_a].den * ops[name_b].den
-        L = D
-        for c, name in rhs_terms:
-            L = lcm(L, ops[name].den * lcm(c.re.denominator, c.im.denominator))
-        lf = L // D
-        # (outer, inner, mult): the bracket as compositions outer o inner;
-        # [A, A] is AB - BA = 0 identically for the even-even and mixed
-        # cases, and 2 A o A for odd-odd
-        if name_a != name_b:
-            comps = [(name_a, name_b, lf), (name_b, name_a, lf if both_odd else -lf)]
-        else:
-            comps = [(name_a, name_a, 2 * lf)] if both_odd else []
+        comps, L = self._compositions(name_a, name_b, both_odd, rhs_terms)
         if self._checksum_zero(comps, rhs_terms, L):
             return None
         streams = []
@@ -865,6 +950,15 @@ class BulkEngine:
         streams.clear()
         cols, *_ = _group_keyed(*merged)
         return int(cols.min()) if len(cols) else None
+
+
+def _segment_sums(fac, w, starts, p):
+    """Per segment of the pairs that begin at ``starts``, the sum of
+    fac * w mod p; w is below 2**31 and |fac| below 2**32 (see
+    BulkEngine._pair_chunks), so each product fits int64."""
+    x = fac * w
+    x %= p
+    return np.add.reduceat(x, starts) % p
 
 
 def _group_keyed(cols, ka, kb, re, im):

@@ -433,8 +433,9 @@ def test_box_matrices_match_operator_apply(backend):
 
 
 def test_bounds_hold_without_asserts():
-    """The int64 bounds and the output-row builder's emptied-slot guard
-    are explicit raises, so python -O keeps them."""
+    """The int64 bounds, the z-power table's exponent bound and the
+    output-row builder's emptied-slot guard are explicit raises, so
+    python -O keeps them."""
     code = textwrap.dedent(
         """
         import numpy as np
@@ -507,6 +508,27 @@ def test_bounds_hold_without_asserts():
             eng.bracket_defect(IDENTITY, "tau", False, [])
         except OverflowError as exc:
             print("raised" if "product entry" in str(exc) else exc)
+
+        # a hand-built table with five count factors of offset 127: a
+        # factor times a checksum weight below 2**31 could pass 2**63
+        eng = BulkEngine(1, Box(emax=1, b0max=0))
+        eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
+        eng.prepare()
+        slot = eng.universe.creator_slot(GenKey("g", 0, 1))
+        bop = eng._ops["tau"]
+        bop.table = _pack_table(eng.universe, [(ONE, [], [(slot, 127)] * 5, [], [])], 1)
+        try:
+            eng.bracket_defect("tau", "tau", True, [])
+        except OverflowError as exc:
+            print("raised" if "count factor" in str(exc) else exc)
+
+        # an exponent past the z-power table, which a negative index would
+        # otherwise read from the table's far end
+        k = eng._ztab.shape[2] // 2
+        try:
+            eng._zpow(np.zeros((1, 1), dtype=np.int64), np.full((1, 1), -k - 1))
+        except OverflowError as exc:
+            print("raised" if "z-power table" in str(exc) else exc)
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -517,7 +539,7 @@ def test_bounds_hold_without_asserts():
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
-    assert out.stdout.split() == ["raised"] * 5
+    assert out.stdout.split() == ["raised"] * 7
 
 
 # -- the first failing column against the per-monomial engine ---------
@@ -571,6 +593,70 @@ def test_bracket_defect_is_first_slow_defect(suite, monkeypatch):
     monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
     got = [s.engine.bracket_defect(*case[1:]) for s, case in cases]
     assert got == want
+
+
+def _ref_defect_sums(suite, a, b, both_odd, rhs_terms):
+    """Per checksum prime, (re, im) of u^T D v mod p, with D the defect
+    [A, B] - sum c_t T_t scaled by the case's common denominator, taken
+    from the per-monomial engine's outputs: u of each output monomial is
+    prod_s z_s**occ_s over its occupancy row, v the box-column weight."""
+    engine = suite.engine
+    ops = engine._ops
+    _, L = engine._compositions(a, b, both_odd, rhs_terms)
+    tab = engine._ztab
+    z = tab[:, :, tab.shape[2] // 2 + 1].tolist()
+    lhs = super_commutator(ops[a].op, ops[b].op)
+    entries = []  # (col, [(slot, occupancy)], scaled re, scaled im)
+    for col, m in enumerate(engine.box_monos):
+        v = FockVector.of(m)
+        d = lhs.apply(v, relative=suite.relative)
+        for c, name in rhs_terms:
+            d = d - ops[name].op.apply(v, relative=suite.relative).scale(c)
+        monos = list(d.terms)
+        rows = engine.universe.rows_of(monos)
+        for mono, row in zip(monos, rows):
+            c = d.terms[mono]
+            re, im = c.re * L, c.im * L
+            assert re.denominator == 1 and im.denominator == 1
+            occ = [(int(s), int(row[s])) for s in np.flatnonzero(row)]
+            entries.append((col, occ, int(re), int(im)))
+    cols = np.array([e[0] for e in entries], dtype=np.int64)
+    out = []
+    for zi, (p, r5, r6) in zip(z, bulkrep._CHECK_CONSTS):
+        vs = bulkrep._col_weights(p, r5, r6, cols).tolist()
+        tot_re = tot_im = 0
+        for (_, occ, re, im), v in zip(entries, vs):
+            w = v
+            for slot, n in occ:
+                w = w * pow(zi[slot], n, p) % p
+            tot_re += re * w
+            tot_im += im * w
+        out.append((tot_re % p, tot_im % p))
+    return out
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_fused_checksum_matches_per_monomial_sums(suite, monkeypatch):
+    """For every case of every relation suite, the per-prime checksum
+    sums that the table kernel reduces chunk by chunk equal u^T D v taken
+    from the per-monomial engine's outputs, value for value; as shipped
+    and with one instance per mask chunk."""
+    cases = _suite_cases(suite, monkeypatch)
+    want = [_ref_defect_sums(s, *case[1:]) for s, case in cases]
+    assert all(len(w) == len(bulkrep._CHECK_PRIMES) for w in want)
+
+    def got():
+        out = []
+        for s, (_, a, b, both_odd, rhs_terms) in cases:
+            comps, L = s.engine._compositions(a, b, both_odd, rhs_terms)
+            out.append(s.engine._defect_sums(comps, rhs_terms, L))
+        return out
+
+    assert got() == want
+    if "wrong" in suite:
+        assert any(w != [(0, 0)] * 3 for w in want)
+    monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
+    assert got() == want
 
 
 def test_failure_path_runs_without_scipy():
