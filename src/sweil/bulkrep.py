@@ -13,7 +13,7 @@ one row per instance holding
   fermionic creator an empty slot);
 - its bosonic count factors, as (slot, offset from earlier steps);
 - the fermionic slots whose prefix parity gives its Koszul sign;
-- its net occupancy change per slot and the hash change that follows;
+- its net occupancy change per slot;
 - its scaled integer coefficient.
 An operator's central scalar is the empty generator product: an instance
 with no constraint, count factor or parity slot that changes nothing, so
@@ -37,35 +37,41 @@ Koszul signs of creation/annihilation are (-1)^(number of occupied
 fermionic slots before the touched slot), exactly as in the one-monomial
 engine.  The parity corrections from an instance's own earlier steps do
 not depend on the state, so they are folded into its coefficient when
-it is compiled.  The level-1 domain (the box and its one-step images),
-the box matrices and the exact comparison identify monomials by a
-128-bit linear hash of the occupancy row; an accidental hash collision
-between distinct monomials is astronomically unlikely (and would be
-deterministic), and the engine is cross-validated column-by-column
-against the one-monomial engine in the tests.
+it is compiled.
+
+A monomial has one fingerprint, its occupancy weight
+u(m) = prod_s z_s^occ_s(m) modulo three primes p below 2^31, with seeded
+per-slot weights z_s in [2, p).  An instance with occupancy change delta
+takes u(state) to u(state) * z^delta, so an output's u needs no output
+row.  The level-1 domain (the box and its one-step images), the box
+matrices and the exact comparison group monomials by u, exactly, and the
+checksum weights them by it.  Two distinct monomials of total occupancy
+at most D share u with probability at most (D / (p - 2))^3 over the seed
+(p the smallest prime): per prime, u(m) - u(m') is a nonzero polynomial
+of degree at most D in the z_s (Schwartz 1980; Zippel 1979).  The engine
+is cross-validated column-by-column against the one-monomial engine in
+the tests.
 
 A bracket identity [A, B] = sum c_t T_t + z * 1 is checked with its
 central term as one more right-hand side: z times the identity operator,
 which every engine registers under the name ``IDENTITY``.  It passes when
 a 3-prime modular checksum of its defect vanishes (a checksum
 certificate): the defect matrix D is contracted as u^T D v mod p, with v
-a pseudo-random weight per box column and u(m) = prod_s z_s^occ_s(m) a
-product of seeded per-slot weights over the monomial's occupancy.  So
-the checksum weights a composition's outputs by their occupancy, not by
-their hash: an instance with occupancy change delta takes u(state) to
-u(state) * z^delta, and each composition outer o inner is summed inside
-the table kernel, one instance chunk at a time, as
+a pseudo-random weight per box column.  Each composition outer o inner
+is summed inside the table kernel, one instance chunk at a time, as
 sum_inst c z^delta * sum_states fac * sign * u(state) * b(state), where
 b is the inner box matrix times v.  The pass path forms no output keys
 and no output stream.
 
-A nonzero checksum runs the exact comparison, which
-builds each composition outer o inner with the same table kernel: the
-outer table is applied to the state of every entry of the inner box
-matrix, and each output entry, times its inner entry, lands on that
-entry's box column.  Each composition is summed per (column, monomial),
-then grouped once more with the right-hand sides; the smallest column
-left is the first failing box column.
+A nonzero checksum runs the exact comparison, which builds each
+composition outer o inner with the same table kernel: the outer table is
+applied to the state of every entry of the inner box matrix, and each
+output entry, times its inner entry, lands on that entry's box column.
+Each composition is summed per (column, u), then grouped once more with
+the right-hand sides; the smallest column left is the first failing box
+column.  The checksum is a weighted sum over those same groups, so a
+nonzero checksum with no nonzero group is an engine fault and raises
+StructureError.
 
 Universe completeness: with ``mmax = emax + max(2 * smax_full, smax_all)``
 (``smax_*`` the largest absolute energy shift among the registered
@@ -102,8 +108,6 @@ from .liealg import StructureError
 # term z is the right-hand side (z, IDENTITY)
 IDENTITY = "1"
 
-_HASH_SEED = 0x5EB11C0DE
-
 # highest occupancy an occupancy row can hold; also "no upper bound"
 _FULL = 255
 
@@ -124,13 +128,9 @@ def _absmax(re, im) -> int:
     return max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
 
 
-# odd multipliers extending the 128-bit state hash with the box column,
-# so grouping cells (column, state) needs only the two key words
-_COL_R1 = np.uint64(0x9E3779B97F4A7C15)
-_COL_R2 = np.uint64(0xC2B2AE3D27D4EB4F)
-
 # primes just below 2**31 for the modular defect checksums: the product
-# of two residues fits int64
+# of two residues fits int64, and a residue fits the 31 bits that
+# _pool_words and _group_keyed give it in a sort word
 _CHECK_PRIMES = (2147483629, 2147483563, 2147483423)
 _CHECK_P = np.array(_CHECK_PRIMES, dtype=np.int64)[:, None]
 _CHECK_SEED = 0xF0CC5EED
@@ -177,7 +177,7 @@ def _group_order(ka, kb):
 
     Fast path: one stable sort on ka; equal-ka runs almost surely agree
     on kb as well.  If any adjacent pair has equal ka but different kb
-    (a 64-bit coincidence between distinct cells, or an unluckily split
+    (distinct cells that share their first word, or an unluckily split
     run), fall back to the full two-word lexsort -- the result is exact
     either way."""
     if len(ka) == 0:
@@ -223,9 +223,6 @@ class Universe:
         self.slots = tuple(slots)
         self.nslots = len(slots)
         self.index = {k: i for i, k in enumerate(slots)}
-        rng = np.random.Generator(np.random.PCG64(_HASH_SEED))
-        self.h1 = rng.integers(1, 2**63, size=self.nslots, dtype=np.uint64) | np.uint64(1)
-        self.h2 = rng.integers(1, 2**63, size=self.nslots, dtype=np.uint64) | np.uint64(1)
 
     def creator_slot(self, key: GenKey) -> int:
         """Occupancy slot of a creator key; raises if out of range."""
@@ -249,10 +246,6 @@ class Universe:
         )
         np.add.at(rows, (owner, slots), 1)
         return rows
-
-    def hash_rows(self, rows: np.ndarray):
-        r = rows.astype(np.uint64)
-        return r @ self.h1, r @ self.h2
 
 
 def _compile_instance(universe: Universe, keys, coeff: QI):
@@ -320,8 +313,6 @@ class _Table(NamedTuple):
     fslot: np.ndarray  # (k, kf) parity slots, counted from the first fermion
     dslot: np.ndarray  # (k, kd) changed slots
     dval: np.ndarray  # (k, kd) occupancy changes
-    dh1: np.ndarray  # (k,) hash changes, both words
-    dh2: np.ndarray
     re: np.ndarray  # (k,) coefficient times the operator's denominator
     im: np.ndarray
 
@@ -348,10 +339,6 @@ def _pack_table(universe: Universe, instances, den: int) -> _Table:
     bos = _padded([r[2] for r in instances], (ones, 0), np.int16)
     par = _padded([[(p - f0,) for p in r[3]] for r in instances], (0,), np.int16)
     delta = _padded([r[4] for r in instances], (0, 0), np.int16)
-    dslot, dval = delta[:, :, 0], delta[:, :, 1]
-    # hash change sum(dv * h[slot]) mod 2**64: a negative change becomes
-    # its two's complement, which is the same residue
-    dv = dval.astype(np.int64).astype(np.uint64)
     return _Table(
         cslot=cons[:, :, 0],
         clo=cons[:, :, 1].astype(np.uint8),
@@ -359,10 +346,8 @@ def _pack_table(universe: Universe, instances, den: int) -> _Table:
         bslot=bos[:, :, 0],
         boff=bos[:, :, 1].astype(np.int8),
         fslot=par[:, :, 0],
-        dslot=dslot,
-        dval=dval.astype(np.int8),
-        dh1=(dv * universe.h1[dslot]).sum(axis=1, dtype=np.uint64),
-        dh2=(dv * universe.h2[dslot]).sum(axis=1, dtype=np.uint64),
+        dslot=delta[:, :, 0],
+        dval=delta[:, :, 1].astype(np.int8),
         re=np.array(re, dtype=np.int64),
         im=np.array(im, dtype=np.int64),
     )
@@ -458,7 +443,7 @@ def _op_products(universe: Universe, op, relative: bool):
 
 
 class _BulkOp:
-    __slots__ = ("name", "op", "table", "den", "smax", "cz")
+    __slots__ = ("name", "op", "table", "den", "smax", "zd", "cz")
 
     def __init__(self, name, op):
         self.name = name
@@ -466,7 +451,9 @@ class _BulkOp:
         self.table = None
         self.den = 1
         self.smax = 0
-        # per table row and checksum prime, (re, im) of c * z**delta mod p
+        # per checksum prime and table row, z**delta mod p, and (re, im)
+        # of c * z**delta mod p
+        self.zd = None
         self.cz = None
 
 
@@ -488,9 +475,9 @@ def _op_energy_span(op) -> int:
 
 
 def _empty_stream():
-    """Empty stream arrays (cols, key_h1, key_h2, re, im, inst)."""
-    types = (np.int64, np.uint64, np.uint64, np.int64, np.int64, np.int64)
-    return tuple(np.empty(0, dtype=t) for t in types)
+    """Empty stream arrays (cols, keys, re, im, inst)."""
+    e = np.empty(0, dtype=np.int64)
+    return e, np.empty((len(_CHECK_PRIMES), 0), dtype=np.uint32), e, e, e
 
 
 def _image_rows(bop, states, cols, inst):
@@ -570,64 +557,59 @@ class BulkEngine:
         every operator's grouped image keys are grouped together once:
         group ranks are the level-1 ids of the box monomials and of every
         box matrix row, and an occupancy row is built only for each
-        group's representative.  IDENTITY's box matrix is the box itself
-        and is written down directly.
-
-        The checksum weights come from the same provenance: u of a box
-        monomial from its occupancy, u of an image representative as
-        u(box column) * z**delta of its table row."""
+        group's representative, whose key is the state's u.  IDENTITY's
+        box matrix is the box itself and is written down directly."""
         u = self.universe
         nbox = len(self.box_monos)
         box_rows = u.rows_of(self.box_monos)
-        bh1, bh2 = u.hash_rows(box_rows)
         k = max(
             [int(box_rows.max(initial=0))]
             + [int(np.abs(b.table.dval).max(initial=0)) for b in self._ops.values()]
         )
         self._ztab = _power_table(u.nslots, k)
         slots = np.broadcast_to(np.arange(u.nslots), box_rows.shape)
-        box_u = self._zpow(slots, box_rows)
-        zd = {}
-        for name, bop in self._ops.items():
+        box_u = self._zpow(slots, box_rows).astype(np.uint32)
+        for bop in self._ops.values():
             t = bop.table
-            zd[name] = self._zpow(t.dslot, t.dval)
+            zd = self._zpow(t.dslot, t.dval)
+            bop.zd = zd.astype(np.uint32)
             bop.cz = tuple(
-                ((x % _CHECK_P) * zd[name] % _CHECK_P).astype(np.uint32)
+                ((x % _CHECK_P) * zd % _CHECK_P).astype(np.uint32)
                 for x in (t.re, t.im)
             )
         raw = {}
-        kas, kbs = [bh1], [bh2]
+        words = [_pool_words(box_u)]
         for name, bop in self._ops.items():
             if name == IDENTITY:
                 continue
-            cols, ka, kb, re, im, inst = self._apply_all(
-                bop, box_rows, bh1, bh2, collect_rows=True
+            cols, keys, re, im, inst = self._apply_all(
+                bop, box_rows, box_u, collect_rows=True
             )
             # sum duplicate (col, key) contributions before pooling
-            cols, ka, kb, re, im, first = _group_keyed(cols, ka, kb, re, im)
+            cols, keys, re, im, first = _group_keyed(cols, keys, re, im)
             _bound(np.abs(re).max(initial=0) < 1 << 30, "grouped real entry")
             _bound(np.abs(im).max(initial=0) < 1 << 30, "grouped imaginary entry")
             raw[name] = (cols, re, im, inst[first])
-            kas.append(ka)
-            kbs.append(kb)
-        pka, pkb = np.concatenate(kas), np.concatenate(kbs)
-        del kas, kbs
+            words.append(_pool_words(keys))
+            del keys, inst
+        pka, pkb = (np.concatenate(w) for w in zip(*words))
+        del words
         order, new = _group_order(pka, pkb)
         ids = np.empty(len(order), dtype=np.int64)
         ids[order] = np.cumsum(new) - 1
         reps = order[new]
         self.n1 = len(reps)
-        self.l1_h1, self.l1_h2 = pka[reps], pkb[reps]
+        # per checksum prime, u of every level-1 state
+        ka, kb = pka[reps], pkb[reps]
         del pka, pkb
+        self.l1_u = np.stack([ka & 0x7FFFFFFF, ka >> 31, kb]).astype(np.uint32)
+        del ka, kb
         is_rep = np.zeros(len(order), dtype=bool)
         is_rep[reps] = True
         self.box_ids = ids[:nbox]
         self.l1_rows = np.empty((self.n1, u.nslots), dtype=np.uint8)
-        # per checksum prime, u of every level-1 state
-        self.l1_u = np.empty((len(_CHECK_PRIMES), self.n1), dtype=np.uint32)
         at = np.flatnonzero(is_rep[:nbox])
         self.l1_rows[self.box_ids[at]] = box_rows[at]
-        self.l1_u[:, self.box_ids[at]] = box_u[:, at]
         one = np.ones(nbox, dtype=np.int64)
         self._box_mats[IDENTITY] = (self.box_ids, np.arange(nbox), one, 0 * one)
         start = nbox
@@ -637,9 +619,6 @@ class BulkEngine:
             at = np.flatnonzero(is_rep[start:stop])
             self.l1_rows[rows_ids[at]] = _image_rows(
                 self._ops[name], box_rows, cols[at], inst[at]
-            )
-            self.l1_u[:, rows_ids[at]] = (
-                box_u[:, cols[at]] * zd[name][:, inst[at]] % _CHECK_P
             )
             self._box_mats[name] = (rows_ids, cols, re, im)
             start = stop
@@ -732,22 +711,29 @@ class BulkEngine:
             np.negative(fac, out=fac, where=(par & 1).view(bool))
         return counts, inst, cols, fac
 
-    def _apply_all(self, bop, states, h1, h2, collect_rows: bool):
+    def _apply_all(self, bop, states, keys, collect_rows: bool):
         """Keyed COO stream of ``bop`` applied to every row of ``states``
-        (key words ``h1``, ``h2``).
+        (keys ``keys``, the states' u per checksum prime).
 
-        Returns (cols, key_h1, key_h2, re, im, inst), one entry per
-        (instance, state) pair in instance-major order; inst is each
-        pair's table row when requested (``_image_rows`` turns the pairs
-        into output occupancy rows), else an empty array."""
+        Returns (cols, keys, re, im, inst), one entry per (instance, state)
+        pair in instance-major order; an output's key is its u, so
+        u(state) * z**delta of its instance.  inst is each pair's table row
+        when requested (``_image_rows`` turns the pairs into output
+        occupancy rows), else an empty array."""
         t = bop.table
         parts = []
         for _, inst, cols, fac in self._pair_chunks(bop, states):
+            # output keys, one checksum prime at a time
+            out = np.empty((len(_CHECK_PRIMES), len(cols)), dtype=np.uint32)
+            for i, p in enumerate(_CHECK_PRIMES):
+                x = keys[i, cols].astype(np.uint64)
+                x *= bop.zd[i, inst]
+                x %= p
+                out[i] = x
             parts.append(
                 (
                     cols,
-                    h1[cols] + t.dh1[inst],
-                    h2[cols] + t.dh2[inst],
+                    out,
                     t.re[inst] * fac,
                     t.im[inst] * fac,
                     inst if collect_rows else np.zeros(0, dtype=np.int64),
@@ -757,7 +743,7 @@ class BulkEngine:
             return _empty_stream()
         if len(parts) == 1:
             return parts[0]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
     def _apply_sums(self, bop, states, w_re, w_im):
         """Per checksum prime, (re, im) mod p of sum u(out) * w(state) *
@@ -782,23 +768,6 @@ class BulkEngine:
                 tot[0] += int(((a * sr - b * si) % p).sum())
                 tot[1] += int(((a * si + b * sr) % p).sum())
         return sums
-
-    # -- restricted column builds --------------------------------------
-
-    def _restricted_stream(self, name: str, ids):
-        """Keyed COO stream of the operator applied to the level-1 states
-        picked out by ``ids``: (cols, key_h1, key_h2, re, im); column j
-        is the image of state ids[j].  The exact path passes one id per
-        box-matrix entry, repeats included.  Entries may repeat within a
-        column; downstream reductions sum them."""
-        cols, ka, kb, re, im, _ = self._apply_all(
-            self._ops[name],
-            self.l1_rows[ids],
-            self.l1_h1[ids],
-            self.l1_h2[ids],
-            collect_rows=False,
-        )
-        return cols, ka, kb, re, im
 
     # -- bracket checking ---------------------------------------------
 
@@ -898,37 +867,56 @@ class BulkEngine:
 
         A vanishing defect is certified by the modular checksum pass; the
         exact comparison runs only when a checksum is nonzero, and then
-        pins down the first failing column.  It applies each composition's
-        outer operator to the state of every inner box-matrix entry, one
-        output entry per (inner entry, outer instance that feeds its
-        state), and sums the composition per (column, key) before the next
-        one is built."""
+        pins down the first failing column.  Both identify a monomial by
+        its u, so a nonzero checksum implies a nonzero exact group; a
+        nonzero checksum with none raises StructureError."""
         if not self._prepared:
             self.prepare()
-        ops = self._ops
         comps, L = self._compositions(name_a, name_b, both_odd, rhs_terms)
         if self._checksum_zero(comps, rhs_terms, L):
             return None
+        col = self._first_failing_column(comps, rhs_terms, L)
+        if col is None:
+            raise StructureError(
+                f"[{name_a}, {name_b}]: nonzero checksum but every exact "
+                "(column, monomial) group of the defect is zero"
+            )
+        return col
+
+    def _first_failing_column(self, comps, rhs_terms, L):
+        """The exact comparison: the smallest box column with a nonzero
+        (column, key) group of the defect scaled by L, or None.  It applies
+        each composition's outer operator to the state of every inner
+        box-matrix entry, one output entry per (inner entry, outer
+        instance that feeds its state), and sums the composition per
+        (column, key) before the next one is built."""
+        ops = self._ops
         streams = []
 
-        def push(cols, ka, kb, re, im, mult):
+        def push(cols, keys, re, im, mult):
             if len(cols) == 0:
                 return
             _bound(_absmax(re, im) * abs(mult) < 1 << 62, "scaled composition stream")
-            streams.append((cols, ka, kb, re * mult, im * mult))
+            streams.append((cols, keys, re * mult, im * mult))
 
         for outer, inner, mult in comps:
             rows, cols, bre, bim = self._box_mats[inner]
             # output entry e is outer applied to the state of inner entry
-            # at[e], so it lands on that entry's box column
-            at, ka, kb, are, aim = self._restricted_stream(outer, rows)
+            # at[e] (one state per entry, repeats included), so it lands on
+            # that entry's box column
+            at, keys, are, aim, _ = self._apply_all(
+                ops[outer],
+                self.l1_rows[rows],
+                np.take(self.l1_u, rows, axis=1),
+                collect_rows=False,
+            )
             m = 2 * _absmax(are, aim) * _absmax(bre, bim)
             _bound(m < 1 << 62, "product entry")
             br, bi = bre[at], bim[at]
             re = are * br - aim * bi
             im = are * bi + aim * br
             del are, aim, br, bi
-            push(*_group_keyed(cols[at], ka, kb, re, im)[:5], mult)
+            push(*_group_keyed(cols[at], keys, re, im)[:4], mult)
         for c, name in rhs_terms:
             rows, cols, re, im = self._box_mats[name]
             s = L // ops[name].den
@@ -937,8 +925,7 @@ class BulkEngine:
             _bound(m < 1 << 62, f"scaled {name} stream")
             push(
                 cols,
-                self.l1_h1[rows],
-                self.l1_h2[rows],
+                np.take(self.l1_u, rows, axis=1),
                 -(re * cr - im * ci),
                 -(re * ci + im * cr),
                 1,
@@ -946,7 +933,7 @@ class BulkEngine:
         if not streams:
             return None
         # the per-composition streams go before the final grouping sort
-        merged = [np.concatenate(s) for s in zip(*streams)]
+        merged = [np.concatenate(s, axis=-1) for s in zip(*streams)]
         streams.clear()
         cols, *_ = _group_keyed(*merged)
         return int(cols.min()) if len(cols) else None
@@ -961,15 +948,28 @@ def _segment_sums(fac, w, starts, p):
     return np.add.reduceat(x, starts) % p
 
 
-def _group_keyed(cols, ka, kb, re, im):
-    """Sum duplicate (col, key) entries and drop exact zeros.  Returns the
-    grouped arrays plus, per kept group, the index of a representative
-    entry in the original (pre-sort) order."""
+def _pool_words(keys):
+    """Two uint64 words that hold the three residues of ``keys`` exactly:
+    u0 | u1 << 31 and u2."""
+    ka = keys[1].astype(np.uint64) << 31
+    ka |= keys[0]
+    return ka, keys[2].astype(np.uint64)
+
+
+def _group_keyed(cols, keys, re, im):
+    """Sum duplicate (col, key) entries and drop exact zeros.  A cell is
+    held exactly in two uint64 words, u0 | col << 31 and u1 | u2 << 31;
+    the column goes in the first word, which _group_order sorts first.
+    Returns the grouped arrays plus, per kept group, the index of a
+    representative entry in the original (pre-sort) order."""
     if len(cols) == 0:
-        return cols, ka, kb, re, im, np.zeros(0, dtype=np.int64)
-    cu = cols.astype(np.uint64)
-    order, new = _group_order(ka + cu * _COL_R1, kb + cu * _COL_R2)
-    del cu
+        return cols, keys, re, im, np.zeros(0, dtype=np.int64)
+    ka = cols.astype(np.uint64) << 31
+    ka |= keys[0]
+    kb = keys[2].astype(np.uint64) << 31
+    kb |= keys[1]
+    order, new = _group_order(ka, kb)
+    del ka, kb
     re, im = re[order], im[order]
     starts = np.flatnonzero(new)
     gmax = int(np.diff(np.append(starts, len(re))).max(initial=1))
@@ -978,5 +978,4 @@ def _group_keyed(cols, ka, kb, re, im):
     sim = np.add.reduceat(im, starts)
     keep = (sre != 0) | (sim != 0)
     first = order[starts[keep]]
-    return cols[first], ka[first], kb[first], sre[keep], sim[keep], first
-
+    return cols[first], np.take(keys, first, axis=1), sre[keep], sim[keep], first

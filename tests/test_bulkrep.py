@@ -112,15 +112,20 @@ SUITES = {
 }
 
 
+def _exact_bracket_defect(self, name_a, name_b, both_odd, rhs_terms):
+    """bracket_defect with the exact comparison as the certificate."""
+    self.prepare()
+    comps, L = self._compositions(name_a, name_b, both_odd, rhs_terms)
+    return self._first_failing_column(comps, rhs_terms, L)
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_checksum_certificate_matches_exact_path(suite, monkeypatch):
     """Every relation suite gives the same verdicts and witnesses whether
     a pass is certified by the modular checksum or by the exact
-    grouped-stream comparison that runs when the checksum is bypassed."""
+    grouped-stream comparison alone."""
     shipped = SUITES[suite]()
-    monkeypatch.setattr(
-        BulkEngine, "_checksum_zero", lambda self, *args: False
-    )
+    monkeypatch.setattr(BulkEngine, "bracket_defect", _exact_bracket_defect)
     exact = SUITES[suite]()
     assert shipped == exact
     failed = [r for r in shipped if not r.passed]
@@ -190,11 +195,35 @@ def _ref_compile(universe, keys, coeff):
     return steps, (coeff if sign == 1 else -coeff), sorted(need.items()), empty, dslots
 
 
-def _ref_apply(universe, products, den, states, h1, h2):
-    """Entries (col, key_h1, key_h2, re, im, row) of the operator with
-    generator products ``products`` on every row of ``states``."""
+def _ref_u(z, row, memo):
+    """u of an occupancy row per checksum prime, prod_s z_s**occ_s mod p
+    with Python pow (an output row may pass the engine's z-power table)."""
+    key = row.tobytes()
+    if key not in memo:
+        occ = [(int(s), int(row[s])) for s in np.flatnonzero(row)]
+        out = []
+        for zi, p in zip(z, bulkrep._CHECK_PRIMES):
+            w = 1
+            for slot, n in occ:
+                w = w * pow(zi[slot], n, p) % p
+            out.append(w)
+        memo[key] = tuple(out)
+    return memo[key]
+
+
+def _engine_z(engine):
+    """The per-slot weights z_s of each checksum prime, as Python ints."""
+    tab = engine._ztab
+    return tab[:, :, tab.shape[2] // 2 + 1].tolist()
+
+
+def _ref_apply(universe, products, den, states, z):
+    """Entries (col, key, re, im, row) of the operator with generator
+    products ``products`` on every row of ``states``; an entry's key is
+    the u of its output row under the per-slot weights ``z``."""
     f0 = universe.f0
     out = []
+    memo = {}
     for keys, coeff in products:
         inst = _ref_compile(universe, keys, coeff)
         if inst is None:
@@ -223,18 +252,16 @@ def _ref_apply(universe, products, den, states, h1, h2):
         for p, dv in dslots:
             rows[:, p] += dv
         assert rows.min(initial=0) >= 0
-        dh1 = sum(dv * int(universe.h1[p]) for p, dv in dslots) % (1 << 64)
-        dh2 = sum(dv * int(universe.h2[p]) for p, dv in dslots) % (1 << 64)
+        rows = rows.astype(np.uint8)
         re, im = int(c.re * den), int(c.im * den)
         for j, s in enumerate(idx.tolist()):
             out.append(
                 (
                     s,
-                    (int(h1[s]) + dh1) % (1 << 64),
-                    (int(h2[s]) + dh2) % (1 << 64),
+                    _ref_u(z, rows[j], memo),
                     re * int(fac[j]),
                     im * int(fac[j]),
-                    rows[j].astype(np.uint8).tobytes(),
+                    rows[j].tobytes(),
                 )
             )
     return out
@@ -244,25 +271,24 @@ def _grouped(entries):
     """(col, key) -> summed (re, im) without zero sums, and (col, key) ->
     output row; a key seen with two different rows fails."""
     sums, rows = {}, {}
-    for col, ka, kb, re, im, row in entries:
-        key = (col, ka, kb)
+    for col, u, re, im, row in entries:
+        key = (col, u)
         r0, i0 = sums.get(key, (0, 0))
         sums[key] = (r0 + re, i0 + im)
         assert rows.setdefault(key, row) == row
     return {k: v for k, v in sums.items() if v != (0, 0)}, rows
 
 
-def _kernel_entries(engine, name, states, h1, h2):
+def _kernel_entries(engine, name, states, keys):
     bop = engine._ops[name]
-    cols, ka, kb, re, im, inst = engine._apply_all(
-        bop, states, h1, h2, collect_rows=True
+    cols, keys, re, im, inst = engine._apply_all(
+        bop, states, keys, collect_rows=True
     )
     rows = bulkrep._image_rows(bop, states, cols, inst)
     return list(
         zip(
             cols.tolist(),
-            ka.tolist(),
-            kb.tolist(),
+            map(tuple, keys.T.tolist()),
             re.tolist(),
             im.tolist(),
             (r.tobytes() for r in rows),
@@ -310,7 +336,9 @@ def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypa
     """The packed-table kernel and the per-instance loop it replaced give
     the same grouped (col, key) -> (re, im) map and the same output rows,
     for every registered operator on the box block and on random blocks
-    of level-1 states, in one pass and one instance per chunk."""
+    of level-1 states, in one pass and one instance per chunk.  The
+    reference key is the u of the output row, so the kernel's keys
+    u(state) * z**delta are checked against the rows they stand for."""
     backend, ops = FAMILIES[family]
     box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
     engine = BulkEngine(backend.dim, box, relative)
@@ -318,6 +346,7 @@ def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypa
         engine.register(name, op)
     engine.prepare()
     u = engine.universe
+    z = _engine_z(engine)
     rng = np.random.default_rng(sum(map(ord, family)) + relative)
     blocks = [engine.box_ids, np.zeros(0, dtype=np.int64)]
     for size in (1, 40, 400):
@@ -326,13 +355,12 @@ def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypa
     for name, bop in engine._ops.items():
         products = _op_products(u, bop.op, relative)
         for ids in blocks:
-            states = engine.l1_rows[ids]
-            h1, h2 = engine.l1_h1[ids], engine.l1_h2[ids]
-            got = _grouped(_kernel_entries(engine, name, states, h1, h2))
-            want = _grouped(_ref_apply(u, products, bop.den, states, h1, h2))
+            states, keys = engine.l1_rows[ids], engine.l1_u[:, ids]
+            got = _grouped(_kernel_entries(engine, name, states, keys))
+            want = _grouped(_ref_apply(u, products, bop.den, states, z))
             assert got == want, (family, name, len(ids))
             monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
-            got = _grouped(_kernel_entries(engine, name, states, h1, h2))
+            got = _grouped(_kernel_entries(engine, name, states, keys))
             monkeypatch.undo()
             assert got == want, (family, name, len(ids), "chunked")
 
@@ -359,10 +387,42 @@ def test_rows_of_counts_every_key():
         u.rows_of(monos[:3] + [FockMonomial((GenKey("g", 0, 4),), ())])
 
 
+def test_group_keyed_is_exact_in_column_and_key():
+    """(column, key) cells that differ in one residue or in the column
+    alone stay apart, equal cells are summed and zero sums dropped; here
+    most cells share their first sort word, so the exact two-word sort
+    decides."""
+    top = bulkrep._CHECK_PRIMES[0] - 1
+    keys = np.array(
+        [
+            [5, 5, 5, 5, 5, top, top],
+            [1, 2, 1, 1, 1, top, top],
+            [7, 7, 8, 7, 7, top, top],
+        ],
+        dtype=np.uint32,
+    )
+    cols = np.array([0, 0, 0, 1, 0, 3, 3], dtype=np.int64)
+    re = np.array([1, 2, 3, 4, 10, 6, -6], dtype=np.int64)
+    im = np.array([0, 0, 0, -4, 1, 0, 0], dtype=np.int64)
+    gc, gk, gre, gim, first = bulkrep._group_keyed(cols, keys, re, im)
+    got = {
+        (c, tuple(k)): (r, i)
+        for c, k, r, i in zip(gc.tolist(), gk.T.tolist(), gre.tolist(), gim.tolist())
+    }
+    assert got == {
+        (0, (5, 1, 7)): (11, 1),
+        (0, (5, 2, 7)): (2, 0),
+        (0, (5, 1, 8)): (3, 0),
+        (1, (5, 1, 7)): (4, -4),
+    }
+    assert np.array_equal(cols[first], gc)
+    assert np.array_equal(keys[:, first], gk)
+
+
 @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_level1_pool_invariants(family, relative):
-    """The level-1 pool holds distinct rows whose keys are their hashes,
+    """The level-1 pool holds distinct rows whose keys l1_u are their u,
     the box monomials sit at box_ids, and IDENTITY's closed-form box
     matrix is what compiling and applying its table gives."""
     backend, ops = FAMILIES[family]
@@ -372,14 +432,16 @@ def test_level1_pool_invariants(family, relative):
         engine.register(name, op)
     engine.prepare()
     u = engine.universe
-    h1, h2 = u.hash_rows(engine.l1_rows)
-    assert np.array_equal(h1, engine.l1_h1) and np.array_equal(h2, engine.l1_h2)
+    z, memo = _engine_z(engine), {}
+    want = [_ref_u(z, row, memo) for row in engine.l1_rows]
+    assert engine.l1_u.dtype == np.uint32
+    assert list(map(tuple, engine.l1_u.T.tolist())) == want
     assert len(np.unique(engine.l1_rows, axis=0)) == engine.n1
     box_rows = _ref_rows(u, engine.box_monos)
     assert np.array_equal(engine.l1_rows[engine.box_ids], box_rows)
     bop = engine._ops[bulkrep.IDENTITY]
-    cols, ka, kb, re, im, inst = engine._apply_all(
-        bop, box_rows, *u.hash_rows(box_rows), collect_rows=True
+    cols, keys, re, im, inst = engine._apply_all(
+        bop, box_rows, engine.l1_u[:, engine.box_ids], collect_rows=True
     )
     rows_ids, got_cols, got_re, got_im = engine._box_mats[bulkrep.IDENTITY]
     assert np.array_equal(
@@ -454,9 +516,9 @@ def test_bounds_hold_without_asserts():
 
         big = np.array([1 << 61, 1 << 61], dtype=np.int64)
         cols = np.zeros(2, dtype=np.int64)
-        keys = np.ones(2, dtype=np.uint64)
+        keys = np.ones((3, 2), dtype=np.uint32)
         try:
-            _group_keyed(cols, keys, keys, big, np.zeros(2, dtype=np.int64))
+            _group_keyed(cols, keys, big, np.zeros(2, dtype=np.int64))
         except OverflowError:
             print("raised")
 
@@ -468,9 +530,8 @@ def test_bounds_hold_without_asserts():
         slot = eng.universe.creator_slot(GenKey("g", 0, eng.universe.mmax))
         bop = eng._ops["tau"]
         bop.table = _pack_table(eng.universe, [(ONE, [], [], [], [(slot, -1)])], 1)
-        ids = eng.box_ids
-        rows, h1, h2 = eng.l1_rows[ids], eng.l1_h1[ids], eng.l1_h2[ids]
-        cols, *_, inst = eng._apply_all(bop, rows, h1, h2, True)
+        rows, keys = eng.l1_rows[eng.box_ids], eng.l1_u[:, eng.box_ids]
+        cols, *_, inst = eng._apply_all(bop, rows, keys, True)
         try:
             _image_rows(bop, rows, cols, inst)
         except StructureError:
@@ -603,10 +664,9 @@ def _ref_defect_sums(suite, a, b, both_odd, rhs_terms):
     engine = suite.engine
     ops = engine._ops
     _, L = engine._compositions(a, b, both_odd, rhs_terms)
-    tab = engine._ztab
-    z = tab[:, :, tab.shape[2] // 2 + 1].tolist()
+    z, memo = _engine_z(engine), {}
     lhs = super_commutator(ops[a].op, ops[b].op)
-    entries = []  # (col, [(slot, occupancy)], scaled re, scaled im)
+    entries = []  # (col, u per prime, scaled re, scaled im)
     for col, m in enumerate(engine.box_monos):
         v = FockVector.of(m)
         d = lhs.apply(v, relative=suite.relative)
@@ -618,17 +678,14 @@ def _ref_defect_sums(suite, a, b, both_odd, rhs_terms):
             c = d.terms[mono]
             re, im = c.re * L, c.im * L
             assert re.denominator == 1 and im.denominator == 1
-            occ = [(int(s), int(row[s])) for s in np.flatnonzero(row)]
-            entries.append((col, occ, int(re), int(im)))
+            entries.append((col, _ref_u(z, row, memo), int(re), int(im)))
     cols = np.array([e[0] for e in entries], dtype=np.int64)
     out = []
-    for zi, (p, r5, r6) in zip(z, bulkrep._CHECK_CONSTS):
+    for i, (p, r5, r6) in enumerate(bulkrep._CHECK_CONSTS):
         vs = bulkrep._col_weights(p, r5, r6, cols).tolist()
         tot_re = tot_im = 0
-        for (_, occ, re, im), v in zip(entries, vs):
-            w = v
-            for slot, n in occ:
-                w = w * pow(zi[slot], n, p) % p
+        for (_, u, re, im), v in zip(entries, vs):
+            w = v * u[i] % p
             tot_re += re * w
             tot_im += im * w
         out.append((tot_re % p, tot_im % p))
@@ -658,6 +715,45 @@ def test_fused_checksum_matches_per_monomial_sums(suite, monkeypatch):
     monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
     assert got() == want
 
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_checksum_nonzero_iff_exact_column(suite, monkeypatch):
+    """For every case of every relation suite, the checksum is nonzero
+    exactly when the exact comparison finds a failing column; as shipped
+    and with one instance per mask chunk."""
+    cases = _suite_cases(suite, monkeypatch)
+
+    def verdicts():
+        out = []
+        for s, (_, a, b, both_odd, rhs_terms) in cases:
+            comps, L = s.engine._compositions(a, b, both_odd, rhs_terms)
+            zero = s.engine._checksum_zero(comps, rhs_terms, L)
+            col = s.engine._first_failing_column(comps, rhs_terms, L)
+            out.append((zero, col))
+        return out
+
+    shipped = verdicts()
+    assert all(zero == (col is None) for zero, col in shipped)
+    assert any(zero for zero, _ in shipped)
+    if "wrong" in suite:
+        assert not all(zero for zero, _ in shipped)
+    monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
+    assert verdicts() == shipped
+
+
+def test_nonzero_checksum_without_exact_column_raises(monkeypatch):
+    """A nonzero checksum on a case whose exact comparison finds no
+    failing column is an inconsistency of the engine, not a PASS."""
+    engine = BulkEngine(SL2.dim, SMALL)
+    engine.register("d", build_differential_d(SL2))
+    engine.prepare()
+    assert engine.bracket_defect("d", "d", True, []) is None
+    monkeypatch.setattr(
+        BulkEngine, "_defect_sums", lambda self, *args: [(1, 0), (0, 0), (0, 0)]
+    )
+    with pytest.raises(StructureError, match="nonzero checksum"):
+        engine.bracket_defect("d", "d", True, [])
 
 def test_failure_path_runs_without_scipy():
     """A fresh interpreter imports the CLI and takes one bracket check down
