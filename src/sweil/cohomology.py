@@ -23,11 +23,10 @@ from .fieldops import (
     Operator,
     build_differential_d,
     build_koszul_h,
-    build_s2alpha_family,
-    build_sl2_EHF,
     build_theta_adjoint,
     hermitian_form,
     hodge_form,
+    sl2_triple,
 )
 
 # -- exact sparse matrices ---------------------------------------------
@@ -489,37 +488,41 @@ def koszul_single_pair_report(backend, max_excitation=4, mode_range=2):
 # -- harmonic / Lefschetz report ---------------------------------------
 
 
-def classical_operator(backend, sym) -> Operator:
+def classical_operator(build, sym) -> Operator:
     """Realization of a classical Kahler-package symbol inside the
-    degree-zero part of the alpha = 0 family."""
+    degree-zero part of the alpha = 0 family, whose operators come from
+    ``build`` (a ``verify.s2a_builder`` at alpha = 0)."""
     from .fieldops import SumOperator
     from .sca import psi
 
-    el = psi(sym)
-    parts = []
-    for (s, n), c in el.items():
-        name = "Lalpha" if s == "L" else s
-        parts.append((c, build_s2alpha_family(backend, ZERO, name, n)))
+    parts = [(c, build(s, n)) for (s, n), c in psi(sym).items()]
     return SumOperator(parts, name=f"psi({sym})")
 
 
-def kahler_matrix_checks(backend, emax=2, b0max=2):
+def kahler_matrix_checks(backend, emax=2, b0max=2, build=None, triple=None):
     """All bracket relations of the classical operator package, plus the
     exterior sl(2) triple relations, evaluated exactly on the relative
     quotient box.  The module realization carries the central extension,
     so the raising/lowering bracket acquires the cocycle times the
     central charge; the expected central term is taken from the abstract
-    bracket of the classical symbols' images."""
+    bracket of the classical symbols' images.  ``build`` (the alpha = 0
+    family builder) and ``triple`` (the sl(2) operators by name) let a
+    caller share its operators, and with them their applied columns;
+    both are made here when omitted."""
     from .liealg import CheckReport
     from .sca import KAHLER_SYMBOLS, kahler_bracket, kahler_parity, psi, s2a_bracket
-    from .verify import FastEngine, FastOp, fast_bracket_check
+    from .verify import FastEngine, FastOp, fast_bracket_check, s2a_builder
 
+    if build is None:
+        build = s2a_builder(backend, ZERO)
+    if triple is None:
+        triple = sl2_triple(backend)
     charge = QI(3 * backend.dim)
     box = Box(emax=emax, b0max=b0max, zero_fermions_allowed=False)
     engine = FastEngine(relative=True)
     box_ids = [engine.intern(m) for m in enumerate_box(backend.dim, box)]
     fops = {
-        sym: FastOp(engine, classical_operator(backend, sym))
+        sym: FastOp(engine, classical_operator(build, sym))
         for sym in KAHLER_SYMBOLS
     }
     checks = []
@@ -541,9 +544,7 @@ def kahler_matrix_checks(backend, emax=2, b0max=2):
                     "",
                 )
             )
-    triple = {
-        s: FastOp(engine, build_sl2_EHF(backend, s)) for s in ("EE", "HH", "FF")
-    }
+    triple = {s: FastOp(engine, op) for s, op in triple.items()}
     sl2_rels = (
         ("EE", "FF", (("HH", ONE),)),
         ("HH", "EE", (("EE", QI(2)),)),
@@ -628,9 +629,16 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     operator, the counting-operator eigenvalues, and the exterior sl(2)
     action induced on cohomology."""
     from .liealg import CheckReport
+    from .verify import s2a_builder
 
+    # one operator object per family member and sl(2) symbol for the whole
+    # report, so each column is applied once
+    build = s2a_builder(backend, ZERO)
+    triple = sl2_triple(backend)
     d = build_differential_d(backend)
-    checks = list(kahler_matrix_checks(backend, emax=emax))
+    checks = list(
+        kahler_matrix_checks(backend, emax=emax, build=build, triple=triple)
+    )
 
     # star is an involution and the vacuum has norm one
     from .fieldops import SumOperator, star
@@ -653,7 +661,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     # the counting operator has eigenvalue a - b on every relative
     # monomial of bidegree (a, b): the analogue of the classical count
     # recentred so that the vacuum is annihilated
-    hh = build_sl2_EHF(backend, "HH")
+    hh = triple["HH"]
     count_ok = True
     count_witness = None
     for m in enumerate_box(backend.dim, box):
@@ -666,11 +674,9 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     checks.append(
         CheckReport("counting:eigenvalue", count_ok, count_witness, ""))
 
-    h0 = build_s2alpha_family(backend, ZERO, "h", 0)
-    p0neg = SumOperator(
-        [(QI(-1), build_s2alpha_family(backend, ZERO, "p", 0))], name="-p0"
-    )
-    ee = build_sl2_EHF(backend, "EE")
+    h0 = build("h", 0)
+    p0neg = SumOperator([(QI(-1), build("p", 0))], name="-p0")
+    ee = triple["EE"]
 
     slices = {}
 

@@ -705,6 +705,11 @@ def build_differential_parts(backend: GradedBackend):
     return FieldOperator(t1, name="d_ferm"), FieldOperator(t2, name="d_mixed")
 
 
+def sl2_triple(backend: GradedBackend) -> dict:
+    """The exterior sl(2) triple's operators, keyed EE, HH and FF."""
+    return {s: build_sl2_EHF(backend, s) for s in ("EE", "HH", "FF")}
+
+
 def build_differential_d(backend: GradedBackend) -> FieldOperator:
     d1, d2 = build_differential_parts(backend)
     return FieldOperator(d1.terms + d2.terms, name="d")

@@ -224,3 +224,35 @@ def test_python_dash_m_matches_run():
     assert status == 0
     assert out.returncode == 0, out.stderr
     assert out.stdout == expected
+
+
+def test_numpy_loads_only_with_the_bulk_engine():
+    """A fresh interpreter runs sca-tables, cohomology and kahler without
+    importing numpy; the first relation suite loads it."""
+    code = """
+import io, sys
+import sweil, sweil.cli as cli
+
+def run(line):
+    cfg = cli.resolve_config(cli.build_parser().parse_args(line.split()))
+    return cli.run(cfg, out=io.BytesIO())
+
+for line in (
+    "sca-tables --alpha 1 --window 0",
+    "cohomology --backend loop:abelian:1 --rel --emax 1",
+    "kahler --backend loop:abelian:1 --emax 1",
+):
+    print(run(line), "numpy" in sys.modules)
+print(run("verify-chain --backend witt --emax 1 --b0max 0 --window 1"),
+      "numpy" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"] * 3 + ["0", "True"]

@@ -397,14 +397,15 @@ def test_central_term_is_required():
     # dropping the central correction in the raising/lowering bracket of
     # the classical package must produce a witness: negative control
     from sweil.cohomology import classical_operator
-    from sweil.verify import FastEngine, FastOp, fast_bracket_check
+    from sweil.verify import FastEngine, FastOp, fast_bracket_check, s2a_builder
 
     engine = FastEngine(relative=True)
     box = Box(emax=1, b0max=1, zero_fermions_allowed=False)
     box_ids = [engine.intern(m) for m in enumerate_box(AB1.dim, box)]
-    L = FastOp(engine, classical_operator(AB1, "L"))
-    Lam = FastOp(engine, classical_operator(AB1, "Lam"))
-    H = FastOp(engine, classical_operator(AB1, "H"))
+    build = s2a_builder(AB1, ZERO)
+    L = FastOp(engine, classical_operator(build, "L"))
+    Lam = FastOp(engine, classical_operator(build, "Lam"))
+    H = FastOp(engine, classical_operator(build, "H"))
     bad = fast_bracket_check(
         engine, L, Lam, False, [(ONE, H)], None, box_ids
     )
@@ -436,7 +437,9 @@ def test_harmonic_lefschetz_report_abelian():
 def test_harmonic_lefschetz_report_sl2_ranks(monkeypatch):
     # sl2 at E = 2 has nonzero differentials; the package bracket checks
     # are tested on their own and skipped here
-    monkeypatch.setattr(cohomology, "kahler_matrix_checks", lambda b, emax: [])
+    monkeypatch.setattr(
+        cohomology, "kahler_matrix_checks", lambda b, emax, **ops: []
+    )
     rows, checks = harmonic_lefschetz_report(SL2, emax=2, s_range=1)
     for c in checks:
         assert c.passed, (c.name, c.witness)
