@@ -63,6 +63,7 @@ from .sca import (
 )
 from .verify import (
     RelationReport,
+    _lazy_submodule,
     check_chain_identities,
     check_d_compatibility,
     check_relative_derext,
@@ -74,13 +75,23 @@ from .verify import (
     s2a_builder,
     s2a_table,
 )
-from .cohomology import (
-    Matrix,
-    GradedPiece,
-    PieceRow,
-    cohomology_table,
-    harmonic_lefschetz_report,
-    kahler_matrix_checks,
-    koszul_single_pair_report,
-    piece_basis,
-)
+
+# only the cohomology and kahler commands need this module: it runs on
+# first use, and these package names resolve through it (PEP 562)
+cohomology = _lazy_submodule("cohomology")
+_COHOMOLOGY_NAMES = frozenset((
+    "Matrix",
+    "GradedPiece",
+    "PieceRow",
+    "cohomology_table",
+    "harmonic_lefschetz_report",
+    "kahler_matrix_checks",
+    "koszul_single_pair_report",
+    "piece_basis",
+))
+
+
+def __getattr__(name):
+    if name in _COHOMOLOGY_NAMES:
+        return getattr(cohomology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

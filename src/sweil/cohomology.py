@@ -5,9 +5,8 @@ single-pair Koszul acyclicity check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .scalars import QI, ZERO, ONE
 from .liealg import GradedBackend, StructureError
@@ -249,8 +248,7 @@ def hermitian_signature(gram: Matrix):
 # -- graded pieces -----------------------------------------------------
 
 
-@dataclass
-class GradedPiece:
+class GradedPiece(NamedTuple):
     backend: GradedBackend
     energy: int
     deg_s: int
@@ -369,8 +367,7 @@ def adjoint_matrix(a: Matrix, gram_src: Matrix, gram_tgt: Matrix) -> Matrix:
 # -- cohomology tables -------------------------------------------------
 
 
-@dataclass
-class PieceRow:
+class PieceRow(NamedTuple):
     energy: int
     deg_s: int
     deg_l: int

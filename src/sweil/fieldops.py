@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -70,8 +69,7 @@ class SlotSpec(NamedTuple):
         return self.const + sum(map(operator.mul, self.coeffs, vars_))
 
 
-@dataclass(frozen=True)
-class TermShape:
+class TermShape(NamedTuple):
     nvars: int
     slots: tuple
     coeff: Callable[[tuple], QI]

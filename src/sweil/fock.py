@@ -31,7 +31,6 @@ builds is already canonical and inside the box.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .scalars import QI, ONE
@@ -326,8 +325,7 @@ def normal_order_slots(keys):
     return sign, keys
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """Finite truncation: E <= emax, at most b0max mode-0 bosonic creators."""
 
     emax: int

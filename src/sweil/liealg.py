@@ -7,8 +7,7 @@ algebra) or a module action (the weight-density Witt modules F_{lam,mu}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .scalars import QI, ZERO, ONE, parse_qi
 
@@ -17,8 +16,7 @@ class StructureError(ValueError):
     """Malformed algebraic input (wrong shapes, unsupported operation)."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a structural verification, with a witness on failure."""
 
     name: str
@@ -148,8 +146,7 @@ def dense_rank(rows) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class GradedBackend:
+class GradedBackend(NamedTuple):
     """kind is one of 'loop', 'witt', 'fmu'.
 
     loop: components = basis of the underlying Lie algebra at every mode,
@@ -161,8 +158,8 @@ class GradedBackend:
 
     kind: str
     spec: Optional[LieAlgebraSpec] = None
-    lam: QI = field(default_factory=lambda: ZERO)
-    mu: QI = field(default_factory=lambda: ZERO)
+    lam: QI = ZERO
+    mu: QI = ZERO
     name: str = ""
 
     @property

@@ -130,16 +130,32 @@ def _delta(n, k):
     return n == -k
 
 
+# the ordered symbol pairs (sa, sb) that ``_s2a_listed`` lists, whatever
+# the modes, alpha and cocycle choice; no pair is listed in both orders
+_S2A_LISTED = frozenset(
+    (sa, sb)
+    for sa, listed in (
+        ("L", "LEHFhypx"),
+        ("H", "EFHhxpy"),
+        ("E", "Fyp"),
+        ("F", "hx"),
+        ("h", "xp"),
+        ("p", "y"),
+        ("x", "y"),
+    )
+    for sb in listed
+)
+
+
 def s2a_basis_bracket(alpha, sa, na, sb, nb, include_cocycle=True) -> SCAElement:
     """Bracket of basis elements per the defining table; unlisted ordered
     pairs are resolved by super-antisymmetry, absent pairs vanish."""
     alpha = QI.of(alpha)
-    out = _s2a_listed(alpha, sa, na, sb, nb, include_cocycle)
-    if out is not None:
-        return out
-    flipped = _s2a_listed(alpha, sb, nb, sa, na, include_cocycle)
-    if flipped is None:
+    if (sa, sb) in _S2A_LISTED:
+        return _s2a_listed(alpha, sa, na, sb, nb, include_cocycle)
+    if (sb, sa) not in _S2A_LISTED:
         return SCAElement._raw({})
+    flipped = _s2a_listed(alpha, sb, nb, sa, na, include_cocycle)
     if parity_of(sa) and parity_of(sb):
         return flipped
     return SCAElement._raw(

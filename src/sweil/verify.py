@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .scalars import QI, ZERO, ONE, format_qi
 from .liealg import GradedBackend, StructureError
@@ -56,8 +55,7 @@ N2_TABLE_SYMBOLS = ("L", "H", "h", "p")
 S2A_TABLE_SYMBOLS = ("L", "E", "H", "F", "h", "p", "x", "y")
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     check: str
     params: tuple  # sorted (key, value) string pairs
     box: str

@@ -8,8 +8,16 @@ from pathlib import Path
 import pytest
 
 from sweil.scalars import ONE
-from sweil.liealg import LieAlgebraSpec, builtin_sl2_orthonormal, loop_backend
+from sweil.liealg import (
+    CheckReport,
+    LieAlgebraSpec,
+    builtin_sl2_orthonormal,
+    loop_backend,
+    parse_backend,
+)
 from sweil.fock import Box
+from sweil.fieldops import SlotSpec, TermShape
+from sweil.cohomology import GradedPiece, Matrix, PieceRow
 from sweil.cli import (
     CSV_HEADER,
     build_parser,
@@ -19,7 +27,7 @@ from sweil.cli import (
     resolve_config,
     run,
 )
-from sweil.verify import check_chain_identities
+from sweil.verify import RelationReport, check_chain_identities
 
 
 def capture(argv):
@@ -226,6 +234,20 @@ def test_python_dash_m_matches_run():
     assert out.stdout == expected
 
 
+def _fresh_interpreter(code: str) -> list:
+    """The words ``code`` prints when run in a new interpreter on src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
 def test_numpy_loads_only_with_the_bulk_engine():
     """A fresh interpreter runs sca-tables, cohomology and kahler without
     importing numpy; the first relation suite loads it."""
@@ -246,13 +268,105 @@ for line in (
 print(run("verify-chain --backend witt --emax 1 --b0max 0 --window 1"),
       "numpy" in sys.modules)
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "False"] * 3 + ["0", "True"]
+    assert _fresh_interpreter(code) == ["0", "False"] * 3 + ["0", "True"]
+
+
+def test_cli_start_skips_dataclasses_csv_and_cohomology():
+    """``import sweil, sweil.cli`` loads neither dataclasses (with the
+    inspect, ast, dis and tokenize chain it pulls in) nor csv, and leaves
+    sweil.cohomology an unexecuted lazy module.  sca-tables keeps it so,
+    kahler executes it, and CSV output loads csv."""
+    code = """
+import io, sys, types
+import sweil, sweil.cli as cli
+
+def run(line):
+    cfg = cli.resolve_config(cli.build_parser().parse_args(line.split()))
+    return cli.run(cfg, out=io.BytesIO())
+
+def state():
+    mods = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
+    loaded = ",".join(m for m in mods if m in sys.modules) or "-"
+    # type() reads no module attribute, so it executes no lazy module
+    lazy = type(sys.modules["sweil.cohomology"]) is not types.ModuleType
+    print(loaded, lazy)
+
+state()
+run("sca-tables --alpha 1 --window 0")
+state()
+run("kahler --backend loop:abelian:1 --emax 1")
+state()
+run("cohomology --backend loop:abelian:1 --rel --emax 1 --format csv")
+state()
+"""
+    assert _fresh_interpreter(code) == [
+        "-", "True", "-", "True", "-", "False", "csv", "False"
+    ]
+
+
+_WITT = parse_backend("witt")
+_ZERO_REPR = "QI(Fraction(0, 1), Fraction(0, 1))"
+_WITT_REPR = (
+    f"GradedBackend(kind='witt', spec=None, lam={_ZERO_REPR}, "
+    f"mu={_ZERO_REPR}, name='witt')"
+)
+_EMPTY = Matrix(0, 0)
+# each record with the repr its earlier dataclass form printed; GradedPiece
+# holds an unhashable Matrix, so it is unhashable as it was
+RECORDS = (
+    (
+        CheckReport("jacobi", False, (0, 1, 2), "antisymmetry"),
+        "CheckReport(name='jacobi', passed=False, witness=(0, 1, 2), "
+        "detail='antisymmetry')",
+    ),
+    (_WITT, _WITT_REPR),
+    (Box(emax=1), "Box(emax=1, b0max=0, zero_fermions_allowed=True)"),
+    (
+        TermShape(1, (SlotSpec("b", 0, 1, (1,)),), len),
+        "TermShape(nvars=1, slots=(SlotSpec(family='b', comp=0, const=1, "
+        "coeffs=(1,)),), coeff=<built-in function len>, normal=True, "
+        "filters=())",
+    ),
+    (
+        RelationReport("chain", (("backend", "witt"),), "E<=1 B0<=0", "pass"),
+        "RelationReport(check='chain', params=(('backend', 'witt'),), "
+        "box='E<=1 B0<=0', status='pass', witness=None)",
+    ),
+    (
+        GradedPiece(_WITT, 0, 0, 0, True, (), _EMPTY),
+        f"GradedPiece(backend={_WITT_REPR}, energy=0, deg_s=0, deg_l=0, "
+        f"relative=True, ambient=(), basis={_EMPTY!r})",
+    ),
+    (
+        PieceRow(0, 0, 0, 1, 0, 0, 1),
+        "PieceRow(energy=0, deg_s=0, deg_l=0, dim=1, rank_in=0, rank_out=0, "
+        "coh_dim=1, gram_signature='', harmonic_dim='')",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS]
+)
+def test_records_are_immutable_values(record, text):
+    assert repr(record) == text
+    copy = type(record)(*record)
+    assert copy == record and copy is not record
+    first = record._fields[0]
+    assert record._replace(**{first: "other"}) != record
+    if isinstance(record, GradedPiece):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(copy) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, first, "other")
+
+
+def test_report_truth_is_its_verdict():
+    assert bool(CheckReport("jacobi", True)) is True
+    assert bool(CheckReport("jacobi", False, (0, 1, 2))) is False
+    ok = RelationReport("chain", (), "E<=1 B0<=0", "pass")
+    bad = ok._replace(status="fail", witness=(("pair", "[d,d]"),))
+    assert bool(ok) is ok.passed is True
+    assert bool(bad) is bad.passed is False

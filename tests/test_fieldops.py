@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -388,7 +387,7 @@ def test_term_coefficient_evaluated_once_where_product_nonzero(family):
             calls[key + (vs,)] = calls.get(key + (vs,), 0) + 1
             return term.coeff(vs)
 
-        return dataclasses.replace(term, coeff=coeff)
+        return term._replace(coeff=coeff)
 
     fields = [f for op in _family_ops(family) for f in _field_parts(op)]
     counting = [

@@ -63,6 +63,39 @@ def test_super_antisymmetry(alpha):
         assert ab == expect, (sa, na, sb, nb)
 
 
+def two_lookup_bracket(alpha, sa, na, sb, nb, include_cocycle=True):
+    """The reference form of ``s2a_basis_bracket``: look the ordered pair
+    up in the table, then the swapped pair, negated unless both are odd."""
+    alpha = QI.of(alpha)
+    out = sca._s2a_listed(alpha, sa, na, sb, nb, include_cocycle)
+    if out is not None:
+        return out
+    flipped = sca._s2a_listed(alpha, sb, nb, sa, na, include_cocycle)
+    if flipped is None:
+        return SCAElement()
+    return flipped if parity_of(sa) and parity_of(sb) else flipped.scale(QI(-1))
+
+
+MODES = range(-3, 4)
+
+
+def test_listed_pairs_are_where_the_table_has_a_value():
+    for sa, sb in product(SYMBOLS, repeat=2):
+        for alpha, na, nb, cocycle in product(ALPHAS, MODES, MODES, (True, False)):
+            listed = sca._s2a_listed(alpha, sa, na, sb, nb, cocycle) is not None
+            assert listed == ((sa, sb) in sca._S2A_LISTED), (sa, sb, alpha, na, nb)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("cocycle", (True, False))
+def test_basis_bracket_matches_two_lookup_form(alpha, cocycle):
+    for sa, sb in product(SYMBOLS, repeat=2):
+        for na, nb in product(MODES, repeat=2):
+            got = s2a_basis_bracket(alpha, sa, na, sb, nb, cocycle)
+            want = two_lookup_bracket(alpha, sa, na, sb, nb, cocycle)
+            assert got == want, (sa, na, sb, nb)
+
+
 def reference_bracket(alpha, a, b, include_cocycle=True):
     """The bracket as a sum of one scaled element per term pair."""
     out = SCAElement()
