@@ -6,8 +6,8 @@ operator into a finite list of explicit generator-product *instances*
 (the summation variables of every term are enumerated over the finite
 range that can act nontrivially inside the box universe), scales every
 instance coefficient to a common integer denominator per operator, and
-packs the instances into a *packed instance table*: numpy arrays with
-one row per instance holding
+packs the instances of all of an engine's operators into one *packed
+instance table*: numpy arrays with one row per instance holding
 - the slots it reads, each with the lowest and highest occupancy the
   input state must have there (an annihilator needs a partner, a
   fermionic creator an empty slot);
@@ -17,9 +17,10 @@ one row per instance holding
 - its scaled integer coefficient.
 An operator's central scalar is the empty generator product: an instance
 with no constraint, count factor or parity slot that changes nothing, so
-it acts as the scalar times the identity.
-An operator is applied to a block of states in one vectorized pass over
-that table: instances are dropped against the block's per-slot
+it acts as the scalar times the identity.  An operator's own table is a
+view of the engine table: its rows, cut to its widest row.
+A set of table rows is applied to a block of states in one vectorized
+pass: instances are dropped against the block's per-slot
 occupancy range, an instance x state mask is built one constraint
 column at a time, and the count factors, signs, output keys and (when
 asked for) instance indices of all (instance, state) pairs are taken at
@@ -60,8 +61,13 @@ certificate): the defect matrix D is contracted as u^T D v mod p, with v
 a pseudo-random weight per box column.  Each composition outer o inner
 is summed inside the table kernel, one instance chunk at a time, as
 sum_inst c z^delta * sum_states fac * sign * u(state) * b(state), where
-b is the inner box matrix times v.  The pass path forms no output keys
-and no output stream.
+b is the inner box matrix times v, with the three primes along one array
+axis.  A report hands its cases to the engine first (``plan``), which
+groups their compositions by inner operator: the first case that needs
+an inner runs one kernel pass over the rows of every outer the report
+pairs with it, reduced per outer, and later cases read those sums.  A
+composition outside the plan is a one-outer pass of the same kernel.
+The pass path forms no output keys and no output stream.
 
 A nonzero checksum runs the exact comparison, which builds each
 composition outer o inner with the same table kernel: the outer table is
@@ -111,10 +117,12 @@ IDENTITY = "1"
 # highest occupancy an occupancy row can hold; also "no upper bound"
 _FULL = 255
 
-# cells of the instance x state mask that _apply_all builds at once; a
-# larger table or block is taken in instance chunks, which bounds the
-# mask and the per-pair temporaries whatever the box size
-_MASK_CELLS = 1 << 22
+# cells of the instance x state mask that one kernel chunk builds; a
+# larger set of table rows or block is taken in instance chunks, which
+# bounds the mask and the per-pair temporaries whatever the box size (a
+# checksum chunk spans the rows of several outer operators, and its three
+# primes share one array per pair)
+_MASK_CELLS = 1 << 16
 
 
 def _bound(ok, what: str):
@@ -318,39 +326,79 @@ class _Table(NamedTuple):
 
 
 def _padded(rows, fill, dtype):
-    """Stack variable-length rows of equal-length tuples into one array of
-    shape (len(rows), widest row, len(fill)), padding with ``fill``."""
-    width = max(map(len, rows), default=0)
-    flat = [list(r) + [fill] * (width - len(r)) for r in rows]
-    out = np.array(flat, dtype=np.int64).reshape(len(rows), width, len(fill))
-    return out.astype(dtype)
+    """Stack variable-length rows of equal-length tuples (of plain values
+    when ``fill`` has length one) into one array of shape (len(rows),
+    widest row, len(fill)), padding with ``fill``; also returns the row
+    lengths."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    out = np.empty((len(rows), int(lens.max(initial=0)), len(fill)), dtype=dtype)
+    out[...] = fill
+    flat = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
+    # entry e of the flat list is column e - (start of its row) of its row
+    owner = np.repeat(np.arange(len(rows)), lens)
+    out[owner, np.arange(len(owner)) - (np.cumsum(lens) - lens)[owner]] = (
+        flat.reshape(len(owner), len(fill))
+    )
+    return out, lens
 
 
-def _pack_table(universe: Universe, instances, den: int) -> _Table:
-    """Packed table of compiled instances with coefficients scaled by den."""
+def _widths(t: _Table):
+    """(constraint, count factor, parity, change) columns of a table."""
+    return t.cslot.shape[1], t.bslot.shape[1], t.fslot.shape[1], t.dslot.shape[1]
+
+
+def _view(t: _Table, rows, kc: int, kb: int, kf: int, kd: int) -> _Table:
+    """The rows ``rows`` of a table with kc constraint, kb count factor, kf
+    parity and kd change columns; a view when ``rows`` is a slice."""
+    return _Table(
+        t.cslot[rows, :kc],
+        t.clo[rows, :kc],
+        t.cspan[rows, :kc],
+        t.bslot[rows, :kb],
+        t.boff[rows, :kb],
+        t.fslot[rows, :kf],
+        t.dslot[rows, :kd],
+        t.dval[rows, :kd],
+        t.re[rows],
+        t.im[rows],
+    )
+
+
+def _pack_table(universe: Universe, groups):
+    """One packed table of the compiled instances of every (instances,
+    den) group, each coefficient scaled by its group's den, and per group
+    a view of the table: the group's rows, cut to its widest row."""
     f0, ones = universe.f0, universe.nslots
-    re = [int(c.re * den) for c, *_ in instances]
-    im = [int(c.im * den) for c, *_ in instances]
+    instances = [r for insts, _ in groups for r in insts]
+    re = [int(c.re * den) for insts, den in groups for c, *_ in insts]
+    im = [int(c.im * den) for insts, den in groups for c, *_ in insts]
     _bound(
         all(abs(x) < 1 << 30 for x in re) and all(abs(x) < 1 << 30 for x in im),
         "instance coefficient",
     )
-    cons = _padded([r[1] for r in instances], (ones, 0, _FULL), np.int16)
-    bos = _padded([r[2] for r in instances], (ones, 0), np.int16)
-    par = _padded([[(p - f0,) for p in r[3]] for r in instances], (0,), np.int16)
-    delta = _padded([r[4] for r in instances], (0, 0), np.int16)
-    return _Table(
+    (cons, kc), (bos, kb), (par, kf), (delta, kd) = (
+        _padded([r[i] for r in instances], fill, np.int16)
+        for i, fill in ((1, (ones, 0, _FULL)), (2, (ones, 0)), (3, (f0,)), (4, (0, 0)))
+    )
+    table = _Table(
         cslot=cons[:, :, 0],
         clo=cons[:, :, 1].astype(np.uint8),
         cspan=(cons[:, :, 2] - cons[:, :, 1]).astype(np.uint8),
         bslot=bos[:, :, 0],
         boff=bos[:, :, 1].astype(np.int8),
-        fslot=par[:, :, 0],
+        fslot=par[:, :, 0] - f0,
         dslot=delta[:, :, 0],
         dval=delta[:, :, 1].astype(np.int8),
         re=np.array(re, dtype=np.int64),
         im=np.array(im, dtype=np.int64),
     )
+    views, start = [], 0
+    for insts, _ in groups:
+        stop = start + len(insts)
+        widths = (int(k[start:stop].max(initial=0)) for k in (kc, kb, kf, kd))
+        views.append(_view(table, slice(start, stop), *widths))
+        start = stop
+    return table, views
 
 
 def _leaf_iter(op, weight: QI):
@@ -442,19 +490,31 @@ def _op_products(universe: Universe, op, relative: bool):
     return products
 
 
+def _op_instances(universe: Universe, op, relative: bool):
+    """The compiled instances of an operator tree that are not
+    identically zero."""
+    out = []
+    for keys, c in _op_products(universe, op, relative):
+        inst = _compile_instance(universe, keys, c)
+        if inst is not None:
+            out.append(inst)
+    return out
+
+
 class _BulkOp:
-    __slots__ = ("name", "op", "table", "den", "smax", "zd", "cz")
+    __slots__ = ("name", "op", "table", "first", "den", "smax", "zd")
 
     def __init__(self, name, op):
         self.name = name
         self.op = op
+        # view of the engine table: the operator's rows, from engine row
+        # ``first``, cut to its widest row
         self.table = None
+        self.first = 0
         self.den = 1
         self.smax = 0
-        # per checksum prime and table row, z**delta mod p, and (re, im)
-        # of c * z**delta mod p
+        # per checksum prime and table row, z**delta mod p (a view)
         self.zd = None
-        self.cz = None
 
 
 def _op_energy_span(op) -> int:
@@ -512,6 +572,11 @@ class BulkEngine:
         self._box_mats: dict[str, tuple] = {}
         self._inner_cache: dict[str, tuple] = {}
         self._rhs_cache: dict[str, list] = {}
+        # the current plan: per inner operator, its outers (in table row
+        # order) with their positions, and the checksum sums of the inner's
+        # batches run so far
+        self._planned: dict[str, dict] = {}
+        self._batches: dict[str, np.ndarray] = {}
         self.register(IDENTITY, SumOperator((), central=ONE), need_full=False)
 
     # -- registration and compilation ---------------------------------
@@ -536,18 +601,21 @@ class BulkEngine:
         smax_all = max([b.smax for b in self._ops.values()], default=0)
         mmax = self.box.emax + max(1, 2 * smax_full, smax_all)
         self.universe = Universe(self.dim, mmax)
+        groups = []
+        first = 0
         for bop in self._ops.values():
-            instances = []
-            for keys, c in _op_products(self.universe, bop.op, self.relative):
-                inst = _compile_instance(self.universe, keys, c)
-                if inst is not None:
-                    instances.append(inst)
+            instances = _op_instances(self.universe, bop.op, self.relative)
             den = 1
             for c, *_ in instances:
                 den = lcm(den, c.re.denominator, c.im.denominator)
             _bound(den < 1 << 24, f"denominator of {bop.name}")
-            bop.den = den
-            bop.table = _pack_table(self.universe, instances, den)
+            bop.den, bop.first = den, first
+            first += len(instances)
+            groups.append((instances, den))
+        self._table, views = _pack_table(self.universe, groups)
+        del groups
+        for bop, view in zip(self._ops.values(), views):
+            bop.table = view
         self._build_domain()
         self._prepared = True
 
@@ -560,23 +628,23 @@ class BulkEngine:
         group's representative, whose key is the state's u.  IDENTITY's
         box matrix is the box itself and is written down directly."""
         u = self.universe
+        t = self._table
         nbox = len(self.box_monos)
         box_rows = u.rows_of(self.box_monos)
-        k = max(
-            [int(box_rows.max(initial=0))]
-            + [int(np.abs(b.table.dval).max(initial=0)) for b in self._ops.values()]
-        )
+        k = max(int(box_rows.max(initial=0)), int(np.abs(t.dval).max(initial=0)))
         self._ztab = _power_table(u.nslots, k)
         slots = np.broadcast_to(np.arange(u.nslots), box_rows.shape)
         box_u = self._zpow(slots, box_rows).astype(np.uint32)
+        # per checksum prime and engine table row, z**delta mod p and the
+        # (re, im) of c * z**delta mod p
+        zd = self._zpow(t.dslot, t.dval)
+        self._zd = zd.astype(np.uint32)
+        self._cz = tuple(
+            ((x % _CHECK_P) * zd % _CHECK_P).astype(np.uint32) for x in (t.re, t.im)
+        )
+        del zd
         for bop in self._ops.values():
-            t = bop.table
-            zd = self._zpow(t.dslot, t.dval)
-            bop.zd = zd.astype(np.uint32)
-            bop.cz = tuple(
-                ((x % _CHECK_P) * zd % _CHECK_P).astype(np.uint32)
-                for x in (t.re, t.im)
-            )
+            bop.zd = self._zd[:, bop.first : bop.first + len(bop.table.re)]
         raw = {}
         words = [_pool_words(box_u)]
         for name, bop in self._ops.items():
@@ -640,31 +708,33 @@ class BulkEngine:
                 out %= _CHECK_P
         return out
 
-    def _pair_chunks(self, bop, states):
-        """The (instance, state) pairs of the packed instance table of
-        ``bop`` on the rows of ``states``, one chunk of instances at a
-        time, in instance-major order.  Yields (counts, inst, cols, fac):
-        the number of pairs of each instance of the chunk, each pair's
-        table row and state, and its count factor times its Koszul sign."""
-        t = bop.table
+    def _pair_chunks(self, t, rows, states):
+        """The (instance, state) pairs of the rows ``rows`` of the packed
+        instance table ``t`` on the rows of ``states``, one chunk of
+        instances at a time, in the order of ``rows``, instance-major.
+        Yields (counts, inst, cols, fac): the number of pairs of each
+        instance of the chunk, each pair's table row and state, and its
+        count factor times its Koszul sign."""
         u = self.universe
         n = len(states)
-        if n == 0 or len(t.re) == 0:
+        if n == 0 or len(rows) == 0:
             return
         # slot-major copy of the block plus the row of ones that padded
         # table entries read
         block = np.ones((u.nslots + 1, n), dtype=np.uint8)
         block[:-1] = states.T
+        del states
         # drop instances that no state of the block can feed
-        hi = t.clo + t.cspan
+        cslot, clo = t.cslot[rows], t.clo[rows]
         bmax = block.max(axis=1)
-        live = (bmax[t.cslot] >= t.clo) & (block.min(axis=1)[t.cslot] <= hi)
-        sel = np.flatnonzero(live.all(axis=1))
+        live = (bmax[cslot] >= clo) & (block.min(axis=1)[cslot] <= clo + t.cspan[rows])
+        sel = rows[live.all(axis=1)]
+        del cslot, clo, live
         if len(sel) == 0:
             return
         # a count factor times a coefficient or a checksum weight, each
         # below 2**31, must fit int64
-        top = int(bmax.max()) + max(int(t.boff.max(initial=0)), 0)
+        top = int(bmax.max()) + max(int(t.boff[sel].max(initial=0)), 0)
         _bound(top ** t.bslot.shape[1] < 1 << 32, "count factor x weight")
         pre = None
         if t.fslot.shape[1]:
@@ -677,14 +747,13 @@ class BulkEngine:
         # consecutive instance chunks keep the instance-major order
         step = max(1, _MASK_CELLS // n)
         for i in range(0, len(sel), step):
-            yield self._apply_chunk(bop, block, pre, sel[i : i + step])
+            yield self._apply_chunk(t, block, pre, sel[i : i + step])
 
-    def _apply_chunk(self, bop, block, pre, sel):
-        """The pairs of the table instances ``sel`` on the block; see
-        _pair_chunks.  ``block`` is the slot-major block, ``pre`` its
+    def _apply_chunk(self, t, block, pre, sel):
+        """The pairs of the instances ``sel`` of table ``t`` on the block;
+        see _pair_chunks.  ``block`` is the slot-major block, ``pre`` its
         exclusive fermionic prefix counts (None if the table has no
         parity slots)."""
-        t = bop.table
         n = block.shape[1]
         # instance x state mask, one constraint column at a time;
         # occupancy - lo wraps around below lo, so one comparison with
@@ -722,7 +791,7 @@ class BulkEngine:
         occupancy rows), else an empty array."""
         t = bop.table
         parts = []
-        for _, inst, cols, fac in self._pair_chunks(bop, states):
+        for _, inst, cols, fac in self._pair_chunks(t, np.arange(len(t.re)), states):
             # output keys, one checksum prime at a time
             out = np.empty((len(_CHECK_PRIMES), len(cols)), dtype=np.uint32)
             for i, p in enumerate(_CHECK_PRIMES):
@@ -745,29 +814,53 @@ class BulkEngine:
             return parts[0]
         return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
-    def _apply_sums(self, bop, states, w_re, w_im):
-        """Per checksum prime, (re, im) mod p of sum u(out) * w(state) *
-        entry over the output entries of ``bop`` applied to ``states``,
-        where ``w_re``, ``w_im`` hold the state weights per prime
-        (``w_im`` None when they are all real).  Each
-        instance chunk is reduced as it is built: u(out) = u(state) *
-        z**delta, so the sum is sum_inst c z**delta * sum_pairs fac * w,
-        with u(state) folded into w; no stream is formed."""
-        cz_re, cz_im = bop.cz
-        sums = [[0, 0] for _ in _CHECK_PRIMES]
-        for counts, inst, cols, fac in self._pair_chunks(bop, states):
+    def _batch_sums(self, outers, inner):
+        """(outers, primes, re/im) int64: for each of ``outers`` (in table
+        row order), (re, im) mod p of u^T outer (inner v), summed over the
+        output entries of the outer applied to the states the inner box
+        matrix reaches, with w = u(state) b(state) from _inner_weights.
+        One kernel pass takes the outers' rows of the engine table, cut to
+        their widest row, and each instance chunk is reduced as it is
+        built: u(out) = u(state) * z**delta, so an outer's sum is
+        sum_inst c z**delta * sum_pairs fac * w; no stream is formed."""
+        ids, ub_re, ub_im = self._inner_weights(inner)
+        # int64 weights, so that each pair's product is formed in place
+        ub_re = ub_re.astype(np.int64)
+        ub_im = None if ub_im is None else ub_im.astype(np.int64)
+        bops = [self._ops[name] for name in outers]
+        t = _view(
+            self._table, slice(None), *map(max, zip(*(_widths(b.table) for b in bops)))
+        )
+        stops = np.array([b.first + len(b.table.re) for b in bops])
+        rows = np.concatenate([np.arange(b.first, e) for b, e in zip(bops, stops)])
+        cz_re, cz_im = self._cz
+        out = np.zeros((len(bops), len(_CHECK_PRIMES), 2), dtype=np.int64)
+        for counts, inst, cols, fac in self._pair_chunks(t, rows, self.l1_rows[ids]):
             # one reduceat segment per instance with pairs (reduceat
             # returns an element, not zero, for an empty segment)
             ends = np.cumsum(counts)
             starts = (ends - counts)[counts > 0]
             first = inst[starts]
-            for i, (p, tot) in enumerate(zip(_CHECK_PRIMES, sums)):
-                sr = _segment_sums(fac, w_re[i, cols], starts, p)
-                si = 0 if w_im is None else _segment_sums(fac, w_im[i, cols], starts, p)
-                a, b = cz_re[i, first], cz_im[i, first]
-                tot[0] += int(((a * sr - b * si) % p).sum())
-                tot[1] += int(((a * si + b * sr) % p).sum())
-        return sums
+            del inst  # each pair's table row is not needed past here
+            # w < 2**31, so a segment's sum of fac * w fits int64 without
+            # reducing each pair when its length times max |fac| is below
+            # 2**32
+            wide = int(counts.max()) * int(np.abs(fac).max(initial=0)) >= 1 << 32
+            sr = _segment_sums(fac, ub_re, cols, starts, wide)
+            a, b = cz_re[:, first], cz_im[:, first]
+            if ub_im is None:
+                parts = (a * sr, b * sr)
+            else:
+                si = _segment_sums(fac, ub_im, cols, starts, wide)
+                parts = (a * sr - b * si, a * si + b * sr)
+            # an outer's instances are consecutive: one segment per outer
+            own = np.searchsorted(stops, first, side="right")
+            seg = np.flatnonzero(np.diff(own, prepend=-1))
+            for k, x in enumerate(parts):
+                x %= _CHECK_P
+                out[own[seg], :, k] += np.add.reduceat(x, seg, axis=1).T
+            out %= _CHECK_P
+        return out
 
     # -- bracket checking ---------------------------------------------
 
@@ -810,18 +903,48 @@ class BulkEngine:
             self._rhs_cache[name] = hit
         return hit
 
+    def plan(self, cases):
+        """Take a report's cases, (name_a, name_b, both_odd, rhs_terms)
+        each, ahead of their bracket_defect calls: their compositions are
+        grouped by inner operator, and the first case whose checksum needs
+        an inner runs one kernel pass for every outer the cases pair with
+        it.  Drops the previous plan and its sums."""
+        if not self._prepared:
+            self.prepare()
+        pairs = {}
+        for a, b, both_odd, rhs_terms in cases:
+            for outer, inner, _ in self._compositions(a, b, both_odd, rhs_terms)[0]:
+                pairs.setdefault(inner, set()).add(outer)
+        first = {name: bop.first for name, bop in self._ops.items()}
+        self._planned = {
+            inner: {o: i for i, o in enumerate(sorted(outers, key=first.get))}
+            for inner, outers in pairs.items()
+        }
+        self._batches = {}
+
+    def _composition_sums(self, outer, inner):
+        """Per checksum prime, [re, im] of u^T (outer o inner) v mod p: from
+        the plan's batch of ``inner``, run on first use, when the plan
+        pairs ``outer`` with it; else from a one-outer batch."""
+        planned = self._planned.get(inner, {})
+        if outer not in planned:
+            return self._batch_sums((outer,), inner)[0].tolist()
+        sums = self._batches.get(inner)
+        if sums is None:
+            sums = self._batches[inner] = self._batch_sums(list(planned), inner)
+        return sums[planned[outer]].tolist()
+
     def _defect_sums(self, comps, rhs_terms, L):
         """Per checksum prime, (re, im) of u^T D v mod p for the defect
         matrix D of a case scaled by L, with u(m) = prod_s z_s**occ_s(m)
         over a monomial's occupancy and v the box-column weights.  Each
         composition outer o inner is reduced inside the table kernel, as
         (u^T outer) applied to (inner v) over the distinct states the
-        inner box matrix reaches."""
+        inner box matrix reaches (see _composition_sums)."""
         ops = self._ops
         tot = [[0, 0] for _ in _CHECK_PRIMES]
         for outer, inner, mult in comps:
-            ids, ub_re, ub_im = self._inner_weights(inner)
-            sums = self._apply_sums(ops[outer], self.l1_rows[ids], ub_re, ub_im)
+            sums = self._composition_sums(outer, inner)
             for t, (s_re, s_im) in zip(tot, sums):
                 t[0] += s_re * mult
                 t[1] += s_im * mult
@@ -939,13 +1062,18 @@ class BulkEngine:
         return int(cols.min()) if len(cols) else None
 
 
-def _segment_sums(fac, w, starts, p):
-    """Per segment of the pairs that begin at ``starts``, the sum of
-    fac * w mod p; w is below 2**31 and |fac| below 2**32 (see
-    BulkEngine._pair_chunks), so each product fits int64."""
-    x = fac * w
-    x %= p
-    return np.add.reduceat(x, starts) % p
+def _segment_sums(fac, w, cols, starts, wide):
+    """Per checksum prime and segment of the pairs that begin at
+    ``starts``, the sum of fac * w[:, cols] mod p, with the state weights
+    w as int64 of shape (primes, states); w is below 2**31 and |fac| below
+    2**32 (see BulkEngine._pair_chunks), so each product fits int64.  Each
+    product is reduced before the sum when ``wide``: when a segment's
+    unreduced sum could pass 2**63."""
+    x = w[:, cols]
+    x *= fac
+    if wide:
+        x %= _CHECK_P
+    return np.add.reduceat(x, starts, axis=1) % _CHECK_P
 
 
 def _pool_words(keys):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from itertools import product
 
@@ -126,6 +125,8 @@ def emit_report(results, fmt: str) -> bytes:
     """Serialize check reports (json/text) or table rows (csv) with a
     stable field order; equal inputs give byte-identical output."""
     if fmt == "json":
+        import json
+
         docs = [_report_dict(r) for r in results]
         return (json.dumps(docs, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "text":
@@ -174,6 +175,8 @@ def emit_rows(rows, fmt: str) -> bytes:
             w.writerow([rec[k] for k in CSV_HEADER])
         return buf.getvalue().encode()
     if fmt == "json":
+        import json
+
         return (json.dumps(records, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "text":
         lines = ["  ".join(CSV_HEADER)]

@@ -251,9 +251,12 @@ class _BulkSuite:
     def report(self, check: str, params: tuple, cases) -> RelationReport:
         """cases: iterable of (label, name_a, name_b, both_odd, rhs_terms)
         with rhs_terms a list of (QI, name); a central term z is the entry
-        (z, bulkrep.IDENTITY)."""
+        (z, bulkrep.IDENTITY).  The engine plans all cases first, so its
+        checksum runs one kernel pass per inner operator."""
         witness = None
         ops = self.engine._ops
+        cases = list(cases)
+        self.engine.plan([case[1:] for case in cases])
         for label, a, b, both_odd, rhs_terms in cases:
             bad = self.engine.bracket_defect(a, b, both_odd, rhs_terms)
             if bad is None:

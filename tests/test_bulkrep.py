@@ -24,6 +24,7 @@ from sweil.fock import (
     FockVector,
     GenKey,
     enumerate_box,
+    format_monomial,
     make_monomial,
 )
 from sweil.fieldops import (
@@ -514,6 +515,14 @@ def test_bounds_hold_without_asserts():
         from sweil.scalars import ONE
         from sweil.verify import GeneratorOperator
 
+        # a hand-built instance as the engine table's one row and the
+        # table of operator ``name``
+        def install(eng, name, instance):
+            bop = eng._ops[name]
+            eng._table, (bop.table,) = _pack_table(eng.universe, [([instance], 1)])
+            bop.first = 0
+            return bop
+
         big = np.array([1 << 61, 1 << 61], dtype=np.int64)
         cols = np.zeros(2, dtype=np.int64)
         keys = np.ones((3, 2), dtype=np.uint32)
@@ -528,8 +537,7 @@ def test_bounds_hold_without_asserts():
         eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
         eng.prepare()
         slot = eng.universe.creator_slot(GenKey("g", 0, eng.universe.mmax))
-        bop = eng._ops["tau"]
-        bop.table = _pack_table(eng.universe, [(ONE, [], [], [], [(slot, -1)])], 1)
+        bop = install(eng, "tau", (ONE, [], [], [], [(slot, -1)]))
         rows, keys = eng.l1_rows[eng.box_ids], eng.l1_u[:, eng.box_ids]
         cols, *_, inst = eng._apply_all(bop, rows, keys, True)
         try:
@@ -576,8 +584,7 @@ def test_bounds_hold_without_asserts():
         eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
         eng.prepare()
         slot = eng.universe.creator_slot(GenKey("g", 0, 1))
-        bop = eng._ops["tau"]
-        bop.table = _pack_table(eng.universe, [(ONE, [], [(slot, 127)] * 5, [], [])], 1)
+        install(eng, "tau", (ONE, [], [(slot, 127)] * 5, [], []))
         try:
             eng.bracket_defect("tau", "tau", True, [])
         except OverflowError as exc:
@@ -606,21 +613,30 @@ def test_bounds_hold_without_asserts():
 # -- the first failing column against the per-monomial engine ---------
 
 
-def _suite_cases(suite, monkeypatch):
-    """(bulk suite, case) for every case a relation suite checks, passing
-    cases too (a report stops at its first failing case)."""
+def _suite_reports(suite, monkeypatch):
+    """(bulk suite, cases, report) for every report of a relation suite,
+    with every case the report was given, passing cases too (a report
+    stops at its first failing case)."""
     seen = []
     report = verify._BulkSuite.report
 
     def recording(self, check, params, cases):
         cases = list(cases)
-        seen.extend((self, case) for case in cases)
-        return report(self, check, params, cases)
+        out = report(self, check, params, cases)
+        seen.append((self, cases, out))
+        return out
 
     monkeypatch.setattr(verify._BulkSuite, "report", recording)
     SUITES[suite]()
     monkeypatch.undo()
     return seen
+
+
+def _suite_cases(suite, monkeypatch):
+    """(bulk suite, case) for every case a relation suite checks."""
+    return [
+        (s, case) for s, cases, _ in _suite_reports(suite, monkeypatch) for case in cases
+    ]
 
 
 def _slow_first_defect(suite, a, b, rhs_terms):
@@ -692,45 +708,70 @@ def _ref_defect_sums(suite, a, b, both_odd, rhs_terms):
     return out
 
 
+def _planned_sums(reports, share):
+    """Per case of every report, the checksum sums of _defect_sums after
+    planning the first ``share`` of the report's cases: all of them (one
+    kernel pass per inner operator), none (a one-outer batch per
+    composition) or half (a later case's outer may meet a planned inner
+    that the plan does not pair it with)."""
+    out = []
+    for s, cases, _ in reports:
+        s.engine.plan([case[1:] for case in cases[: int(len(cases) * share)]])
+        for _, a, b, both_odd, rhs_terms in cases:
+            comps, L = s.engine._compositions(a, b, both_odd, rhs_terms)
+            out.append(s.engine._defect_sums(comps, rhs_terms, L))
+        if share == 1:
+            # every inner the cases need was batched once, for all its outers
+            inners = {i for c in cases for _, i, _ in s.engine._compositions(*c[1:])[0]}
+            assert set(s.engine._batches) == inners
+            for inner, sums in s.engine._batches.items():
+                assert sums.shape == (len(s.engine._planned[inner]), 3, 2)
+    return out
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_fused_checksum_matches_per_monomial_sums(suite, monkeypatch):
     """For every case of every relation suite, the per-prime checksum
     sums that the table kernel reduces chunk by chunk equal u^T D v taken
-    from the per-monomial engine's outputs, value for value; as shipped
-    and with one instance per mask chunk."""
-    cases = _suite_cases(suite, monkeypatch)
-    want = [_ref_defect_sums(s, *case[1:]) for s, case in cases]
+    from the per-monomial engine's outputs, value for value: from the
+    report's planned batches (one kernel pass per inner operator for all
+    its outers), from one-outer batches with no plan, and with half of
+    the cases planned; as shipped and with one instance per mask chunk."""
+    reports = _suite_reports(suite, monkeypatch)
+    want = [_ref_defect_sums(s, *case[1:]) for s, cases, _ in reports for case in cases]
     assert all(len(w) == len(bulkrep._CHECK_PRIMES) for w in want)
-
-    def got():
-        out = []
-        for s, (_, a, b, both_odd, rhs_terms) in cases:
-            comps, L = s.engine._compositions(a, b, both_odd, rhs_terms)
-            out.append(s.engine._defect_sums(comps, rhs_terms, L))
-        return out
-
-    assert got() == want
+    # some inner is shared by several outers, so a batch covers more than
+    # one composition
+    assert any(
+        len(outers) > 1 for s, _, _ in reports for outers in s.engine._planned.values()
+    )
+    for share in (1, 0, 0.5):
+        assert _planned_sums(reports, share) == want, share
     if "wrong" in suite:
         assert any(w != [(0, 0)] * 3 for w in want)
     monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
-    assert got() == want
+    for share in (1, 0, 0.5):
+        assert _planned_sums(reports, share) == want, share
 
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_checksum_nonzero_iff_exact_column(suite, monkeypatch):
-    """For every case of every relation suite, the checksum is nonzero
-    exactly when the exact comparison finds a failing column; as shipped
-    and with one instance per mask chunk."""
-    cases = _suite_cases(suite, monkeypatch)
+    """For every case of every relation suite, the checksum of the
+    report's planned batches is nonzero exactly when the exact comparison
+    finds a failing column; as shipped and with one instance per mask
+    chunk."""
+    reports = _suite_reports(suite, monkeypatch)
 
     def verdicts():
         out = []
-        for s, (_, a, b, both_odd, rhs_terms) in cases:
-            comps, L = s.engine._compositions(a, b, both_odd, rhs_terms)
-            zero = s.engine._checksum_zero(comps, rhs_terms, L)
-            col = s.engine._first_failing_column(comps, rhs_terms, L)
-            out.append((zero, col))
+        for s, cases, _ in reports:
+            s.engine.plan([case[1:] for case in cases])
+            for _, a, b, both_odd, rhs_terms in cases:
+                comps, L = s.engine._compositions(a, b, both_odd, rhs_terms)
+                zero = s.engine._checksum_zero(comps, rhs_terms, L)
+                col = s.engine._first_failing_column(comps, rhs_terms, L)
+                out.append((zero, col))
         return out
 
     shipped = verdicts()
@@ -740,6 +781,143 @@ def test_checksum_nonzero_iff_exact_column(suite, monkeypatch):
         assert not all(zero for zero, _ in shipped)
     monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
     assert verdicts() == shipped
+
+
+@pytest.mark.parametrize(
+    "suite", ["chain-wrong-constant", "n2-wrong-central", "n2-wrong-charge"]
+)
+def test_report_witness_is_first_failing_case(suite, monkeypatch):
+    """A failing report names its first case k whose per-monomial defect
+    is nonzero, at that case's first failing box column, although the
+    batches that certified the cases before k also summed compositions of
+    cases after k; as shipped and with one instance per mask chunk."""
+    reports = _suite_reports(suite, monkeypatch)
+    failed = [(s, cases, r) for s, cases, r in reports if not r.passed]
+    assert failed
+    ahead = []  # per failing report: were later cases' compositions batched
+    for s, cases, report in failed:
+        want = []  # slow first failing columns, up to the first failing case
+        for _, a, b, _, rhs in cases:
+            want.append(_slow_first_defect(s, a, b, rhs))
+            if want[-1] is not None:
+                break
+        k = len(want) - 1
+        assert want[k] is not None
+        witness = dict(report.witness)
+        assert witness["pair"] == cases[k][0]
+        assert witness["monomial"] == format_monomial(s.engine.box_monos[want[k]])
+        # replay the report's engine calls up to case k
+        engine = s.engine
+        engine.plan([case[1:] for case in cases])
+        got = [engine.bracket_defect(*case[1:]) for case in cases[: k + 1]]
+        assert got == want
+        later = {
+            (outer, inner)
+            for case in cases[k + 1 :]
+            for outer, inner, _ in engine._compositions(*case[1:])[0]
+        }
+        ahead.append(
+            any(
+                inner in engine._batches and outer in engine._planned[inner]
+                for outer, inner in later
+            )
+        )
+    assert any(ahead)
+    monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
+    assert [r for *_, r in _suite_reports(suite, monkeypatch)] == [
+        r for *_, r in reports
+    ]
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_operator_tables_are_views_of_the_engine_table(family, relative):
+    """prepare packs every operator into one engine table; each
+    operator's table is a view of its own rows, cut to its own widest
+    row, and equals, field by field, the table _pack_table builds for that
+    operator alone."""
+    backend, ops = FAMILIES[family]
+    box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
+    engine = BulkEngine(backend.dim, box, relative)
+    for name, op in ops():
+        engine.register(name, op)
+    engine.prepare()
+    u, table = engine.universe, engine._table
+    first = 0
+    for name, bop in engine._ops.items():
+        instances = bulkrep._op_instances(u, bop.op, relative)
+        alone, (view,) = bulkrep._pack_table(u, [(instances, bop.den)])
+        assert bop.first == first
+        first += len(instances)
+        for field, got, want, whole in zip(bulkrep._Table._fields, bop.table, alone, table):
+            assert got.dtype == want.dtype and got.shape == want.shape, (name, field)
+            assert np.array_equal(got, want), (name, field)
+            assert got.base is whole or got.base is whole.base, (name, field)
+        assert np.array_equal(view.re, alone.re)
+    assert first == len(table.re)
+
+
+def test_pair_chunks_respect_the_mask_budget(monkeypatch):
+    """No chunk of _pair_chunks has more than _MASK_CELLS mask cells
+    (instances x states) unless it holds a single instance, and the chunks
+    together hold the pairs of one unchunked pass, in the same order; as
+    shipped and with a budget of one cell."""
+    backend, ops = FAMILIES["n2-sl2"]
+    engine = BulkEngine(backend.dim, Box(emax=1, b0max=1))
+    for name, op in ops():
+        engine.register(name, op)
+    engine.prepare()
+    t = engine._table
+    rows = np.arange(len(t.re))
+    rng = np.random.default_rng(7)
+    blocks = [engine.box_ids] + [
+        np.sort(rng.choice(engine.n1, size=n, replace=False))
+        for n in (1, 40, 400, 2000)
+    ]
+
+    def pairs(states):
+        chunks = list(engine._pair_chunks(t, rows, states))
+        for counts, inst, cols, fac in chunks:
+            assert len(counts) * len(states) <= bulkrep._MASK_CELLS or len(counts) == 1
+            assert len(inst) == len(cols) == len(fac) == counts.sum()
+        return chunks, [np.concatenate(x) for x in zip(*chunks)]
+
+    for ids in blocks:
+        states = engine.l1_rows[ids]
+        monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1 << 40)
+        (whole,), _ = pairs(states)
+        for budget in (None, 1):
+            monkeypatch.undo()
+            if budget is not None:
+                monkeypatch.setattr(bulkrep, "_MASK_CELLS", budget)
+            chunks, joined = pairs(states)
+            assert all(np.array_equal(a, b) for a, b in zip(joined, whole))
+        monkeypatch.undo()
+    # the shipped budget splits the largest block into several chunks
+    assert len(pairs(engine.l1_rows[blocks[-1]])[0]) > 1
+
+
+def test_segment_sums_are_exact_residues():
+    """_segment_sums gives each segment's sum of fac * w mod p exactly,
+    with each product reduced first (``wide``) and, where a segment's sum
+    fits int64, without; count factors up to the 2**32 bound."""
+    rng = np.random.default_rng(11)
+    p = np.array(bulkrep._CHECK_PRIMES, dtype=np.int64)[:, None]
+    w = rng.integers(0, p, size=(3, 50))
+    for top in (4, 1 << 32):
+        cols = rng.integers(0, 50, size=300)
+        fac = rng.integers(1 - top, top, size=300)
+        starts = np.array([0, 1, 2, 40, 299])
+        want = [
+            [sum(int(f) * int(x) for f, x in zip(fac[a:b], w[i, cols[a:b]])) % q
+             for a, b in zip(starts, list(starts[1:]) + [300])]
+            for i, q in enumerate(bulkrep._CHECK_PRIMES)
+        ]
+        got = bulkrep._segment_sums(fac, w, cols, starts, True)
+        assert got.tolist() == want
+        if top == 4:
+            got = bulkrep._segment_sums(fac, w, cols, starts, False)
+            assert got.tolist() == want
 
 
 def test_nonzero_checksum_without_exact_column_raises(monkeypatch):

@@ -273,9 +273,10 @@ print(run("verify-chain --backend witt --emax 1 --b0max 0 --window 1"),
 
 def test_cli_start_skips_dataclasses_csv_and_cohomology():
     """``import sweil, sweil.cli`` loads neither dataclasses (with the
-    inspect, ast, dis and tokenize chain it pulls in) nor csv, and leaves
-    sweil.cohomology an unexecuted lazy module.  sca-tables keeps it so,
-    kahler executes it, and CSV output loads csv."""
+    inspect, ast, dis and tokenize chain it pulls in) nor csv nor json,
+    and leaves sweil.cohomology an unexecuted lazy module.  sca-tables
+    keeps it so, kahler executes it, CSV output loads csv and JSON output
+    loads json."""
     code = """
 import io, sys, types
 import sweil, sweil.cli as cli
@@ -285,7 +286,7 @@ def run(line):
     return cli.run(cfg, out=io.BytesIO())
 
 def state():
-    mods = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
+    mods = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "json")
     loaded = ",".join(m for m in mods if m in sys.modules) or "-"
     # type() reads no module attribute, so it executes no lazy module
     lazy = type(sys.modules["sweil.cohomology"]) is not types.ModuleType
@@ -298,9 +299,11 @@ run("kahler --backend loop:abelian:1 --emax 1")
 state()
 run("cohomology --backend loop:abelian:1 --rel --emax 1 --format csv")
 state()
+run("sca-tables --alpha 1 --window 0 --format json")
+state()
 """
     assert _fresh_interpreter(code) == [
-        "-", "True", "-", "True", "-", "False", "csv", "False"
+        "-", "True", "-", "True", "-", "False", "csv", "False", "csv,json", "False"
     ]
 
 
