@@ -7,7 +7,17 @@ operator into a finite list of explicit generator-product *instances*
 range that can act nontrivially inside the box universe), scales every
 instance coefficient to a common integer denominator per operator, and
 packs the instances of all of an engine's operators into one *packed
-instance table*: numpy arrays with one row per instance holding
+instance table*.  The compile is one numpy pass per engine: the grid
+points of all term shapes with equal slot and variable counts are built
+at once, and a point's instance depends on it only through a signature
+(the term's slot families and normal ordering, each slot's creator flag,
+and the equality and order pattern of the slots' universe indices, which
+have a closed form).  The instance compiler runs once per distinct
+signature, on a representative point, and its result, with slots written
+as positions in the term, fills the rows of every point with that
+signature; only the opaque coefficient is called per point.  Central
+scalars and single generators are compiled one by one.  The table is
+numpy arrays with one row per instance holding
 - the slots it reads, each with the lowest and highest occupancy the
   input state must have there (an annihilator needs a partner, a
   fermionic creator an empty slot);
@@ -239,21 +249,35 @@ class Universe:
             raise StructureError(f"generator {key} outside the slot universe")
         return i
 
+    def slots_of(self, fermionic, comp, mode) -> np.ndarray:
+        """Vectorized slot of the keys with these statistics, components
+        and modes (|mode| <= mmax), in closed form from the layout above:
+        a key's creator slot when it creates, its dual's (same mode) when
+        it annihilates."""
+        return (
+            np.where(fermionic, self.f0, 0)
+            + np.where(mode > 0, mode - 1, 2 * self.mmax + mode) * self.dim
+            + comp
+        )
+
     def rows_of(self, monos) -> np.ndarray:
         """Occupancy rows of ``monos``, one per monomial, built with one
-        scatter-add over all (monomial, slot) pairs."""
-        rows = np.zeros((len(monos), self.nslots), dtype=np.uint8)
+        scatter-add over all (monomial, slot) pairs; raises OverflowError
+        when an occupancy passes what a row holds."""
         keys = [k for m in monos for part in m for k in part]
         get = self.index.get
         slots = np.array([get(k, -1) for k in keys], dtype=np.int64)
         if len(slots) and slots.min() < 0:
             bad = keys[int(np.argmin(slots))]
             raise StructureError(f"generator {bad} outside the slot universe")
-        owner = np.repeat(
-            np.arange(len(monos)), [len(bos) + len(fer) for bos, fer in monos]
-        )
-        np.add.at(rows, (owner, slots), 1)
-        return rows
+        sizes = [len(bos) + len(fer) for bos, fer in monos]
+        # a row counts in uint8 only when no monomial has more keys than
+        # uint8 holds, so that the bound below sees every count
+        wide = max(sizes, default=0) > _FULL
+        rows = np.zeros((len(monos), self.nslots), dtype=np.int64 if wide else np.uint8)
+        np.add.at(rows, (np.repeat(np.arange(len(monos)), sizes), slots), 1)
+        _bound(int(rows.max(initial=0)) <= _FULL, "slot occupancy of an occupancy row")
+        return rows.astype(np.uint8, copy=False)
 
 
 def _compile_instance(universe: Universe, keys, coeff: QI):
@@ -325,23 +349,6 @@ class _Table(NamedTuple):
     im: np.ndarray
 
 
-def _padded(rows, fill, dtype):
-    """Stack variable-length rows of equal-length tuples (of plain values
-    when ``fill`` has length one) into one array of shape (len(rows),
-    widest row, len(fill)), padding with ``fill``; also returns the row
-    lengths."""
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    out = np.empty((len(rows), int(lens.max(initial=0)), len(fill)), dtype=dtype)
-    out[...] = fill
-    flat = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
-    # entry e of the flat list is column e - (start of its row) of its row
-    owner = np.repeat(np.arange(len(rows)), lens)
-    out[owner, np.arange(len(owner)) - (np.cumsum(lens) - lens)[owner]] = (
-        flat.reshape(len(owner), len(fill))
-    )
-    return out, lens
-
-
 def _widths(t: _Table):
     """(constraint, count factor, parity, change) columns of a table."""
     return t.cslot.shape[1], t.bslot.shape[1], t.fslot.shape[1], t.dslot.shape[1]
@@ -364,43 +371,6 @@ def _view(t: _Table, rows, kc: int, kb: int, kf: int, kd: int) -> _Table:
     )
 
 
-def _pack_table(universe: Universe, groups):
-    """One packed table of the compiled instances of every (instances,
-    den) group, each coefficient scaled by its group's den, and per group
-    a view of the table: the group's rows, cut to its widest row."""
-    f0, ones = universe.f0, universe.nslots
-    instances = [r for insts, _ in groups for r in insts]
-    re = [int(c.re * den) for insts, den in groups for c, *_ in insts]
-    im = [int(c.im * den) for insts, den in groups for c, *_ in insts]
-    _bound(
-        all(abs(x) < 1 << 30 for x in re) and all(abs(x) < 1 << 30 for x in im),
-        "instance coefficient",
-    )
-    (cons, kc), (bos, kb), (par, kf), (delta, kd) = (
-        _padded([r[i] for r in instances], fill, np.int16)
-        for i, fill in ((1, (ones, 0, _FULL)), (2, (ones, 0)), (3, (f0,)), (4, (0, 0)))
-    )
-    table = _Table(
-        cslot=cons[:, :, 0],
-        clo=cons[:, :, 1].astype(np.uint8),
-        cspan=(cons[:, :, 2] - cons[:, :, 1]).astype(np.uint8),
-        bslot=bos[:, :, 0],
-        boff=bos[:, :, 1].astype(np.int8),
-        fslot=par[:, :, 0] - f0,
-        dslot=delta[:, :, 0],
-        dval=delta[:, :, 1].astype(np.int8),
-        re=np.array(re, dtype=np.int64),
-        im=np.array(im, dtype=np.int64),
-    )
-    views, start = [], 0
-    for insts, _ in groups:
-        stop = start + len(insts)
-        widths = (int(k[start:stop].max(initial=0)) for k in (kc, kb, kf, kd))
-        views.append(_view(table, slice(start, stop), *widths))
-        start = stop
-    return table, views
-
-
 def _leaf_iter(op, weight: QI):
     """Flatten an operator tree into (weight, leaf) pairs plus the total
     central scalar; leaves are FieldOperators or single-generator ops."""
@@ -419,86 +389,341 @@ def _leaf_iter(op, weight: QI):
     )
 
 
-def _term_products(universe: Universe, term, weight: QI, relative: bool):
-    """(keys, coeff) of every generator product of one term shape with
-    every slot mode in range."""
-    mmax = universe.mmax
-    nv = term.nvars
-    if nv == 0:
-        ranges = [()]
-    else:
-        bounds = []
+# family codes of a compile signature: g and e create at mode > 0, t and
+# e are fermionic
+_FAMILY_CODE = {"g": 0, "b": 1, "e": 2, "t": 3}
+# padding positions of template entries, read from the three columns
+# after a row's slots: the block's row of ones, the first fermionic
+# slot, slot 0
+_PAD_ONES, _PAD_F0, _PAD_ZERO = -3, -2, -1
+
+
+def _row_codes(rows) -> np.ndarray:
+    """One int64 per row of the small nonnegative int matrix ``rows``,
+    equal exactly when the rows are: a mixed-radix number, its digits so
+    far replaced by their dense rank (below the row count) whenever the
+    next digit could overflow it."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        r = int(col.max(initial=0)) + 1
+        if (int(code.max(initial=0)) + 1) * r >= 1 << 63:
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * r + col
+    return code
+
+
+class _Compiler:
+    """Compiles the operators of one engine into its packed table.
+
+    Within one term shape, the compiled instance at a grid point depends
+    on the point only through the term's slot families and ``normal``
+    flag, each slot's creator flag, and the equality and order pattern of
+    the slots' universe indices, which fixes coincident slots, the sort
+    order of cons, par and delta, and the Koszul prefix signs.  So the
+    grid points of all term shapes with the same slot and variable counts
+    are built with numpy at once and keyed by that signature, and
+    _compile_instance runs once per distinct signature, on a
+    representative point.  Its result with each slot written as a
+    position in the term (a template) gives the table row of every point
+    with that signature, by gathering the point's universe indices.  Only
+    the coefficients are taken point by point: one ``TermShape.coeff``
+    call per point whose product is not identically zero."""
+
+    def __init__(self, universe: Universe, relative: bool, width: int):
+        self.universe = universe
+        self.relative = relative
+        # entries per template field: at most one per key
+        self.width = width
+        # one flat row per template: sign, the entry count of each field,
+        # then each field's columns padded to ``width``: cons positions,
+        # lows and highs, bos positions and offsets, par positions, delta
+        # positions and changes
+        self.templates = []
+        # signature -> template index, -1 for a product that is
+        # identically zero
+        self.cache = {}
+
+    def template(self, sig, keys, slots, sign: int) -> int:
+        """Index of the template of signature ``sig``, built on first use
+        from the generator product ``keys`` with coefficient ``sign`` (see
+        _compile_instance), or -1 when it is identically zero; ``slots``
+        are the universe indices of the term's slots, in written order
+        before any normal ordering."""
+        hit = self.cache.get(sig)
+        if hit is not None:
+            return hit
+        inst = _compile_instance(self.universe, keys, ONE)
+        if inst is None:
+            self.cache[sig] = -1
+            return -1
+        c, cons, bos, par, delta = inst
+        at = {}
+        for j, p in enumerate(slots):
+            at.setdefault(p, j)
+        w = self.width
+
+        def col(entries, fill):
+            return entries + [fill] * (w - len(entries))
+
+        self.templates.append(
+            [sign if c.re > 0 else -sign, len(cons), len(bos), len(par), len(delta)]
+            + col([at[p] for p, _, _ in cons], _PAD_ONES)
+            + col([lo for _, lo, _ in cons], 0)
+            + col([hi for _, _, hi in cons], _FULL)
+            + col([at[p] for p, _ in bos], _PAD_ONES)
+            + col([d for _, d in bos], 0)
+            + col([at[p] for p in par], _PAD_F0)
+            + col([at[p] for p, _ in delta], _PAD_ZERO)
+            + col([v for _, v in delta], 0)
+        )
+        hit = self.cache[sig] = len(self.templates) - 1
+        return hit
+
+    def term_points(self, terms):
+        """(seg, template, slots, coeffs) of the grid points of the term
+        shapes ``terms``, (segment, term, weight) each, all with equal slot
+        and variable counts, whose product is not identically zero: in
+        term order, then grid order, with the universe index of each term
+        slot and the weighted coefficient, zero or not."""
+        u = self.universe
+        mmax = u.mmax
+        shapes = [t for _, t, _ in terms]
+        nt, ns, nv = len(terms), len(shapes[0].slots), shapes[0].nvars
+        spec = np.fromiter(
+            itertools.chain.from_iterable(
+                (s.const, s.comp, _FAMILY_CODE[s.family]) + s.coeffs
+                for t in shapes
+                for s in t.slots
+            ),
+            dtype=np.int64,
+        ).reshape(nt, ns, 3 + nv)
+        const, comp, fam = spec[:, :, 0], spec[:, :, 1], spec[:, :, 2]
+        coef = spec[:, :, 3:]
+        ferm = fam >= 2
+        normal = np.fromiter((t.normal for t in shapes), dtype=np.int64, count=nt)
+        # each variable ranges over mmax + |const| of the first slot whose
+        # mode is +-var plus a constant
+        radius = np.empty((nt, nv), dtype=np.int64)
+        unit = np.abs(coef).sum(axis=2) == 1
         for v in range(nv):
-            b = None
-            for s in term.slots:
-                if all(c == 0 for i, c in enumerate(s.coeffs) if i != v) and abs(
-                    s.coeffs[v]
-                ) == 1:
-                    r = mmax + abs(s.const)
-                    b = (-r, r)
-                    break
-            if b is None:
+            iso = unit & (np.abs(coef[:, :, v]) == 1)
+            if not iso.any(axis=1).all():
                 raise StructureError("term has no isolating slot for a variable")
-            bounds.append(range(b[0], b[1] + 1))
-        ranges = itertools.product(*bounds)
-    out = []
-    for vs in ranges:
-        ok = True
-        for vi, cmp_op in term.filters:
-            if cmp_op == ">" and not vs[vi] > 0:
-                ok = False
-            if cmp_op == "!=" and vs[vi] == 0:
-                ok = False
-        if not ok:
-            continue
-        keys = []
-        for s in term.slots:
-            mode = s.mode_at(vs)
-            if not -mmax <= mode <= mmax:
-                keys = None
-                break
-            keys.append(GenKey(s.family, s.comp, mode))
-        if keys is None:
-            continue
-        if relative and any(
-            k.is_fermionic() and k.mode == 0 for k in keys
-        ):
-            continue
-        c = weight * term.coeff(vs)
-        if c.is_zero():
-            continue
-        sign = 1
-        if term.normal:
-            sign, keys = normal_order_slots(keys)
-        out.append((keys, c if sign == 1 else -c))
-    return out
+            radius[:, v] = mmax + np.abs(const[np.arange(nt), iso.argmax(axis=1)])
+        # the filters, per term and variable
+        gt = np.zeros((nt, nv), dtype=bool)
+        ne = np.zeros((nt, nv), dtype=bool)
+        for i, t in enumerate(shapes):
+            for v, op in t.filters:
+                if op == ">":
+                    gt[i, v] = True
+                elif op == "!=":
+                    ne[i, v] = True
+        # every term's grid, variables in itertools.product order
+        width = 2 * radius + 1
+        size = width.prod(axis=1)
+        tid = np.repeat(np.arange(nt), size)
+        local = np.arange(len(tid)) - np.repeat(np.cumsum(size) - size, size)
+        vs = np.empty((len(tid), nv), dtype=np.int64)
+        for v in range(nv - 1, -1, -1):
+            w = width[tid, v]
+            vs[:, v] = local % w - radius[tid, v]
+            local //= w
+        mode = const[tid]
+        for v in range(nv):
+            mode += coef[tid, :, v] * vs[:, v, None]
+        keep = (np.abs(mode) <= mmax).all(axis=1)
+        for v in range(nv):
+            keep &= ~(gt[tid, v] & (vs[:, v] <= 0))
+            keep &= ~(ne[tid, v] & (vs[:, v] == 0))
+        if self.relative:
+            keep &= ~(ferm[tid] & (mode == 0)).any(axis=1)
+        tid, vs, mode = tid[keep], vs[keep], mode[keep]
+        slots = u.slots_of(ferm[tid], comp[tid], mode)
+        # signature: normal flag, families, and per slot its creator flag
+        # and the number of slots with a smaller universe index
+        creator = (mode > 0) == (fam[tid] % 2 == 0)
+        rank = (slots[:, None, :] < slots[:, :, None]).sum(axis=2)
+        sig = np.concatenate(
+            [normal[tid, None], fam[tid], creator * ns + rank], axis=1
+        ).reshape(len(tid), 1 + 2 * ns)
+        _, first, inv = np.unique(
+            _row_codes(sig), return_index=True, return_inverse=True
+        )
+        found = []
+        for f in first.tolist():
+            t = shapes[tid[f]]
+            keys = [
+                GenKey(s.family, s.comp, m) for s, m in zip(t.slots, mode[f].tolist())
+            ]
+            sign = 1
+            if t.normal:
+                sign, keys = normal_order_slots(keys)
+            found.append(
+                self.template(tuple(sig[f].tolist()), keys, slots[f].tolist(), sign)
+            )
+        tmpl = np.array(found, dtype=np.int64)[inv]
+        keep = tmpl >= 0
+        tid, vs, slots, tmpl = tid[keep], vs[keep], slots[keep], tmpl[keep]
+        # the opaque coefficients, one call per kept point
+        points = vs.tolist()
+        coeffs = []
+        at = 0
+        for (_, t, weight), k in zip(terms, np.bincount(tid, minlength=nt).tolist()):
+            cs = list(map(t.coeff, map(tuple, points[at : at + k])))
+            coeffs += cs if weight == ONE else [weight * c for c in cs]
+            at += k
+        seg = np.array([s for s, _, _ in terms], dtype=np.int64)[tid]
+        return seg, tmpl, slots, coeffs
+
+    def single_points(self, singles):
+        """(seg, template, slots, coeffs) of the instances ``singles``,
+        (segment, keys, coeff) each with at most one key, with the
+        signature of a one-slot or empty term; slots has one column."""
+        u = self.universe
+        out = []
+        for seg, keys, c in singles:
+            sig = (0,) + tuple(
+                x for k in keys for x in (_FAMILY_CODE[k.family], k.is_creator())
+            )
+            at = [u.creator_slot(k if k.is_creator() else k.dual()) for k in keys]
+            tmpl = self.template(sig, keys, at, 1)
+            if tmpl >= 0:
+                # slot 0 stands in for the empty product's missing slot
+                out.append((seg, tmpl, at[0] if at else 0, c))
+        seg, tmpl, slots, coeffs = zip(*out) if out else ((), (), (), ())
+        return (
+            np.array(seg, dtype=np.int64),
+            np.array(tmpl, dtype=np.int64),
+            np.array(slots, dtype=np.int64).reshape(len(out), 1),
+            list(coeffs),
+        )
+
+    def template_arrays(self):
+        """sign (templates,), entry counts (templates, 4), and the padded
+        fields (templates, width) of every template: cons positions, lows
+        and highs, bos positions and offsets, par positions, delta
+        positions and changes."""
+        rows = np.array(self.templates, dtype=np.int64).reshape(
+            len(self.templates), 5 + 8 * self.width
+        )
+        return rows[:, 0], rows[:, 1:5], np.split(rows[:, 5:], 8, axis=1)
 
 
-def _op_products(universe: Universe, op, relative: bool):
-    """The (keys, coeff) generator products of an operator tree; its
-    central scalar is the empty product."""
-    central, leaves = _leaf_iter(op, QI(1))
-    products = [] if central.is_zero() else [([], central)]
-    for weight, leaf in leaves:
-        if hasattr(leaf, "key"):
-            key = leaf.key
-            if not (relative and key.is_fermionic() and key.mode == 0):
-                products.append(([key], weight))
-        else:
+def _compile_table(universe: Universe, ops, relative: bool):
+    """The packed table of the nonzero instances of the operator trees
+    ``ops``, (name, op) each, and per operator (first, den, view): its
+    first table row, the common denominator that scales its coefficients
+    to integers, and a view of its rows, cut to its widest row.  Rows run
+    in operator order; within an operator, its central scalar, then its
+    leaves and their terms in order, each term's grid points in
+    itertools.product order."""
+    owner = []  # operator index of each segment
+    singles = []  # (segment, keys, coeff)
+    groups = {}  # (slots, vars) -> [(segment, term, weight)]
+    for i, (_, op) in enumerate(ops):
+        central, leaves = _leaf_iter(op, ONE)
+        if not central.is_zero():
+            singles.append((len(owner), [], central))
+            owner.append(i)
+        for weight, leaf in leaves:
+            if hasattr(leaf, "key"):
+                key = leaf.key
+                if not (relative and key.is_fermionic() and key.mode == 0):
+                    singles.append((len(owner), [key], weight))
+                    owner.append(i)
+                continue
             for term in leaf.terms:
-                products.extend(_term_products(universe, term, weight, relative))
-    return products
-
-
-def _op_instances(universe: Universe, op, relative: bool):
-    """The compiled instances of an operator tree that are not
-    identically zero."""
-    out = []
-    for keys, c in _op_products(universe, op, relative):
-        inst = _compile_instance(universe, keys, c)
-        if inst is not None:
-            out.append(inst)
-    return out
+                group = groups.setdefault((len(term.slots), term.nvars), [])
+                group.append((len(owner), term, weight))
+                owner.append(i)
+    comp = _Compiler(universe, relative, max([1] + [ns for ns, _ in groups]))
+    parts = [comp.single_points(singles)]
+    parts += [comp.term_points(terms) for terms in groups.values()]
+    seg = np.concatenate([p[0] for p in parts])
+    tmpl = np.concatenate([p[1] for p in parts])
+    slots = np.zeros((len(seg), comp.width), dtype=np.int64)
+    at = 0
+    for _, _, s, _ in parts:
+        slots[at : at + len(s), : s.shape[1]] = s
+        at += len(s)
+    coeffs = [c for p in parts for c in p[3]]
+    # a zero coefficient drops its row, except on a single-generator leaf
+    fixed = np.zeros(len(seg), dtype=bool)
+    fixed[: len(parts[0][0])] = True
+    del parts
+    # segment order, each segment's rows in grid order
+    order = np.argsort(seg, kind="stable")
+    seg, tmpl, slots, fixed = seg[order], tmpl[order], slots[order], fixed[order]
+    order = order.tolist()
+    re = [coeffs[i].re for i in order]
+    im = [coeffs[i].im for i in order]
+    del coeffs, order
+    row_op = np.array(owner, dtype=np.int64)[seg]
+    # per operator, the lcm of its coefficients' denominators
+    dens = [1] * len(ops)
+    op_of = row_op.tolist()
+    for part in (re, im):
+        for i, x in enumerate(part):
+            if type(x) is not int:
+                dens[op_of[i]] = lcm(dens[op_of[i]], x.denominator)
+    for (name, _), den in zip(ops, dens):
+        _bound(den < 1 << 24, f"denominator of {name}")
+    stops = np.cumsum(np.bincount(row_op, minlength=len(ops))).tolist()
+    for den, a, b in zip(dens, [0] + stops, stops):
+        if den > 1:
+            # exact: each denominator divides den
+            for part in (re, im):
+                part[a:b] = [x.numerator * (den // x.denominator) for x in part[a:b]]
+    _bound(
+        max(map(abs, re), default=0) < 1 << 30
+        and max(map(abs, im), default=0) < 1 << 30,
+        "instance coefficient",
+    )
+    sign, tlens, (cpos, clo, chi, bpos, boff, fpos, dpos, dval) = comp.template_arrays()
+    re = np.array(re, dtype=np.int64) * sign[tmpl]
+    im = np.array(im, dtype=np.int64) * sign[tmpl]
+    keep = fixed | (re != 0) | (im != 0)
+    tmpl, slots, re, im = tmpl[keep], slots[keep], re[keep], im[keep]
+    row_op = row_op[keep]
+    counts = np.bincount(row_op, minlength=len(ops))
+    starts = np.cumsum(counts) - counts
+    lens = tlens[tmpl]
+    kc, kb, kf, kd = widths = lens.max(axis=0, initial=0).tolist()
+    # the slot columns of every row at once: the universe index of the
+    # slot at each template position, or a padding slot
+    ones, f0 = universe.nslots, universe.f0
+    ext = np.concatenate(
+        [slots, np.broadcast_to(np.array([ones, f0, 0]), (len(slots), 3))], axis=1
+    )
+    pos = np.concatenate(
+        [cpos[:, :kc], bpos[:, :kb], fpos[:, :kf], dpos[:, :kd]], axis=1
+    )
+    got = np.take_along_axis(ext, pos[tmpl], axis=1).astype(np.int16)
+    cslot, bslot, fslot, dslot = np.split(got, np.cumsum(widths)[:3], axis=1)
+    table = _Table(
+        cslot=cslot,
+        clo=clo[:, :kc].astype(np.uint8)[tmpl],
+        cspan=(chi[:, :kc] - clo[:, :kc]).astype(np.uint8)[tmpl],
+        bslot=bslot,
+        boff=boff[:, :kb].astype(np.int8)[tmpl],
+        fslot=fslot - f0,
+        dslot=dslot,
+        dval=dval[:, :kd].astype(np.int8)[tmpl],
+        re=re,
+        im=im,
+    )
+    # each operator's widest row
+    op_widths = np.zeros((len(ops), 4), dtype=np.int64)
+    live = counts > 0
+    if live.any():
+        op_widths[live] = np.maximum.reduceat(lens, starts[live], axis=0)
+    return table, [
+        (a, den, _view(table, slice(a, a + n), *w))
+        for a, n, den, w in zip(
+            starts.tolist(), counts.tolist(), dens, op_widths.tolist()
+        )
+    ]
 
 
 class _BulkOp:
@@ -601,23 +826,25 @@ class BulkEngine:
         smax_all = max([b.smax for b in self._ops.values()], default=0)
         mmax = self.box.emax + max(1, 2 * smax_full, smax_all)
         self.universe = Universe(self.dim, mmax)
-        groups = []
-        first = 0
-        for bop in self._ops.values():
-            instances = _op_instances(self.universe, bop.op, self.relative)
-            den = 1
-            for c, *_ in instances:
-                den = lcm(den, c.re.denominator, c.im.denominator)
-            _bound(den < 1 << 24, f"denominator of {bop.name}")
-            bop.den, bop.first = den, first
-            first += len(instances)
-            groups.append((instances, den))
-        self._table, views = _pack_table(self.universe, groups)
-        del groups
-        for bop, view in zip(self._ops.values(), views):
-            bop.table = view
+        # the table's int16 slot columns hold every slot and the block's
+        # row of ones after them
+        _bound(
+            self.universe.nslots + 1 <= np.iinfo(np.int16).max,
+            "slot index of the int16 slot columns",
+        )
+        self._compile()
         self._build_domain()
         self._prepared = True
+
+    def _compile(self):
+        """Compile every registered operator into the engine table; each
+        operator's table is a view of its rows."""
+        bops = list(self._ops.values())
+        self._table, compiled = _compile_table(
+            self.universe, [(b.name, b.op) for b in bops], self.relative
+        )
+        for bop, (first, den, view) in zip(bops, compiled):
+            bop.first, bop.den, bop.table = first, den, view
 
     def _build_domain(self):
         """Phase A: apply every operator to the box; the level-1 domain is
@@ -631,7 +858,13 @@ class BulkEngine:
         t = self._table
         nbox = len(self.box_monos)
         box_rows = u.rows_of(self.box_monos)
-        k = max(int(box_rows.max(initial=0)), int(np.abs(t.dval).max(initial=0)))
+        top = int(box_rows.max(initial=0))
+        # the uint8 output rows of the one-step images
+        _bound(
+            top + max(int(t.dval.max(initial=0)), 0) <= _FULL,
+            "slot occupancy of a one-step image",
+        )
+        k = max(top, int(np.abs(t.dval).max(initial=0)))
         self._ztab = _power_table(u.nslots, k)
         slots = np.broadcast_to(np.arange(u.nslots), box_rows.shape)
         box_u = self._zpow(slots, box_rows).astype(np.uint32)

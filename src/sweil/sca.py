@@ -270,28 +270,52 @@ def s2a_bracket(alpha, a: SCAElement, b: SCAElement, include_cocycle=True):
     return SCAElement._raw({key: c for key, c in acc.items() if c}, central)
 
 
+def _bracket_row(alpha, ka, basis):
+    """[A, X] for the basis vector A of key ``ka`` and X over ``basis``,
+    None where it vanishes."""
+    out = (s2a_basis_bracket(alpha, *ka, *kx) for kx in basis)
+    return [b if b.coeffs or b.central else None for b in out]
+
+
 def super_jacobi_failure(alpha, basis):
     """The first triple (ka, kb, kc) of basis keys (sym, n), in
     ``product(basis, repeat=3)`` order, at which the graded Jacobi identity
     with the central cocycle,
     [A,[B,C]] - [[A,B],C] - (-1)^(|A||B|) [B,[A,C]] = 0,
     fails for the basis vectors A, B, C; None when it holds on every
-    triple.  The three terms of a triple go into one accumulator, and
-    [A,B] is formed once per pair."""
+    triple.  The three terms of a triple go into one accumulator, and a
+    term whose inner bracket vanishes is skipped.  The row [A, X] over the
+    basis is formed once per A and gives [A,B] and [A,C]; [B,C] is formed
+    only where a bit mask, taken once over all basis pairs, says it does
+    not vanish.  Keeping all n**2 brackets would be faster, but would hold
+    O(n**2) elements where this holds one row."""
     alpha = QI.of(alpha)
-    for ka in basis:
+    n = len(basis)
+    live = 0
+    for i, ka in enumerate(basis):
+        for j, b in enumerate(_bracket_row(alpha, ka, basis)):
+            if b is not None:
+                live |= 1 << (i * n + j)
+    for i, ka in enumerate(basis):
         A = SCAElement._raw({ka: ONE})
-        for kb in basis:
+        brackets = _bracket_row(alpha, ka, basis)
+        for j, kb in enumerate(basis):
             B = SCAElement._raw({kb: ONE})
-            AB = s2a_basis_bracket(alpha, *ka, *kb)
+            AB = brackets[j]
             s3 = 1 if parity_of(ka[0]) and parity_of(kb[0]) else -1
-            for kc in basis:
+            for k, kc in enumerate(basis):
                 acc = {}
-                _bracket_into(acc, alpha, A, s2a_basis_bracket(alpha, *kb, *kc), 1)
-                _bracket_into(acc, alpha, AB, SCAElement._raw({kc: ONE}), -1)
-                _bracket_into(acc, alpha, B, s2a_basis_bracket(alpha, *ka, *kc), s3)
+                if live >> (j * n + k) & 1:
+                    BC = s2a_basis_bracket(alpha, *kb, *kc)
+                    _bracket_into(acc, alpha, A, BC, 1)
+                if AB is not None:
+                    _bracket_into(acc, alpha, AB, SCAElement._raw({kc: ONE}), -1)
+                if brackets[k] is not None:
+                    _bracket_into(acc, alpha, B, brackets[k], s3)
                 if any(acc.values()):
                     return ka, kb, kc
+        # free the row before the next one is formed
+        del brackets
     return None
 
 

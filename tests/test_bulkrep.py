@@ -1,12 +1,15 @@
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sweil.scalars import ONE, QI, ZERO
 from sweil.liealg import (
@@ -26,9 +29,13 @@ from sweil.fock import (
     enumerate_box,
     format_monomial,
     make_monomial,
+    normal_order_slots,
 )
 from sweil.fieldops import (
+    FieldOperator,
+    SlotSpec,
     SumOperator,
+    TermShape,
     build_differential_d,
     build_koszul_h,
     build_s2alpha_family,
@@ -37,7 +44,7 @@ from sweil.fieldops import (
     super_commutator,
 )
 from sweil import bulkrep, verify
-from sweil.bulkrep import BulkEngine, _op_products
+from sweil.bulkrep import _FULL as FULL, BulkEngine
 from sweil.verify import (
     N2_TABLE_SYMBOLS,
     S2A_TABLE_SYMBOLS,
@@ -134,6 +141,183 @@ def test_checksum_certificate_matches_exact_path(suite, monkeypatch):
         assert failed and all(r.witness for r in failed)
     else:
         assert not failed
+
+
+# -- per-instance compile: the oracle of the engine table -------------
+#
+# The compile path the engine ran before it compiled by signature: every
+# grid point of every term shape is enumerated in Python, run through
+# _compile_instance one by one, and the instance lists are padded into
+# the table row by row.
+
+
+def _term_products(universe, term, weight, relative):
+    """(keys, coeff) of every generator product of one term shape with
+    every slot mode in range."""
+    mmax = universe.mmax
+    nv = term.nvars
+    if nv == 0:
+        ranges = [()]
+    else:
+        bounds = []
+        for v in range(nv):
+            b = None
+            for s in term.slots:
+                if all(c == 0 for i, c in enumerate(s.coeffs) if i != v) and abs(
+                    s.coeffs[v]
+                ) == 1:
+                    r = mmax + abs(s.const)
+                    b = (-r, r)
+                    break
+            if b is None:
+                raise StructureError("term has no isolating slot for a variable")
+            bounds.append(range(b[0], b[1] + 1))
+        ranges = itertools.product(*bounds)
+    out = []
+    for vs in ranges:
+        ok = True
+        for vi, cmp_op in term.filters:
+            if cmp_op == ">" and not vs[vi] > 0:
+                ok = False
+            if cmp_op == "!=" and vs[vi] == 0:
+                ok = False
+        if not ok:
+            continue
+        keys = []
+        for s in term.slots:
+            mode = s.mode_at(vs)
+            if not -mmax <= mode <= mmax:
+                keys = None
+                break
+            keys.append(GenKey(s.family, s.comp, mode))
+        if keys is None:
+            continue
+        if relative and any(k.is_fermionic() and k.mode == 0 for k in keys):
+            continue
+        c = weight * term.coeff(vs)
+        if c.is_zero():
+            continue
+        sign = 1
+        if term.normal:
+            sign, keys = normal_order_slots(keys)
+        out.append((keys, c if sign == 1 else -c))
+    return out
+
+
+def _op_products(universe, op, relative):
+    """The (keys, coeff) generator products of an operator tree; its
+    central scalar is the empty product."""
+    central, leaves = bulkrep._leaf_iter(op, QI(1))
+    products = [] if central.is_zero() else [([], central)]
+    for weight, leaf in leaves:
+        if hasattr(leaf, "key"):
+            key = leaf.key
+            if not (relative and key.is_fermionic() and key.mode == 0):
+                products.append(([key], weight))
+        else:
+            for term in leaf.terms:
+                products.extend(_term_products(universe, term, weight, relative))
+    return products
+
+
+def _op_instances(universe, op, relative):
+    """The compiled instances of an operator tree that are not
+    identically zero."""
+    out = []
+    for keys, c in _op_products(universe, op, relative):
+        inst = bulkrep._compile_instance(universe, keys, c)
+        if inst is not None:
+            out.append(inst)
+    return out
+
+
+def _padded(rows, fill, dtype):
+    """Stack variable-length rows of equal-length tuples (of plain values
+    when ``fill`` has length one) into one array of shape (len(rows),
+    widest row, len(fill)), padding with ``fill``; also returns the row
+    lengths."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    out = np.empty((len(rows), int(lens.max(initial=0)), len(fill)), dtype=dtype)
+    out[...] = fill
+    flat = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
+    # entry e of the flat list is column e - (start of its row) of its row
+    owner = np.repeat(np.arange(len(rows)), lens)
+    out[owner, np.arange(len(owner)) - (np.cumsum(lens) - lens)[owner]] = (
+        flat.reshape(len(owner), len(fill))
+    )
+    return out, lens
+
+
+def _pack_table(universe, groups):
+    """One packed table of the compiled instances of every (instances,
+    den) group, each coefficient scaled by its group's den, and per group
+    a view of the table: the group's rows, cut to its widest row."""
+    f0, ones = universe.f0, universe.nslots
+    instances = [r for insts, _ in groups for r in insts]
+    re = [int(c.re * den) for insts, den in groups for c, *_ in insts]
+    im = [int(c.im * den) for insts, den in groups for c, *_ in insts]
+    bulkrep._bound(
+        all(abs(x) < 1 << 30 for x in re) and all(abs(x) < 1 << 30 for x in im),
+        "instance coefficient",
+    )
+    (cons, kc), (bos, kb), (par, kf), (delta, kd) = (
+        _padded([r[i] for r in instances], fill, np.int16)
+        for i, fill in ((1, (ones, 0, FULL)), (2, (ones, 0)), (3, (f0,)), (4, (0, 0)))
+    )
+    table = bulkrep._Table(
+        cslot=cons[:, :, 0],
+        clo=cons[:, :, 1].astype(np.uint8),
+        cspan=(cons[:, :, 2] - cons[:, :, 1]).astype(np.uint8),
+        bslot=bos[:, :, 0],
+        boff=bos[:, :, 1].astype(np.int8),
+        fslot=par[:, :, 0] - f0,
+        dslot=delta[:, :, 0],
+        dval=delta[:, :, 1].astype(np.int8),
+        re=np.array(re, dtype=np.int64),
+        im=np.array(im, dtype=np.int64),
+    )
+    views, start = [], 0
+    for insts, _ in groups:
+        stop = start + len(insts)
+        widths = (int(k[start:stop].max(initial=0)) for k in (kc, kb, kf, kd))
+        views.append(bulkrep._view(table, slice(start, stop), *widths))
+        start = stop
+    return table, views
+
+
+def _oracle_table(engine):
+    """The engine table and per operator (first, den, view), compiled
+    instance by instance from the engine's operators and universe."""
+    groups, out, first = [], [], 0
+    for bop in engine._ops.values():
+        instances = _op_instances(engine.universe, bop.op, engine.relative)
+        den = 1
+        for c, *_ in instances:
+            den = lcm(den, c.re.denominator, c.im.denominator)
+        bulkrep._bound(den < 1 << 24, f"denominator of {bop.name}")
+        groups.append((instances, den))
+        out.append((first, den))
+        first += len(instances)
+    table, views = _pack_table(engine.universe, groups)
+    return table, [(f, d, v) for (f, d), v in zip(out, views)]
+
+
+def _assert_same_table(got, want, what):
+    """Two packed tables agree field by field: dtype, shape and values."""
+    for field, g, w in zip(bulkrep._Table._fields, got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, (what, field)
+        assert np.array_equal(g, w), (what, field)
+
+
+def _assert_engine_matches_oracle(engine):
+    """The engine table, and every operator's view, first row and
+    denominator, equal the per-instance compile's."""
+    table, compiled = _oracle_table(engine)
+    _assert_same_table(engine._table, table, "engine")
+    assert len(compiled) == len(engine._ops)
+    for (name, bop), (first, den, view) in zip(engine._ops.items(), compiled):
+        assert (bop.first, bop.den) == (first, den), name
+        _assert_same_table(bop.table, view, name)
 
 
 # -- per-instance reference for the packed kernel ----------------------
@@ -388,6 +572,22 @@ def test_rows_of_counts_every_key():
         u.rows_of(monos[:3] + [FockMonomial((GenKey("g", 0, 4),), ())])
 
 
+def test_slots_of_is_the_universe_layout():
+    """The closed-form slot of every key with |mode| <= mmax, creator or
+    annihilator, is the index of its creator in the slot universe."""
+    u = bulkrep.Universe(2, 3)
+    keys = [
+        GenKey(f, c, m) for f in "gbet" for c in range(2) for m in range(-3, 4)
+    ]
+    want = [u.index[k if k.is_creator() else k.dual()] for k in keys]
+    got = u.slots_of(
+        np.array([k.is_fermionic() for k in keys]),
+        np.array([k.comp for k in keys]),
+        np.array([k.mode for k in keys]),
+    )
+    assert got.tolist() == want
+
+
 def test_group_keyed_is_exact_in_column_and_key():
     """(column, key) cells that differ in one residue or in the column
     alone stay apart, equal cells are summed and zero sums dropped; here
@@ -505,15 +705,16 @@ def test_bounds_hold_without_asserts():
         from sweil.bulkrep import (
             IDENTITY,
             BulkEngine,
+            Universe,
             _group_keyed,
             _image_rows,
-            _pack_table,
         )
         from sweil.fieldops import SumOperator
-        from sweil.fock import Box, GenKey
+        from sweil.fock import Box, FockMonomial, GenKey
         from sweil.liealg import StructureError
         from sweil.scalars import ONE
         from sweil.verify import GeneratorOperator
+        from test_bulkrep import FULL, _pack_table, occupancy_engine
 
         # a hand-built instance as the engine table's one row and the
         # table of operator ``name``
@@ -597,6 +798,28 @@ def test_bounds_hold_without_asserts():
             eng._zpow(np.zeros((1, 1), dtype=np.int64), np.full((1, 1), -k - 1))
         except OverflowError as exc:
             print("raised" if "z-power table" in str(exc) else exc)
+
+        # an occupancy past what a uint8 row holds, which the count would
+        # otherwise wrap
+        b0 = GenKey("b", 0, 0)
+        try:
+            Universe(1, 1).rows_of([FockMonomial((b0,) * (FULL + 1), ())])
+        except OverflowError as exc:
+            print("raised" if "slot occupancy" in str(exc) else exc)
+
+        # a box row at FULL whose one-step image adds one more
+        eng = occupancy_engine(FULL)
+        try:
+            eng.prepare()
+        except OverflowError as exc:
+            print("raised" if "one-step image" in str(exc) else exc)
+
+        # more slots than the int16 slot columns hold
+        eng = BulkEngine(5462, Box(emax=0, b0max=0, zero_fermions_allowed=False))
+        try:
+            eng.prepare()
+        except OverflowError as exc:
+            print("raised" if "int16 slot columns" in str(exc) else exc)
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -604,10 +827,30 @@ def test_bounds_hold_without_asserts():
         [sys.executable, "-O", "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{Path(__file__).parent}"},
         check=True,
     )
-    assert out.stdout.split() == ["raised"] * 7
+    assert out.stdout.split() == ["raised"] * 10
+
+
+def occupancy_engine(b0max):
+    """One mode-0 box of b(0,0) powers up to b0max, with g(0,0) and
+    b(0,0) registered: [g(0,0), b(0,0)] = 1 holds on every state."""
+    engine = BulkEngine(1, Box(emax=0, b0max=b0max, zero_fermions_allowed=False))
+    engine.register("g", GeneratorOperator(GenKey("g", 0, 0)))
+    engine.register("b", GeneratorOperator(GenKey("b", 0, 0)))
+    return engine
+
+
+def test_occupancy_bound_of_one_step_images():
+    """At b0max = FULL - 1 the box's one-step images fit the uint8 rows and
+    [g(0,0), b(0,0)] = 1 passes; at b0max = FULL an image would hold
+    FULL + 1 quanta, so prepare raises instead of checking wrapped rows."""
+    engine = occupancy_engine(FULL - 1)
+    assert engine.bracket_defect("g", "b", False, [(ONE, bulkrep.IDENTITY)]) is None
+    assert engine.bracket_defect("g", "b", False, [(QI(2), bulkrep.IDENTITY)]) == 0
+    with pytest.raises(OverflowError, match="one-step image"):
+        occupancy_engine(FULL).prepare()
 
 
 # -- the first failing column against the per-monomial engine ---------
@@ -832,10 +1075,12 @@ def test_report_witness_is_first_failing_case(suite, monkeypatch):
 @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_operator_tables_are_views_of_the_engine_table(family, relative):
-    """prepare packs every operator into one engine table; each
-    operator's table is a view of its own rows, cut to its own widest
-    row, and equals, field by field, the table _pack_table builds for that
-    operator alone."""
+    """prepare packs every operator into one engine table, equal field by
+    field (dtype, shape and values) to the per-instance compile's, with
+    the same first rows and denominators; each operator's table is a view
+    of its own rows, cut to its own widest row, and equals, field by
+    field, the table the per-instance compile (_pack_table) builds for
+    that operator alone."""
     backend, ops = FAMILIES[family]
     box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
     engine = BulkEngine(backend.dim, box, relative)
@@ -845,8 +1090,8 @@ def test_operator_tables_are_views_of_the_engine_table(family, relative):
     u, table = engine.universe, engine._table
     first = 0
     for name, bop in engine._ops.items():
-        instances = bulkrep._op_instances(u, bop.op, relative)
-        alone, (view,) = bulkrep._pack_table(u, [(instances, bop.den)])
+        instances = _op_instances(u, bop.op, relative)
+        alone, (view,) = _pack_table(u, [(instances, bop.den)])
         assert bop.first == first
         first += len(instances)
         for field, got, want, whole in zip(bulkrep._Table._fields, bop.table, alone, table):
@@ -855,6 +1100,116 @@ def test_operator_tables_are_views_of_the_engine_table(family, relative):
             assert got.base is whole or got.base is whole.base, (name, field)
         assert np.array_equal(view.re, alone.re)
     assert first == len(table.re)
+    _assert_engine_matches_oracle(engine)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suite_engine_tables_match_per_instance_compile(suite, monkeypatch):
+    """Every engine a relation suite builds has the per-instance compile's
+    table, views, first rows and denominators."""
+    engines = {id(s.engine): s.engine for s, _, _ in _suite_reports(suite, monkeypatch)}
+    assert engines
+    for engine in engines.values():
+        _assert_engine_matches_oracle(engine)
+
+
+_FAMS = ("g", "b", "e", "t")
+_DUAL = {"g": "b", "b": "g", "e": "t", "t": "e"}
+_SIGN = {"g": 1, "e": 1, "b": -1, "t": -1}
+
+
+@st.composite
+def _term_shapes(draw):
+    """A random term shape: 0-2 variables, 2-3 slots of random families,
+    components and constants, each variable isolated by a slot, a
+    balancing last slot (the energy shift may not depend on a variable),
+    optionally a slot that repeats or dualizes an earlier one, normal on
+    or off, and '>' or '!=' filters."""
+    nv = draw(st.integers(0, 2))
+    ns = draw(st.integers(max(nv + 1, 2), 3))
+    dim = 2
+    slots = []
+    for i in range(ns - 1):
+        if i < nv:
+            sign = draw(st.sampled_from((1, -1)))
+            coeffs = tuple(sign if v == i else 0 for v in range(nv))
+        else:
+            coeffs = tuple(draw(st.integers(-1, 1)) for _ in range(nv))
+        fam = draw(st.sampled_from(_FAMS))
+        comp, const = draw(st.integers(0, dim - 1)), draw(st.integers(-2, 2))
+        slot = SlotSpec(fam, comp, const, coeffs)
+        if i and draw(st.booleans()):
+            # the same generator as an earlier slot, or its dual
+            other = slots[draw(st.integers(0, i - 1))]
+            fam = draw(st.sampled_from((other.family, _DUAL[other.family])))
+            slot = slot._replace(family=fam, comp=other.comp, const=other.const)
+            if i >= nv:
+                slot = slot._replace(coeffs=other.coeffs)
+        slots.append(slot)
+    fam = draw(st.sampled_from(_FAMS))
+    # sum over slots of sign(family) * coeffs must vanish
+    coeffs = tuple(
+        -_SIGN[fam] * sum(_SIGN[s.family] * s.coeffs[v] for s in slots)
+        for v in range(nv)
+    )
+    comp, const = draw(st.integers(0, dim - 1)), draw(st.integers(-2, 2))
+    slots.append(SlotSpec(fam, comp, const, coeffs))
+    slots = draw(st.permutations(slots))
+    filters = tuple(
+        (v, op)
+        for v in range(nv)
+        for op in [draw(st.sampled_from((None, ">", "!=")))]
+        if op is not None
+    )
+    kind = draw(st.integers(0, 3 if nv else 0))
+    k = draw(st.integers(-2, 2))
+    if kind == 0:
+        re = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        c = QI(re, draw(st.integers(-1, 1)))
+        coeff = lambda vs, c=c: c
+    elif kind == 1:
+        coeff = lambda vs, k=k: QI(vs[0] - k)
+    elif kind == 2:
+        coeff = lambda vs, k=k: QI(Fraction(vs[-1] + k, 2), 1)
+    else:
+        coeff = lambda vs, k=k: QI(vs[0] * vs[-1] - k)
+    return TermShape(nv, tuple(slots), coeff, draw(st.booleans()), filters)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shapes=st.lists(_term_shapes(), min_size=1, max_size=3),
+    relative=st.booleans(),
+    weight=st.sampled_from((ONE, QI(-1), QI(Fraction(1, 2)), QI(0, 1))),
+    gen_weight=st.sampled_from((ONE, ZERO)),
+    central=st.booleans(),
+)
+def test_random_term_shapes_compile_like_per_instance(
+    shapes, relative, weight, gen_weight, central
+):
+    """On random term shapes (up to two variables; coincident and dual
+    slots, so repeated fermionic creators and bosonic count offsets;
+    normal ordering; filters; absolute and relative), with weighted sums,
+    a central scalar and a single generator (whose row stays when its
+    weight is zero), the signature compile gives the per-instance
+    compile's engine table, views, first rows and denominators."""
+    box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
+    engine = BulkEngine(2, box, relative)
+    for i, term in enumerate(shapes):
+        engine.register(f"f{i}", FieldOperator([term]))
+    engine.register(
+        "sum",
+        SumOperator(
+            [
+                (weight, FieldOperator([shapes[0]])),
+                (gen_weight, GeneratorOperator(GenKey("t", 1, 0))),
+            ],
+            central=QI(Fraction(1, 3)) if central else ZERO,
+        ),
+    )
+    engine.universe = bulkrep.Universe(2, engine.box.emax + 3)
+    engine._compile()
+    _assert_engine_matches_oracle(engine)
 
 
 def test_pair_chunks_respect_the_mask_budget(monkeypatch):

@@ -205,6 +205,63 @@ def test_seeded_table_defect_fails_jacobi(monkeypatch, pair, alpha):
     assert doc["witness"] == {"triple": f"({sa}[{na}],{sb}[{nb}],{sc}[{nc}])"}
 
 
+def per_triple_jacobi_failure(alpha, basis):
+    """The sweep super_jacobi_failure ran before it formed each basis
+    bracket once: [B,C] and [A,C] are taken anew for every triple."""
+    alpha = QI.of(alpha)
+    for ka in basis:
+        A = SCAElement._raw({ka: ONE})
+        for kb in basis:
+            B = SCAElement._raw({kb: ONE})
+            AB = sca.s2a_basis_bracket(alpha, *ka, *kb)
+            s3 = 1 if sca.parity_of(ka[0]) and sca.parity_of(kb[0]) else -1
+            for kc in basis:
+                acc = {}
+                bc = sca.s2a_basis_bracket(alpha, *kb, *kc)
+                sca._bracket_into(acc, alpha, A, bc, 1)
+                sca._bracket_into(acc, alpha, AB, SCAElement._raw({kc: ONE}), -1)
+                ac = sca.s2a_basis_bracket(alpha, *ka, *kc)
+                sca._bracket_into(acc, alpha, B, ac, s3)
+                if any(acc.values()):
+                    return ka, kb, kc
+    return None
+
+
+@pytest.mark.parametrize(
+    "wrong, alpha",
+    (
+        (("L", 1, "L", -1), ZERO),
+        (("h", 0, "p", 0), HALF),
+        (("E", 1, "y", -1), HALF),
+        (("x", -1, "y", 1), QI(1)),
+        # a pair the table gives zero in both orders
+        (("E", 0, "x", 1), ZERO),
+    ),
+)
+def test_precomputed_brackets_find_the_per_triple_sweeps_triple(
+    monkeypatch, wrong, alpha
+):
+    """With one ordered basis bracket made wrong (doubled, or L[n+k] where
+    the table has zero) and its reversed pair left as the table gives it,
+    the sweep over brackets formed once returns the same first failing
+    triple as the per-triple sweep."""
+    basis_bracket = sca.s2a_basis_bracket
+
+    def broken(alpha, sa, na, sb, nb, include_cocycle=True):
+        out = basis_bracket(alpha, sa, na, sb, nb, include_cocycle)
+        if (sa, na, sb, nb) != wrong:
+            return out
+        if out.coeffs or out.central:
+            return out.scale(QI(2))
+        return SCAElement.basis("L", na + nb)
+
+    monkeypatch.setattr(sca, "s2a_basis_bracket", broken)
+    bl = basis_list(1)
+    bad = super_jacobi_failure(alpha, bl)
+    assert bad is not None
+    assert bad == per_triple_jacobi_failure(alpha, bl)
+
+
 @pytest.mark.parametrize("alpha", (ZERO, HALF))
 def test_vector_field_oracle_matches_table(alpha):
     # independent realization by superderivations of C[t,1/t] (x) /\(th1,th2)
