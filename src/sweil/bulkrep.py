@@ -34,7 +34,11 @@ pass: instances are dropped against the block's per-slot
 occupancy range, an instance x state mask is built one constraint
 column at a time, and the count factors, signs, output keys and (when
 asked for) instance indices of all (instance, state) pairs are taken at
-once; output rows are built only for the states the level-1 domain keeps.
+once.  A level-1 state (a box monomial or a one-step image) is kept
+only as its provenance, the box column it came from and the table row
+that produced it: a block of level-1 states is built slot-major straight
+from the engine's box block, by gathering the source columns and adding
+each row's occupancy change.
 A table and block whose mask would exceed a fixed cell budget are taken
 in consecutive instance chunks, so memory follows the output, not the
 product of table and block sizes.
@@ -765,21 +769,6 @@ def _empty_stream():
     return e, np.empty((len(_CHECK_PRIMES), 0), dtype=np.uint32), e, e, e
 
 
-def _image_rows(bop, states, cols, inst):
-    """Output occupancy rows of the (instance, state) pairs ``inst`` x
-    ``cols``: each state's row plus its instance's occupancy change."""
-    t = bop.table
-    rows = states[cols]
-    at = np.arange(len(cols))
-    for j in range(t.dslot.shape[1]):
-        p = t.dslot[inst, j]
-        occ = rows[at, p] + t.dval[inst, j]
-        if occ.min(initial=0) < 0:
-            raise StructureError(f"{bop.name} emptied an unoccupied slot")
-        rows[at, p] = occ
-    return rows
-
-
 class BulkEngine:
     """Compiles a batch of operators over one box and checks bracket
     identities column-by-column, exactly, with vectorized integer
@@ -848,26 +837,40 @@ class BulkEngine:
 
     def _build_domain(self):
         """Phase A: apply every operator to the box; the level-1 domain is
-        the set of box and one-step-image monomials.  The box keys and
-        every operator's grouped image keys are grouped together once:
-        group ranks are the level-1 ids of the box monomials and of every
-        box matrix row, and an occupancy row is built only for each
-        group's representative, whose key is the state's u.  IDENTITY's
-        box matrix is the box itself and is written down directly."""
+        the set of box and one-step-image monomials.  The slot-major box
+        block and its fermionic prefix counts are built once, and every
+        operator's box application reuses them.  The box keys and every
+        operator's grouped image keys are grouped together once: group
+        ranks are the level-1 ids of the box monomials and of every box
+        matrix row.  Each group keeps its representative's provenance, the
+        box column it came from and the engine table row that produced it
+        (a box monomial has IDENTITY's row, which changes nothing), and its
+        key is the state's u.  IDENTITY's box matrix is the box itself and
+        is written down directly."""
         u = self.universe
         t = self._table
         nbox = len(self.box_monos)
-        box_rows = u.rows_of(self.box_monos)
-        top = int(box_rows.max(initial=0))
-        # the uint8 output rows of the one-step images
+        # the int32 provenance of a level-1 state
+        top32 = np.iinfo(np.int32).max
+        _bound(nbox <= top32, "box column of a level-1 state")
+        _bound(len(t.re) <= top32, "table row of a level-1 state")
+        # slot-major box block plus the row of ones that padded table
+        # entries read
+        block = np.ones((u.nslots + 1, nbox), dtype=np.uint8)
+        block[:-1] = u.rows_of(self.box_monos).T
+        self._box_block = block
+        states = block[:-1].T
+        top = int(states.max(initial=0))
+        # the uint8 occupancies of the one-step images
         _bound(
             top + max(int(t.dval.max(initial=0)), 0) <= _FULL,
             "slot occupancy of a one-step image",
         )
         k = max(top, int(np.abs(t.dval).max(initial=0)))
         self._ztab = _power_table(u.nslots, k)
-        slots = np.broadcast_to(np.arange(u.nslots), box_rows.shape)
-        box_u = self._zpow(slots, box_rows).astype(np.uint32)
+        slots = np.broadcast_to(np.arange(u.nslots), states.shape)
+        box_u = self._zpow(slots, states).astype(np.uint32)
+        del slots, states
         # per checksum prime and engine table row, z**delta mod p and the
         # (re, im) of c * z**delta mod p
         zd = self._zpow(t.dslot, t.dval)
@@ -878,39 +881,55 @@ class BulkEngine:
         del zd
         for bop in self._ops.values():
             bop.zd = self._zd[:, bop.first : bop.first + len(bop.table.re)]
+        pre = self._prefix(block)
         raw = {}
         words = [_pool_words(box_u)]
         for name, bop in self._ops.items():
             if name == IDENTITY:
                 continue
             cols, keys, re, im, inst = self._apply_all(
-                bop, box_rows, box_u, collect_rows=True
+                bop, block, box_u, pre, with_inst=True
             )
             # sum duplicate (col, key) contributions before pooling
             cols, keys, re, im, first = _group_keyed(cols, keys, re, im)
             _bound(np.abs(re).max(initial=0) < 1 << 30, "grouped real entry")
             _bound(np.abs(im).max(initial=0) < 1 << 30, "grouped imaginary entry")
-            raw[name] = (cols, re, im, inst[first])
+            inst = inst[first]
+            # no grouped image empties a slot, so every level-1 block
+            # rebuilt from provenance holds true occupancies
+            bt = bop.table
+            for j in range(bt.dslot.shape[1]):
+                occ = block[bt.dslot[inst, j], cols] + bt.dval[inst, j]
+                if occ.min(initial=0) < 0:
+                    raise StructureError(f"{name} emptied an unoccupied slot")
+            raw[name] = (cols, re, im, inst)
             words.append(_pool_words(keys))
-            del keys, inst
+            del keys
+        del pre
         pka, pkb = (np.concatenate(w) for w in zip(*words))
         del words
         order, new = _group_order(pka, pkb)
         ids = np.empty(len(order), dtype=np.int64)
         ids[order] = np.cumsum(new) - 1
         reps = order[new]
+        del order, new
         self.n1 = len(reps)
         # per checksum prime, u of every level-1 state
-        ka, kb = pka[reps], pkb[reps]
-        del pka, pkb
-        self.l1_u = np.stack([ka & 0x7FFFFFFF, ka >> 31, kb]).astype(np.uint32)
-        del ka, kb
-        is_rep = np.zeros(len(order), dtype=bool)
+        self.l1_u = np.empty((len(_CHECK_PRIMES), self.n1), dtype=np.uint32)
+        ka = pka[reps]
+        self.l1_u[0] = ka & 0x7FFFFFFF
+        self.l1_u[1] = ka >> 31
+        self.l1_u[2] = pkb[reps]
+        del pka, pkb, ka
+        is_rep = np.zeros(len(ids), dtype=bool)
         is_rep[reps] = True
         self.box_ids = ids[:nbox]
-        self.l1_rows = np.empty((self.n1, u.nslots), dtype=np.uint8)
+        # per level-1 state, its source box column and engine table row
+        self.l1_src = np.empty(self.n1, dtype=np.int32)
+        self.l1_inst = np.empty(self.n1, dtype=np.int32)
         at = np.flatnonzero(is_rep[:nbox])
-        self.l1_rows[self.box_ids[at]] = box_rows[at]
+        self.l1_src[self.box_ids[at]] = at
+        self.l1_inst[self.box_ids[at]] = self._ops[IDENTITY].first
         one = np.ones(nbox, dtype=np.int64)
         self._box_mats[IDENTITY] = (self.box_ids, np.arange(nbox), one, 0 * one)
         start = nbox
@@ -918,11 +937,39 @@ class BulkEngine:
             stop = start + len(cols)
             rows_ids = ids[start:stop]
             at = np.flatnonzero(is_rep[start:stop])
-            self.l1_rows[rows_ids[at]] = _image_rows(
-                self._ops[name], box_rows, cols[at], inst[at]
-            )
+            self.l1_src[rows_ids[at]] = cols[at]
+            self.l1_inst[rows_ids[at]] = self._ops[name].first + inst[at]
             self._box_mats[name] = (rows_ids, cols, re, im)
             start = stop
+
+    def _prefix(self, block):
+        """Exclusive prefix counts over the fermionic slots of a slot-major
+        block (mod 256, which keeps their parity); row 0 is the empty
+        prefix."""
+        f0, nslots = self.universe.f0, self.universe.nslots
+        pre = np.zeros((nslots - f0, block.shape[1]), dtype=np.uint8)
+        np.cumsum(block[f0 : nslots - 1], axis=0, dtype=np.uint8, out=pre[1:])
+        return pre
+
+    def _level1_block(self, ids):
+        """Slot-major block of the level-1 states ``ids``, plus the row of
+        ones, built from their provenance: the box block's columns at
+        their source box columns, plus the occupancy change of the engine
+        table row that produced each."""
+        t = self._table
+        inst = self.l1_inst[ids]
+        # np.take keeps the block C-contiguous, so that a slot is one run
+        # of memory for the kernel's row reads
+        block = np.take(self._box_block, self.l1_src[ids], axis=1)
+        dval = np.take(t.dval, inst, axis=0)
+        # (state, column) of each nonzero change: a table row changes a
+        # slot at most once, so no block cell is written twice.  An int8
+        # change added as uint8 is exact modulo 256, and the domain build
+        # checked that every result lies in [0, _FULL].
+        s, j = np.nonzero(dval)
+        at = t.dslot[inst[s], j].astype(np.intp) * len(inst) + s
+        block.reshape(-1)[at] += dval[s, j].view(np.uint8)
+        return block
 
     def _zpow(self, slots, exps):
         """Per checksum prime, prod_j z[slots[..., j]] ** exps[..., j] mod p
@@ -941,22 +988,19 @@ class BulkEngine:
                 out %= _CHECK_P
         return out
 
-    def _pair_chunks(self, t, rows, states):
+    def _pair_chunks(self, t, rows, block, pre=None):
         """The (instance, state) pairs of the rows ``rows`` of the packed
-        instance table ``t`` on the rows of ``states``, one chunk of
-        instances at a time, in the order of ``rows``, instance-major.
-        Yields (counts, inst, cols, fac): the number of pairs of each
-        instance of the chunk, each pair's table row and state, and its
-        count factor times its Koszul sign."""
-        u = self.universe
-        n = len(states)
+        instance table ``t`` on the states of the slot-major ``block`` (one
+        column per state, one row per slot, then the row of ones that
+        padded table entries read), one chunk of instances at a time, in
+        the order of ``rows``, instance-major.  ``pre`` is the block's
+        fermionic prefix counts (see _prefix), built here when the table
+        reads parity and none is given.  Yields (counts, inst, cols, fac):
+        the number of pairs of each instance of the chunk, each pair's
+        table row and state, and its count factor times its Koszul sign."""
+        n = block.shape[1]
         if n == 0 or len(rows) == 0:
             return
-        # slot-major copy of the block plus the row of ones that padded
-        # table entries read
-        block = np.ones((u.nslots + 1, n), dtype=np.uint8)
-        block[:-1] = states.T
-        del states
         # drop instances that no state of the block can feed
         cslot, clo = t.cslot[rows], t.clo[rows]
         bmax = block.max(axis=1)
@@ -969,14 +1013,10 @@ class BulkEngine:
         # below 2**31, must fit int64
         top = int(bmax.max()) + max(int(t.boff[sel].max(initial=0)), 0)
         _bound(top ** t.bslot.shape[1] < 1 << 32, "count factor x weight")
-        pre = None
-        if t.fslot.shape[1]:
-            # exclusive prefix counts over the fermionic slots (mod 256,
-            # which keeps their parity); row 0 is the empty prefix
-            pre = np.zeros((u.nslots - u.f0, n), dtype=np.uint8)
-            np.cumsum(
-                block[u.f0 : u.nslots - 1], axis=0, dtype=np.uint8, out=pre[1:]
-            )
+        if not t.fslot.shape[1]:
+            pre = None
+        elif pre is None:
+            pre = self._prefix(block)
         # consecutive instance chunks keep the instance-major order
         step = max(1, _MASK_CELLS // n)
         for i in range(0, len(sel), step):
@@ -1013,18 +1053,20 @@ class BulkEngine:
             np.negative(fac, out=fac, where=(par & 1).view(bool))
         return counts, inst, cols, fac
 
-    def _apply_all(self, bop, states, keys, collect_rows: bool):
-        """Keyed COO stream of ``bop`` applied to every row of ``states``
-        (keys ``keys``, the states' u per checksum prime).
+    def _apply_all(self, bop, block, keys, pre=None, with_inst=False):
+        """Keyed COO stream of ``bop`` applied to every state of the
+        slot-major ``block`` (keys ``keys``, the states' u per checksum
+        prime; ``pre`` as in _pair_chunks).
 
         Returns (cols, keys, re, im, inst), one entry per (instance, state)
         pair in instance-major order; an output's key is its u, so
-        u(state) * z**delta of its instance.  inst is each pair's table row
-        when requested (``_image_rows`` turns the pairs into output
-        occupancy rows), else an empty array."""
+        u(state) * z**delta of its instance.  inst is each pair's row of
+        the operator's table when ``with_inst`` (the domain build keeps it
+        as provenance), else an empty array."""
         t = bop.table
         parts = []
-        for _, inst, cols, fac in self._pair_chunks(t, np.arange(len(t.re)), states):
+        rows = np.arange(len(t.re))
+        for _, inst, cols, fac in self._pair_chunks(t, rows, block, pre):
             # output keys, one checksum prime at a time
             out = np.empty((len(_CHECK_PRIMES), len(cols)), dtype=np.uint32)
             for i, p in enumerate(_CHECK_PRIMES):
@@ -1038,7 +1080,7 @@ class BulkEngine:
                     out,
                     t.re[inst] * fac,
                     t.im[inst] * fac,
-                    inst if collect_rows else np.zeros(0, dtype=np.int64),
+                    inst if with_inst else np.zeros(0, dtype=np.int64),
                 )
             )
         if not parts:
@@ -1068,7 +1110,9 @@ class BulkEngine:
         rows = np.concatenate([np.arange(b.first, e) for b, e in zip(bops, stops)])
         cz_re, cz_im = self._cz
         out = np.zeros((len(bops), len(_CHECK_PRIMES), 2), dtype=np.int64)
-        for counts, inst, cols, fac in self._pair_chunks(t, rows, self.l1_rows[ids]):
+        for counts, inst, cols, fac in self._pair_chunks(
+            t, rows, self._level1_block(ids)
+        ):
             # one reduceat segment per instance with pairs (reduceat
             # returns an element, not zero, for an empty segment)
             ends = np.cumsum(counts)
@@ -1261,10 +1305,7 @@ class BulkEngine:
             # at[e] (one state per entry, repeats included), so it lands on
             # that entry's box column
             at, keys, are, aim, _ = self._apply_all(
-                ops[outer],
-                self.l1_rows[rows],
-                np.take(self.l1_u, rows, axis=1),
-                collect_rows=False,
+                ops[outer], self._level1_block(rows), np.take(self.l1_u, rows, axis=1)
             )
             m = 2 * _absmax(are, aim) * _absmax(bre, bim)
             _bound(m < 1 << 62, "product entry")

@@ -30,6 +30,7 @@ from sweil.fock import (
     format_monomial,
     make_monomial,
     normal_order_slots,
+    product_on_monomial,
 )
 from sweil.fieldops import (
     FieldOperator,
@@ -464,12 +465,37 @@ def _grouped(entries):
     return {k: v for k, v in sums.items() if v != (0, 0)}, rows
 
 
-def _kernel_entries(engine, name, states, keys):
+def _image_rows(bop, states, cols, inst):
+    """Output occupancy rows of the (instance, state) pairs ``inst`` x
+    ``cols``: each state's row plus its instance's occupancy change."""
+    t = bop.table
+    rows = states[cols]
+    at = np.arange(len(cols))
+    for j in range(t.dslot.shape[1]):
+        p = t.dslot[inst, j]
+        occ = rows[at, p] + t.dval[inst, j]
+        if occ.min(initial=0) < 0:
+            raise StructureError(f"{bop.name} emptied an unoccupied slot")
+        rows[at, p] = occ
+    return rows
+
+
+def _level1_rows(engine, ids=None):
+    """Occupancy rows (a view, one per state) of the level-1 states
+    ``ids`` (all of them by default), from the block their provenance
+    builds, and that block."""
+    if ids is None:
+        ids = np.arange(engine.n1)
+    block = engine._level1_block(ids)
+    assert block.shape == (engine.universe.nslots + 1, len(ids))
+    assert (block[-1] == 1).all()
+    return block[:-1].T, block
+
+
+def _kernel_entries(engine, name, block, keys):
     bop = engine._ops[name]
-    cols, keys, re, im, inst = engine._apply_all(
-        bop, states, keys, collect_rows=True
-    )
-    rows = bulkrep._image_rows(bop, states, cols, inst)
+    cols, keys, re, im, inst = engine._apply_all(bop, block, keys, with_inst=True)
+    rows = _image_rows(bop, block[:-1].T, cols, inst)
     return list(
         zip(
             cols.tolist(),
@@ -540,12 +566,12 @@ def test_packed_kernel_matches_per_instance_reference(family, relative, monkeypa
     for name, bop in engine._ops.items():
         products = _op_products(u, bop.op, relative)
         for ids in blocks:
-            states, keys = engine.l1_rows[ids], engine.l1_u[:, ids]
-            got = _grouped(_kernel_entries(engine, name, states, keys))
+            (states, block), keys = _level1_rows(engine, ids), engine.l1_u[:, ids]
+            got = _grouped(_kernel_entries(engine, name, block, keys))
             want = _grouped(_ref_apply(u, products, bop.den, states, z))
             assert got == want, (family, name, len(ids))
             monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
-            got = _grouped(_kernel_entries(engine, name, states, keys))
+            got = _grouped(_kernel_entries(engine, name, block, keys))
             monkeypatch.undo()
             assert got == want, (family, name, len(ids), "chunked")
 
@@ -623,8 +649,10 @@ def test_group_keyed_is_exact_in_column_and_key():
 @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_level1_pool_invariants(family, relative):
-    """The level-1 pool holds distinct rows whose keys l1_u are their u,
-    the box monomials sit at box_ids, and IDENTITY's closed-form box
+    """The level-1 pool, rebuilt from its int32 provenance, holds distinct
+    rows whose keys l1_u are their u, the box monomials sit at box_ids
+    (with IDENTITY's table row as provenance), the engine's box block is
+    the box rows plus the row of ones, and IDENTITY's closed-form box
     matrix is what compiling and applying its table gives."""
     backend, ops = FAMILIES[family]
     box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
@@ -634,20 +662,28 @@ def test_level1_pool_invariants(family, relative):
     engine.prepare()
     u = engine.universe
     z, memo = _engine_z(engine), {}
-    want = [_ref_u(z, row, memo) for row in engine.l1_rows]
+    rows, _ = _level1_rows(engine)
+    want = [_ref_u(z, row, memo) for row in rows]
     assert engine.l1_u.dtype == np.uint32
     assert list(map(tuple, engine.l1_u.T.tolist())) == want
-    assert len(np.unique(engine.l1_rows, axis=0)) == engine.n1
+    assert len(np.unique(rows, axis=0)) == engine.n1
+    assert engine.l1_src.dtype == engine.l1_inst.dtype == np.int32
+    assert engine.l1_src.shape == engine.l1_inst.shape == (engine.n1,)
+    assert 0 <= engine.l1_src.min() and engine.l1_src.max() < len(engine.box_monos)
+    assert 0 <= engine.l1_inst.min() and engine.l1_inst.max() < len(engine._table.re)
     box_rows = _ref_rows(u, engine.box_monos)
-    assert np.array_equal(engine.l1_rows[engine.box_ids], box_rows)
+    assert np.array_equal(rows[engine.box_ids], box_rows)
     bop = engine._ops[bulkrep.IDENTITY]
+    assert np.array_equal(engine.l1_src[engine.box_ids], np.arange(len(box_rows)))
+    assert (engine.l1_inst[engine.box_ids] == bop.first).all()
+    box_block = np.ones((u.nslots + 1, len(box_rows)), dtype=np.uint8)
+    box_block[:-1] = box_rows.T
+    assert np.array_equal(engine._box_block, box_block)
     cols, keys, re, im, inst = engine._apply_all(
-        bop, box_rows, engine.l1_u[:, engine.box_ids], collect_rows=True
+        bop, box_block, engine.l1_u[:, engine.box_ids], with_inst=True
     )
     rows_ids, got_cols, got_re, got_im = engine._box_mats[bulkrep.IDENTITY]
-    assert np.array_equal(
-        engine.l1_rows[rows_ids], bulkrep._image_rows(bop, box_rows, cols, inst)
-    )
+    assert np.array_equal(rows[rows_ids], _image_rows(bop, box_rows, cols, inst))
     assert np.array_equal(got_cols, cols)
     assert np.array_equal(got_re, re) and np.array_equal(got_im, im)
 
@@ -663,12 +699,57 @@ def _mono_of(universe, row) -> FockMonomial:
     return mono
 
 
+def _engine_products(engine):
+    """The generator product of every engine table row, in row order."""
+    u, out = engine.universe, []
+    for bop in engine._ops.values():
+        for keys, c in _op_products(u, bop.op, engine.relative):
+            if bulkrep._compile_instance(u, keys, c) is not None:
+                out.append(keys)
+    assert len(out) == len(engine._table.re)
+    return out
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_level1_blocks_rebuild_the_provenance_monomials(suite, monkeypatch):
+    """For every engine of every relation suite, as shipped and with one
+    instance per mask chunk in the domain build, the block rebuilt from
+    provenance for all n1 states holds the occupancy rows of the
+    monomials they stand for: the generator product of the state's table
+    row applied, in the per-monomial engine, to the box monomial of its
+    source column.  The rows are distinct and their u is l1_u."""
+    for budget in (None, 1):
+        if budget is not None:
+            monkeypatch.setattr(bulkrep, "_MASK_CELLS", budget)
+        reports = _suite_reports(suite, monkeypatch)
+        engines = {id(s.engine): s.engine for s, _, _ in reports}
+        assert engines
+        for engine in engines.values():
+            u = engine.universe
+            products = _engine_products(engine)
+            monos = []
+            for src, inst in zip(engine.l1_src.tolist(), engine.l1_inst.tolist()):
+                fac, mono = product_on_monomial(
+                    products[inst], engine.box_monos[src], engine.relative
+                )
+                assert fac != 0
+                monos.append(mono)
+            rows, _ = _level1_rows(engine)
+            assert np.array_equal(rows, _ref_rows(u, monos))
+            assert [_mono_of(u, row) for row in rows] == monos
+            assert len(np.unique(rows, axis=0)) == engine.n1
+            z, memo = _engine_z(engine), {}
+            want = [_ref_u(z, row, memo) for row in rows]
+            assert list(map(tuple, engine.l1_u.T.tolist())) == want
+
+
 @pytest.mark.parametrize("backend", [SL2, AB1], ids=["sl2", "ab1"])
 def test_box_matrices_match_operator_apply(backend):
     """Each column of a compiled box matrix, decoded through the level-1
-    rows and divided by the operator's denominator, is the operator
-    applied to that box monomial (the central scalar of S'(2,1/2) L[0]
-    enters as the empty generator product)."""
+    rows rebuilt from provenance and divided by the operator's
+    denominator, is the operator applied to that box monomial (the
+    central scalar of S'(2,1/2) L[0] enters as the empty generator
+    product)."""
     ops = {
         "d": build_differential_d(backend),
         "theta": build_theta_adjoint(backend, 0, 1),
@@ -682,13 +763,14 @@ def test_box_matrices_match_operator_apply(backend):
     u = engine.universe
     assert ([], ops["L[0]"].central) in _op_products(u, ops["L[0]"], False)
     assert not ops["L[0]"].central.is_zero()
+    l1_rows, _ = _level1_rows(engine)
     for name, op in ops.items():
         rows, cols, re, im = engine._box_mats[name]
         den = engine._ops[name].den
         got = [FockVector() for _ in engine.box_monos]
         for r, c, x, y in zip(rows.tolist(), cols.tolist(), re.tolist(), im.tolist()):
             got[c].add_term(
-                _mono_of(u, engine.l1_rows[r]),
+                _mono_of(u, l1_rows[r]),
                 QI(Fraction(x, den), Fraction(y, den)),
             )
         for col, m in enumerate(engine.box_monos):
@@ -696,19 +778,13 @@ def test_box_matrices_match_operator_apply(backend):
 
 
 def test_bounds_hold_without_asserts():
-    """The int64 bounds, the z-power table's exponent bound and the
-    output-row builder's emptied-slot guard are explicit raises, so
-    python -O keeps them."""
+    """The int64 bounds, the z-power table's exponent bound and the domain
+    build's emptied-slot guard are explicit raises, so python -O keeps
+    them."""
     code = textwrap.dedent(
         """
         import numpy as np
-        from sweil.bulkrep import (
-            IDENTITY,
-            BulkEngine,
-            Universe,
-            _group_keyed,
-            _image_rows,
-        )
+        from sweil.bulkrep import IDENTITY, BulkEngine, Universe, _group_keyed
         from sweil.fieldops import SumOperator
         from sweil.fock import Box, FockMonomial, GenKey
         from sweil.liealg import StructureError
@@ -732,19 +808,23 @@ def test_bounds_hold_without_asserts():
         except OverflowError:
             print("raised")
 
-        # a hand-built table whose one instance lowers a slot it does not
-        # constrain: every box state has that slot empty
+        # a hand-built table, installed before the domain build, whose one
+        # instance lowers a slot it does not constrain: every box state
+        # has that slot empty
         eng = BulkEngine(1, Box(emax=1, b0max=0))
         eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
-        eng.prepare()
-        slot = eng.universe.creator_slot(GenKey("g", 0, eng.universe.mmax))
-        bop = install(eng, "tau", (ONE, [], [], [], [(slot, -1)]))
-        rows, keys = eng.l1_rows[eng.box_ids], eng.l1_u[:, eng.box_ids]
-        cols, *_, inst = eng._apply_all(bop, rows, keys, True)
+        compile_table = eng._compile
+
+        def rigged():
+            compile_table()
+            slot = eng.universe.creator_slot(GenKey("g", 0, eng.universe.mmax))
+            install(eng, "tau", (ONE, [], [], [], [(slot, -1)]))
+
+        eng._compile = rigged
         try:
-            _image_rows(bop, rows, cols, inst)
-        except StructureError:
-            print("raised")
+            eng.prepare()
+        except StructureError as exc:
+            print("raised" if "emptied an unoccupied slot" in str(exc) else exc)
 
         # an instance coefficient past the int64 headroom
         eng = BulkEngine(1, Box(emax=1, b0max=0))
@@ -1230,26 +1310,27 @@ def test_pair_chunks_respect_the_mask_budget(monkeypatch):
         for n in (1, 40, 400, 2000)
     ]
 
-    def pairs(states):
-        chunks = list(engine._pair_chunks(t, rows, states))
+    def pairs(block):
+        chunks = list(engine._pair_chunks(t, rows, block))
         for counts, inst, cols, fac in chunks:
-            assert len(counts) * len(states) <= bulkrep._MASK_CELLS or len(counts) == 1
+            cells = len(counts) * block.shape[1]
+            assert cells <= bulkrep._MASK_CELLS or len(counts) == 1
             assert len(inst) == len(cols) == len(fac) == counts.sum()
         return chunks, [np.concatenate(x) for x in zip(*chunks)]
 
     for ids in blocks:
-        states = engine.l1_rows[ids]
+        _, block = _level1_rows(engine, ids)
         monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1 << 40)
-        (whole,), _ = pairs(states)
+        (whole,), _ = pairs(block)
         for budget in (None, 1):
             monkeypatch.undo()
             if budget is not None:
                 monkeypatch.setattr(bulkrep, "_MASK_CELLS", budget)
-            chunks, joined = pairs(states)
+            chunks, joined = pairs(block)
             assert all(np.array_equal(a, b) for a, b in zip(joined, whole))
         monkeypatch.undo()
     # the shipped budget splits the largest block into several chunks
-    assert len(pairs(engine.l1_rows[blocks[-1]])[0]) > 1
+    assert len(pairs(_level1_rows(engine, blocks[-1])[1])[0]) > 1
 
 
 def test_segment_sums_are_exact_residues():
