@@ -32,16 +32,22 @@ view of the engine table: its rows, cut to its widest row.
 A set of table rows is applied to a block of states in one vectorized
 pass: instances are dropped against the block's per-slot
 occupancy range, an instance x state mask is built one constraint
-column at a time, and the count factors, signs, output keys and (when
-asked for) instance indices of all (instance, state) pairs are taken at
-once.  A level-1 state (a box monomial or a one-step image) is kept
-only as its provenance, the box column it came from and the table row
-that produced it: a block of level-1 states is built slot-major straight
-from the engine's box block, by gathering the source columns and adding
-each row's occupancy change.
+column at a time, and the count factors, signs and table rows of all
+(instance, state) pairs are taken at once.  A level-1 state (a box
+monomial or a one-step image) is kept only as its provenance, the box
+column it came from and the table row that produced it: a block of
+level-1 states is built slot-major straight from the engine's box block,
+by gathering the source columns and adding each row's occupancy change.
 A table and block whose mask would exceed a fixed cell budget are taken
 in consecutive instance chunks, so memory follows the output, not the
 product of table and block sizes.
+Every operator is applied to the box in one kernel pass per engine, over
+the engine table rows of all operators but the identity: its pairs come
+out instance-major in table row order, so an operator's box matrix is one
+run of the pass's stream.  A box matrix is that run as it stands, int32
+rows (level-1 ids), columns and entries, and may repeat a (row, column)
+entry: the checksum is linear, and the exact comparison sums an inner
+operator's repeated entries before it applies the outer.
 Everything stays exact: matrix entries are scaled Gaussian integers, and
 every overflow-relevant bound is checked at run time (``OverflowError``
 when one fails, also under ``python -O``).
@@ -58,9 +64,9 @@ A monomial has one fingerprint, its occupancy weight
 u(m) = prod_s z_s^occ_s(m) modulo three primes p below 2^31, with seeded
 per-slot weights z_s in [2, p).  An instance with occupancy change delta
 takes u(state) to u(state) * z^delta, so an output's u needs no output
-row.  The level-1 domain (the box and its one-step images), the box
-matrices and the exact comparison group monomials by u, exactly, and the
-checksum weights them by it.  Two distinct monomials of total occupancy
+row.  The level-1 domain (the box and the output of every (instance, box
+state) pair) and the exact comparison group monomials by u, exactly, and
+the checksum weights them by it.  Two distinct monomials of total occupancy
 at most D share u with probability at most (D / (p - 2))^3 over the seed
 (p the smallest prime): per prime, u(m) - u(m') is a nonzero polynomial
 of degree at most D in the z_s (Schwartz 1980; Zippel 1979).  The engine
@@ -87,7 +93,8 @@ A nonzero checksum runs the exact comparison, which builds each
 composition outer o inner with the same table kernel: the outer table is
 applied to the state of every entry of the inner box matrix, and each
 output entry, times its inner entry, lands on that entry's box column.
-Each composition is summed per (column, u), then grouped once more with
+The inner box matrix's repeated (row, column) entries are summed first,
+each composition is summed per (column, u), then grouped once more with
 the right-hand sides; the smallest column left is the first failing box
 column.  The checksum is a weighted sum over those same groups, so a
 nonzero checksum with no nonzero group is an engine fault and raises
@@ -193,29 +200,27 @@ def _power_table(nslots: int, k: int) -> np.ndarray:
     return tab
 
 
-def _group_order(ka, kb):
-    """Permutation placing equal (ka, kb) pairs adjacently, plus the
-    group-start mask of the permuted sequence.
+def _sorted_groups(order, ska, skb):
+    """(order, new, ska, skb): the two-word grouping of the words (ka, kb),
+    given a sort ``order`` on ka and the words in that order, ska and skb;
+    new is the group-start mask.  Entries within a group come in no
+    particular order.
 
-    Fast path: one stable sort on ka; equal-ka runs almost surely agree
-    on kb as well.  If any adjacent pair has equal ka but different kb
-    (distinct cells that share their first word, or an unluckily split
-    run), fall back to the full two-word lexsort -- the result is exact
-    either way."""
-    if len(ka) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    order = np.argsort(ka, kind="stable")
-    ska = ka[order]
-    skb = kb[order]
+    Fast path: equal-ka runs almost surely agree on kb as well.  If any
+    adjacent pair has equal ka but different kb (distinct cells that share
+    their first word, or an unluckily split run), the sorted words are
+    sorted once more on both words -- the result is exact either way."""
+    if len(order) == 0:
+        return order, np.zeros(0, dtype=bool), ska, skb
     mixed = (ska[1:] == ska[:-1]) & (skb[1:] != skb[:-1])
     if mixed.any():
-        order = np.lexsort((kb, ka))
-        ska = ka[order]
-        skb = kb[order]
-    new = np.empty(len(ka), dtype=bool)
+        perm = np.lexsort((skb, ska))
+        order, ska, skb = order[perm], ska[perm], skb[perm]
+    del mixed
+    new = np.empty(len(order), dtype=bool)
     new[0] = True
     new[1:] = (ska[1:] != ska[:-1]) | (skb[1:] != skb[:-1])
-    return order, new
+    return order, new, ska, skb
 
 
 class Universe:
@@ -764,9 +769,32 @@ def _op_energy_span(op) -> int:
 
 
 def _empty_stream():
-    """Empty stream arrays (cols, keys, re, im, inst)."""
+    """Empty stream arrays (cols, keys, re, im)."""
     e = np.empty(0, dtype=np.int64)
-    return e, np.empty((len(_CHECK_PRIMES), 0), dtype=np.uint32), e, e, e
+    return e, np.empty((len(_CHECK_PRIMES), 0), dtype=np.uint32), e, e
+
+
+def _out_keys(zd, keys, cols, inst):
+    """Per checksum prime, the u of each (instance, state) pair's output,
+    u(state) * z**delta mod p, from the states' u ``keys`` and the table
+    rows' z**delta ``zd``."""
+    out = np.empty((len(_CHECK_PRIMES), len(cols)), dtype=np.uint32)
+    for i, p in enumerate(_CHECK_PRIMES):
+        x = keys[i, cols].astype(np.uint64)
+        x *= zd[i, inst]
+        x %= p
+        out[i] = x
+    return out
+
+
+def _joined(chunks, head=None):
+    """``head`` (if given) followed by the arrays ``chunks``, in one array;
+    empties ``chunks``, so that its arrays go once the result exists."""
+    if head is not None:
+        chunks.insert(0, head)
+    out = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int32)
+    chunks.clear()
+    return out
 
 
 class BulkEngine:
@@ -837,23 +865,47 @@ class BulkEngine:
 
     def _build_domain(self):
         """Phase A: apply every operator to the box; the level-1 domain is
-        the set of box and one-step-image monomials.  The slot-major box
-        block and its fermionic prefix counts are built once, and every
-        operator's box application reuses them.  The box keys and every
-        operator's grouped image keys are grouped together once: group
+        the set of box and one-step-image monomials.  One kernel pass takes
+        the engine table rows of every operator but IDENTITY on the
+        slot-major box block and its fermionic prefix counts.  Its pairs
+        come out instance-major in table row order, so each operator's
+        pairs are one run of the stream, and that run is its box matrix,
+        duplicate (row, column) entries included: the checksum is linear,
+        and the exact comparison groups what it builds.  The box keys and
+        the output keys of every pair are grouped together once: group
         ranks are the level-1 ids of the box monomials and of every box
         matrix row.  Each group keeps its representative's provenance, the
         box column it came from and the engine table row that produced it
         (a box monomial has IDENTITY's row, which changes nothing), and its
         key is the state's u.  IDENTITY's box matrix is the box itself and
-        is written down directly."""
+        is written down directly.  The stream and the box matrices hold
+        int32 rows, columns, entries and table rows, each bounded by a
+        raise."""
         u = self.universe
         t = self._table
         nbox = len(self.box_monos)
+        one = self._ops[IDENTITY]
         # the int32 provenance of a level-1 state
         top32 = np.iinfo(np.int32).max
         _bound(nbox <= top32, "box column of a level-1 state")
         _bound(len(t.re) <= top32, "table row of a level-1 state")
+        # no image empties a slot, so every level-1 block rebuilt from
+        # provenance holds true occupancies: a table row lowers a slot only
+        # where one of its constraints asks for at least as many quanta
+        for j in range(t.dslot.shape[1]):
+            low = np.flatnonzero(t.dval[:, j] < 0)
+            need = -t.dval[low, j].astype(np.int16)
+            held = (t.cslot[low] == t.dslot[low, j, None]) & (
+                t.clo[low] >= need[:, None]
+            )
+            bad = low[~held.any(axis=1)]
+            if len(bad):
+                name = next(
+                    b.name
+                    for b in self._ops.values()
+                    if b.first <= bad[0] < b.first + len(b.table.re)
+                )
+                raise StructureError(f"{name} emptied an unoccupied slot")
         # slot-major box block plus the row of ones that padded table
         # entries read
         block = np.ones((u.nslots + 1, nbox), dtype=np.uint8)
@@ -881,66 +933,85 @@ class BulkEngine:
         del zd
         for bop in self._ops.values():
             bop.zd = self._zd[:, bop.first : bop.first + len(bop.table.re)]
-        pre = self._prefix(block)
-        raw = {}
-        words = [_pool_words(box_u)]
-        for name, bop in self._ops.items():
-            if name == IDENTITY:
-                continue
-            cols, keys, re, im, inst = self._apply_all(
-                bop, block, box_u, pre, with_inst=True
-            )
-            # sum duplicate (col, key) contributions before pooling
-            cols, keys, re, im, first = _group_keyed(cols, keys, re, im)
-            _bound(np.abs(re).max(initial=0) < 1 << 30, "grouped real entry")
-            _bound(np.abs(im).max(initial=0) < 1 << 30, "grouped imaginary entry")
-            inst = inst[first]
-            # no grouped image empties a slot, so every level-1 block
-            # rebuilt from provenance holds true occupancies
-            bt = bop.table
-            for j in range(bt.dslot.shape[1]):
-                occ = block[bt.dslot[inst, j], cols] + bt.dval[inst, j]
-                if occ.min(initial=0) < 0:
-                    raise StructureError(f"{name} emptied an unoccupied slot")
-            raw[name] = (cols, re, im, inst)
-            words.append(_pool_words(keys))
-            del keys
-        del pre
-        pka, pkb = (np.concatenate(w) for w in zip(*words))
-        del words
-        order, new = _group_order(pka, pkb)
-        ids = np.empty(len(order), dtype=np.int64)
-        ids[order] = np.cumsum(new) - 1
-        reps = order[new]
-        del order, new
-        self.n1 = len(reps)
+        rows = np.delete(
+            np.arange(len(t.re)), np.s_[one.first : one.first + len(one.table.re)]
+        )
+        # the stream, one list of chunks per field: box column, table row,
+        # entry (re, im), and the two pool words of the output key
+        col_parts, inst_parts, re_parts, im_parts, ka_parts, kb_parts = (
+            [] for _ in range(6)
+        )
+        for _, inst, cols, fac in self._pair_chunks(t, rows, block):
+            re = t.re[inst] * fac
+            im = t.im[inst] * fac
+            del fac
+            _bound(_absmax(re, im) < 1 << 30, "image entry")
+            ka, kb = _pool_words(_out_keys(self._zd, box_u, cols, inst))
+            ka_parts.append(ka)
+            kb_parts.append(kb)
+            for part, x in (
+                (col_parts, cols), (inst_parts, inst), (re_parts, re), (im_parts, im)
+            ):
+                part.append(x.astype(np.int32))
+        box_ka, box_kb = _pool_words(box_u)
+        del box_u
+        # one field at a time, so that a field's chunks and its
+        # concatenation are the only copies alive together
+        pka = _joined(ka_parts, box_ka)
+        pkb = _joined(kb_parts, box_kb)
+        del box_ka, box_kb
+        # the sorted words replace the pool's, so that one copy of each
+        # outlives the sort
+        order = np.argsort(pka)
+        pka = pka[order]
+        pkb = pkb[order]
+        order, new, pka, pkb = _sorted_groups(order, pka, pkb)
+        self.n1 = int(np.count_nonzero(new))
+        _bound(self.n1 <= top32, "level-1 id of a box-matrix row")
         # per checksum prime, u of every level-1 state
         self.l1_u = np.empty((len(_CHECK_PRIMES), self.n1), dtype=np.uint32)
-        ka = pka[reps]
+        ka = pka[new]
         self.l1_u[0] = ka & 0x7FFFFFFF
         self.l1_u[1] = ka >> 31
-        self.l1_u[2] = pkb[reps]
+        self.l1_u[2] = pkb[new]
         del pka, pkb, ka
-        is_rep = np.zeros(len(ids), dtype=bool)
-        is_rep[reps] = True
+        ids = np.empty(len(order), dtype=np.int32)
+        ids[order] = np.cumsum(new, dtype=np.int32) - 1
+        # the representative of level-1 state i is its first pooled entry
+        # reps[i], so a box state is its own
+        reps = np.minimum.reduceat(order, np.flatnonzero(new))
+        del order, new
         self.box_ids = ids[:nbox]
+        cols, inst = _joined(col_parts), _joined(inst_parts)
         # per level-1 state, its source box column and engine table row
         self.l1_src = np.empty(self.n1, dtype=np.int32)
         self.l1_inst = np.empty(self.n1, dtype=np.int32)
-        at = np.flatnonzero(is_rep[:nbox])
-        self.l1_src[self.box_ids[at]] = at
-        self.l1_inst[self.box_ids[at]] = self._ops[IDENTITY].first
-        one = np.ones(nbox, dtype=np.int64)
-        self._box_mats[IDENTITY] = (self.box_ids, np.arange(nbox), one, 0 * one)
-        start = nbox
-        for name, (cols, re, im, inst) in raw.items():
-            stop = start + len(cols)
-            rows_ids = ids[start:stop]
-            at = np.flatnonzero(is_rep[start:stop])
-            self.l1_src[rows_ids[at]] = cols[at]
-            self.l1_inst[rows_ids[at]] = self._ops[name].first + inst[at]
-            self._box_mats[name] = (rows_ids, cols, re, im)
-            start = stop
+        isbox = reps < nbox
+        self.l1_src[isbox] = reps[isbox]
+        self.l1_inst[isbox] = one.first
+        img = reps[~isbox] - nbox
+        self.l1_src[~isbox] = cols[img]
+        self.l1_inst[~isbox] = inst[img]
+        del reps, isbox, img
+        re, im = _joined(re_parts), _joined(im_parts)
+        ones = np.ones(nbox, dtype=np.int32)
+        self._box_mats[IDENTITY] = (
+            self.box_ids,
+            np.arange(nbox, dtype=np.int32),
+            ones,
+            0 * ones,
+        )
+        for b in self._ops.values():
+            if b is one:
+                continue
+            # an operator's pairs are the run of its table rows
+            lo, hi = np.searchsorted(inst, (b.first, b.first + len(b.table.re)))
+            self._box_mats[b.name] = (
+                ids[nbox + lo : nbox + hi],
+                cols[lo:hi],
+                re[lo:hi],
+                im[lo:hi],
+            )
 
     def _prefix(self, block):
         """Exclusive prefix counts over the fermionic slots of a slot-major
@@ -988,16 +1059,15 @@ class BulkEngine:
                 out %= _CHECK_P
         return out
 
-    def _pair_chunks(self, t, rows, block, pre=None):
+    def _pair_chunks(self, t, rows, block):
         """The (instance, state) pairs of the rows ``rows`` of the packed
         instance table ``t`` on the states of the slot-major ``block`` (one
         column per state, one row per slot, then the row of ones that
         padded table entries read), one chunk of instances at a time, in
-        the order of ``rows``, instance-major.  ``pre`` is the block's
-        fermionic prefix counts (see _prefix), built here when the table
-        reads parity and none is given.  Yields (counts, inst, cols, fac):
-        the number of pairs of each instance of the chunk, each pair's
-        table row and state, and its count factor times its Koszul sign."""
+        the order of ``rows``, instance-major.  Yields (counts, inst, cols,
+        fac): the number of pairs of each instance of the chunk, each
+        pair's table row and state, and its count factor times its Koszul
+        sign."""
         n = block.shape[1]
         if n == 0 or len(rows) == 0:
             return
@@ -1013,10 +1083,8 @@ class BulkEngine:
         # below 2**31, must fit int64
         top = int(bmax.max()) + max(int(t.boff[sel].max(initial=0)), 0)
         _bound(top ** t.bslot.shape[1] < 1 << 32, "count factor x weight")
-        if not t.fslot.shape[1]:
-            pre = None
-        elif pre is None:
-            pre = self._prefix(block)
+        # the block's fermionic prefix counts, when the table reads parity
+        pre = self._prefix(block) if t.fslot.shape[1] else None
         # consecutive instance chunks keep the instance-major order
         step = max(1, _MASK_CELLS // n)
         for i in range(0, len(sel), step):
@@ -1053,34 +1121,24 @@ class BulkEngine:
             np.negative(fac, out=fac, where=(par & 1).view(bool))
         return counts, inst, cols, fac
 
-    def _apply_all(self, bop, block, keys, pre=None, with_inst=False):
+    def _apply_all(self, bop, block, keys):
         """Keyed COO stream of ``bop`` applied to every state of the
         slot-major ``block`` (keys ``keys``, the states' u per checksum
-        prime; ``pre`` as in _pair_chunks).
+        prime).
 
-        Returns (cols, keys, re, im, inst), one entry per (instance, state)
-        pair in instance-major order; an output's key is its u, so
-        u(state) * z**delta of its instance.  inst is each pair's row of
-        the operator's table when ``with_inst`` (the domain build keeps it
-        as provenance), else an empty array."""
+        Returns (cols, keys, re, im), one entry per (instance, state) pair
+        in instance-major order; an output's key is its u, so
+        u(state) * z**delta of its instance."""
         t = bop.table
         parts = []
         rows = np.arange(len(t.re))
-        for _, inst, cols, fac in self._pair_chunks(t, rows, block, pre):
-            # output keys, one checksum prime at a time
-            out = np.empty((len(_CHECK_PRIMES), len(cols)), dtype=np.uint32)
-            for i, p in enumerate(_CHECK_PRIMES):
-                x = keys[i, cols].astype(np.uint64)
-                x *= bop.zd[i, inst]
-                x %= p
-                out[i] = x
+        for _, inst, cols, fac in self._pair_chunks(t, rows, block):
             parts.append(
                 (
                     cols,
-                    out,
+                    _out_keys(bop.zd, keys, cols, inst),
                     t.re[inst] * fac,
                     t.im[inst] * fac,
-                    inst if with_inst else np.zeros(0, dtype=np.int64),
                 )
             )
         if not parts:
@@ -1145,18 +1203,27 @@ class BulkEngine:
         """Cached (ids, ub_re, ub_im): the distinct level-1 rows hit by
         the inner box matrix B and, per checksum prime, u(k) * b_k mod p
         with b_k = sum_j B[k, j] v(j), as uint32 residues; ub_im is None
-        when every b_k is real."""
+        when every b_k is real.  A row and column that B repeats add up."""
         hit = self._inner_cache.get(inner)
         if hit is None:
             rows, cols, bre, bim = self._box_mats[inner]
-            ids, pos = np.unique(rows, return_inverse=True)
-            ub_re = np.empty((len(_CHECK_PRIMES), len(ids)), dtype=np.uint32)
-            ub_im = np.empty_like(ub_re)
+            # the entries in row order, one segment per distinct row
+            order = np.argsort(rows)
+            rows, cols, bre, bim = rows[order], cols[order], bre[order], bim[order]
+            del order
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            ids = rows[starts]
+            del rows
+            ub_re = np.zeros((len(_CHECK_PRIMES), len(ids)), dtype=np.uint32)
+            ub_im = np.zeros_like(ub_re)
+            parts = [(ub_re, bre)] + ([(ub_im, bim)] if bim.any() else [])
             for i, (p, r5, r6) in enumerate(_CHECK_CONSTS):
                 v = _col_weights(p, r5, r6, cols)
-                for out, x in ((ub_re, bre), (ub_im, bim)):
-                    b = np.zeros(len(ids), dtype=np.int64)
-                    np.add.at(b, pos, (x % p) * v % p)
+                for out, x in parts:
+                    # |entry| < 2**30 (the domain build's bound) and
+                    # v < 2**31, so each int64 product fits, and so does a
+                    # segment's sum of residues
+                    b = np.add.reduceat(x * v % p, starts)
                     out[i] = b % p * self.l1_u[i, ids] % p
             hit = (ids, ub_re, ub_im if ub_im.any() else None)
             self._inner_cache[inner] = hit
@@ -1171,11 +1238,10 @@ class BulkEngine:
             hit = []
             for i, (p, r5, r6) in enumerate(_CHECK_CONSTS):
                 w = self.l1_u[i, rows] * _col_weights(p, r5, r6, cols) % p
+                # |entry| < 2**30 (the domain build's bound) and w < 2**31,
+                # so each int64 product fits, and so does a sum of residues
                 hit.append(
-                    (
-                        int(np.sum((re % p) * w % p) % p),
-                        int(np.sum((im % p) * w % p) % p),
-                    )
+                    (int(np.sum(re * w % p) % p), int(np.sum(im * w % p) % p))
                 )
             self._rhs_cache[name] = hit
         return hit
@@ -1285,11 +1351,13 @@ class BulkEngine:
 
     def _first_failing_column(self, comps, rhs_terms, L):
         """The exact comparison: the smallest box column with a nonzero
-        (column, key) group of the defect scaled by L, or None.  It applies
-        each composition's outer operator to the state of every inner
-        box-matrix entry, one output entry per (inner entry, outer
-        instance that feeds its state), and sums the composition per
-        (column, key) before the next one is built."""
+        (column, key) group of the defect scaled by L, or None.  It sums
+        the inner box matrix's repeated (row, column) entries, applies each
+        composition's outer operator to the state of every summed entry,
+        one output entry per (inner entry, outer instance that feeds its
+        state), and sums the composition per (column, key) before the next
+        one is built.  Box-matrix entries are int32 and are widened to
+        int64 before any product."""
         ops = self._ops
         streams = []
 
@@ -1301,11 +1369,19 @@ class BulkEngine:
 
         for outer, inner, mult in comps:
             rows, cols, bre, bim = self._box_mats[inner]
+            # distinct states have distinct keys, so a (column, key) group
+            # is a (row, column) entry
+            cols, keys, bre, bim, first = _group_keyed(
+                cols,
+                np.take(self.l1_u, rows, axis=1),
+                bre.astype(np.int64),
+                bim.astype(np.int64),
+            )
             # output entry e is outer applied to the state of inner entry
             # at[e] (one state per entry, repeats included), so it lands on
             # that entry's box column
-            at, keys, are, aim, _ = self._apply_all(
-                ops[outer], self._level1_block(rows), np.take(self.l1_u, rows, axis=1)
+            at, keys, are, aim = self._apply_all(
+                ops[outer], self._level1_block(rows[first]), keys
             )
             m = 2 * _absmax(are, aim) * _absmax(bre, bim)
             _bound(m < 1 << 62, "product entry")
@@ -1316,6 +1392,7 @@ class BulkEngine:
             push(*_group_keyed(cols[at], keys, re, im)[:4], mult)
         for c, name in rhs_terms:
             rows, cols, re, im = self._box_mats[name]
+            re, im = re.astype(np.int64), im.astype(np.int64)
             s = L // ops[name].den
             cr, ci = int(c.re * s), int(c.im * s)
             m = 2 * _absmax(re, im) * max(abs(cr), abs(ci))
@@ -1351,17 +1428,17 @@ def _segment_sums(fac, w, cols, starts, wide):
 
 
 def _pool_words(keys):
-    """Two uint64 words that hold the three residues of ``keys`` exactly:
-    u0 | u1 << 31 and u2."""
+    """Two words that hold the three residues of ``keys`` exactly: the
+    uint64 u0 | u1 << 31 and the uint32 u2."""
     ka = keys[1].astype(np.uint64) << 31
     ka |= keys[0]
-    return ka, keys[2].astype(np.uint64)
+    return ka, keys[2].copy()
 
 
 def _group_keyed(cols, keys, re, im):
     """Sum duplicate (col, key) entries and drop exact zeros.  A cell is
     held exactly in two uint64 words, u0 | col << 31 and u1 | u2 << 31;
-    the column goes in the first word, which _group_order sorts first.
+    the column goes in the first word, which is sorted first.
     Returns the grouped arrays plus, per kept group, the index of a
     representative entry in the original (pre-sort) order."""
     if len(cols) == 0:
@@ -1370,7 +1447,8 @@ def _group_keyed(cols, keys, re, im):
     ka |= keys[0]
     kb = keys[2].astype(np.uint64) << 31
     kb |= keys[1]
-    order, new = _group_order(ka, kb)
+    order = np.argsort(ka)
+    order, new = _sorted_groups(order, ka[order], kb[order])[:2]
     del ka, kb
     re, im = re[order], im[order]
     starts = np.flatnonzero(new)

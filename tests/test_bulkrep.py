@@ -6,6 +6,7 @@ import textwrap
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -492,9 +493,35 @@ def _level1_rows(engine, ids=None):
     return block[:-1].T, block
 
 
-def _kernel_entries(engine, name, block, keys):
+def _op_stream(engine, bop, block, keys):
+    """(cols, keys, re, im, inst): the keyed stream of ``bop`` on the
+    slot-major ``block`` (states' u ``keys``) with each pair's row of the
+    operator's table, from the same kernel as BulkEngine._apply_all."""
+    t = bop.table
+    rows = np.arange(len(t.re))
+    parts = [
+        (
+            cols,
+            bulkrep._out_keys(bop.zd, keys, cols, inst),
+            t.re[inst] * fac,
+            t.im[inst] * fac,
+            inst,
+        )
+        for _, inst, cols, fac in engine._pair_chunks(t, rows, block)
+    ]
+    if not parts:
+        e = np.zeros(0, dtype=np.int64)
+        return e, np.zeros((len(bulkrep._CHECK_PRIMES), 0), dtype=np.uint32), e, e, e
+    return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
+
+
+def _kernel_entries(engine, name, block, state_keys):
+    """The entries (col, key, re, im, output row) of operator ``name`` on
+    the block, whose stream is also what _apply_all gives."""
     bop = engine._ops[name]
-    cols, keys, re, im, inst = engine._apply_all(bop, block, keys, with_inst=True)
+    cols, keys, re, im, inst = _op_stream(engine, bop, block, state_keys)
+    got = engine._apply_all(bop, block, state_keys)
+    assert all(np.array_equal(a, b) for a, b in zip(got, (cols, keys, re, im)))
     rows = _image_rows(bop, block[:-1].T, cols, inst)
     return list(
         zip(
@@ -679,10 +706,11 @@ def test_level1_pool_invariants(family, relative):
     box_block = np.ones((u.nslots + 1, len(box_rows)), dtype=np.uint8)
     box_block[:-1] = box_rows.T
     assert np.array_equal(engine._box_block, box_block)
-    cols, keys, re, im, inst = engine._apply_all(
-        bop, box_block, engine.l1_u[:, engine.box_ids], with_inst=True
+    cols, keys, re, im, inst = _op_stream(
+        engine, bop, box_block, engine.l1_u[:, engine.box_ids]
     )
     rows_ids, got_cols, got_re, got_im = engine._box_mats[bulkrep.IDENTITY]
+    assert all(x.dtype == np.int32 for x in engine._box_mats[bulkrep.IDENTITY])
     assert np.array_equal(rows[rows_ids], _image_rows(bop, box_rows, cols, inst))
     assert np.array_equal(got_cols, cols)
     assert np.array_equal(got_re, re) and np.array_equal(got_im, im)
@@ -743,6 +771,177 @@ def test_level1_blocks_rebuild_the_provenance_monomials(suite, monkeypatch):
             assert list(map(tuple, engine.l1_u.T.tolist())) == want
 
 
+# -- per-operator domain build: the oracle of the one-pass build -------
+#
+# The domain build the engine ran before it applied every operator in one
+# kernel pass: each operator but IDENTITY is applied to the box block on
+# its own, its stream is grouped per (column, key) with _group_keyed, and
+# the box keys and every operator's grouped keys are pooled in one
+# grouping.
+
+
+def _oracle_domain(engine, every_pair=False):
+    """(l1_u, src, inst, mats) of the per-operator domain build on the
+    engine's box block and table: u of every level-1 state, each state's
+    source box column and engine table row, and per operator its box
+    matrix as a dict (level-1 id, column) -> (re, im) without zero sums.
+    The pool takes the box keys and each operator's grouped keys; with
+    ``every_pair`` it takes the key of every pair, grouped or not, as the
+    one-pass build does.  Ids are ranks in (u0 | u1 << 31, u2) order, and a
+    state's provenance is that of its first pooled entry."""
+    block = engine._box_block
+    states = block[:-1].T
+    slots = np.broadcast_to(np.arange(engine.universe.nslots), states.shape)
+    box_u = engine._zpow(slots, states).astype(np.uint32)
+    one = engine._ops[bulkrep.IDENTITY]
+    box_keys = list(map(tuple, box_u.T.tolist()))
+    # pooled entries in pool order: (key, source column, table row)
+    pooled = [(k, c, one.first) for c, k in enumerate(box_keys)]
+    grouped = {bulkrep.IDENTITY: [(k, c, 1, 0) for c, k in enumerate(box_keys)]}
+    for name, bop in engine._ops.items():
+        if name == bulkrep.IDENTITY:
+            continue
+        cols, keys, re, im, inst = _op_stream(engine, bop, block, box_u)
+        gcols, gkeys, gre, gim, first = bulkrep._group_keyed(cols, keys, re, im)
+        gkeys = list(map(tuple, gkeys.T.tolist()))
+        if every_pair:
+            pooled += zip(
+                map(tuple, keys.T.tolist()), cols.tolist(), (bop.first + inst).tolist()
+            )
+        else:
+            pooled += zip(gkeys, gcols.tolist(), (bop.first + inst[first]).tolist())
+        grouped[name] = list(zip(gkeys, gcols.tolist(), gre.tolist(), gim.tolist()))
+    prov = {}
+    for key, src, row in pooled:
+        prov.setdefault(key, (src, row))
+    order = sorted(prov, key=lambda k: (k[0] | k[1] << 31, k[2]))
+    rank = {k: i for i, k in enumerate(order)}
+    l1_u = np.array(order, dtype=np.uint32).reshape(len(order), 3).T
+    src, inst = (np.array([prov[k][i] for k in order], dtype=np.int32) for i in (0, 1))
+    mats = {
+        name: {(rank[k], c): (re, im) for k, c, re, im in entries}
+        for name, entries in grouped.items()
+    }
+    return l1_u, src, inst, mats
+
+
+def _summed_entries(rows, cols, re, im):
+    """(row, col) -> (re, im) of a box matrix, repeated entries summed and
+    zero sums dropped."""
+    out = {}
+    for r, c, x, y in zip(rows.tolist(), cols.tolist(), re.tolist(), im.tolist()):
+        x0, y0 = out.get((r, c), (0, 0))
+        out[(r, c)] = (x0 + x, y0 + y)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _assert_domain_matches_oracle(engine, unchanged):
+    """The one-pass domain build of a prepared engine equals the
+    per-operator build that pools every pair: n1 and l1_u, every state's
+    provenance rebuilt through _level1_block, and every box matrix (int32
+    throughout) once its repeated (row, column) entries are summed.  With
+    ``unchanged``, also no pooled state stands only for (column, key)
+    groups that sum to zero, so the pool is the one that pools grouped
+    keys alone."""
+    l1_u, src, inst, mats = _oracle_domain(engine, every_pair=True)
+    assert engine.n1 == l1_u.shape[1]
+    assert np.array_equal(engine.l1_u, l1_u)
+    ids = np.arange(engine.n1)
+    oracle = SimpleNamespace(
+        _table=engine._table, _box_block=engine._box_block, l1_src=src, l1_inst=inst
+    )
+    assert np.array_equal(
+        engine._level1_block(ids), BulkEngine._level1_block(oracle, ids)
+    )
+    assert engine._box_mats.keys() == mats.keys()
+    for name, mat in engine._box_mats.items():
+        assert all(x.dtype == np.int32 for x in mat), name
+        assert _summed_entries(*mat) == mats[name], name
+    if unchanged:
+        assert np.array_equal(_oracle_domain(engine)[0], l1_u)
+
+
+def _family_engine(family, relative):
+    """A prepared engine of every operator of a FAMILIES entry."""
+    backend, ops = FAMILIES[family]
+    box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
+    engine = BulkEngine(backend.dim, box, relative)
+    for name, op in ops():
+        engine.register(name, op)
+    engine.prepare()
+    return engine
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_one_pass_domain_matches_per_operator_build(family, relative, monkeypatch):
+    """On every FAMILIES engine, absolute and relative, as shipped and
+    with one instance per mask chunk, the one-pass domain build gives the
+    per-operator build's level-1 domain and box matrices."""
+    for budget in (None, 1):
+        if budget is not None:
+            monkeypatch.setattr(bulkrep, "_MASK_CELLS", budget)
+        _assert_domain_matches_oracle(_family_engine(family, relative), True)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suite_domains_match_per_operator_build(suite, monkeypatch):
+    """Every engine of every relation suite, as shipped and with one
+    instance per mask chunk, has the per-operator build's level-1 domain
+    and box matrices."""
+    for budget in (None, 1):
+        if budget is not None:
+            monkeypatch.setattr(bulkrep, "_MASK_CELLS", budget)
+        reports = _suite_reports(suite, monkeypatch)
+        engines = {id(s.engine): s.engine for s, _, _ in reports}
+        assert engines
+        for engine in engines.values():
+            _assert_domain_matches_oracle(engine, True)
+
+
+def test_scaled_rhs_products_are_taken_in_int64():
+    """A failing case whose scaled right-hand-side coefficient times an
+    int32 box entry passes 2**31 reports the per-monomial engine's first
+    failing column, from the exact comparison and from bracket_defect.
+    [g(0,0), b(0,0)] = 1 is claimed as 6700417 T - N + 1, with N the
+    number operator b(0,0) g(0,0) and T = 641 N: 641 * 6700417 = 2**32 + 1,
+    so the claim is off by 2**32 n on b(0,0)**n.  Taken modulo 2**32, as
+    an int32 product would be, it would hold on every column."""
+    engine = BulkEngine(1, Box(emax=0, b0max=2, zero_fermions_allowed=False))
+
+    def number(c):
+        slots = (SlotSpec("b", 0, 0, ()), SlotSpec("g", 0, 0, ()))
+        return FieldOperator([TermShape(0, slots, lambda vs: QI(c), False)])
+
+    ops = {
+        "g": GeneratorOperator(GenKey("g", 0, 0)),
+        "b": GeneratorOperator(GenKey("b", 0, 0)),
+        "N": number(1),
+        "T": number(641),
+    }
+    for name, op in ops.items():
+        engine.register(name, op)
+    rhs = [(QI(6700417), "T"), (QI(-1), "N"), (ONE, bulkrep.IDENTITY)]
+    engine.prepare()
+    _, _, re, _ = engine._box_mats["T"]
+    assert re.dtype == np.int32 and 6700417 * int(re.max()) >= 1 << 31
+    lhs = super_commutator(ops["g"], ops["b"])
+    want = None
+    for col, m in enumerate(engine.box_monos):
+        v = FockVector.of(m)
+        d = lhs.apply(v)
+        for c, name in rhs:
+            d = d - engine._ops[name].op.apply(v).scale(c)
+        if not d.is_zero():
+            want = col
+            break
+    assert engine.box_monos[want].bosons == (GenKey("b", 0, 0),)
+    comps, L = engine._compositions("g", "b", False, rhs)
+    assert not engine._checksum_zero(comps, rhs, L)
+    assert engine._first_failing_column(comps, rhs, L) == want
+    assert engine.bracket_defect("g", "b", False, rhs) == want
+
+
 @pytest.mark.parametrize("backend", [SL2, AB1], ids=["sl2", "ab1"])
 def test_box_matrices_match_operator_apply(backend):
     """Each column of a compiled box matrix, decoded through the level-1
@@ -778,9 +977,9 @@ def test_box_matrices_match_operator_apply(backend):
 
 
 def test_bounds_hold_without_asserts():
-    """The int64 bounds, the z-power table's exponent bound and the domain
-    build's emptied-slot guard are explicit raises, so python -O keeps
-    them."""
+    """The int64 bounds, the int32 bound of the box matrices' entries, the
+    z-power table's exponent bound and the domain build's emptied-slot
+    guard are explicit raises, so python -O keeps them."""
     code = textwrap.dedent(
         """
         import numpy as np
@@ -835,6 +1034,16 @@ def test_bounds_hold_without_asserts():
         except OverflowError:
             print("raised")
 
+        # an image entry past what the int32 box matrices hold: a
+        # coefficient of 2**29 times the count factor 2 of g(0,0) on b(0,0)**2
+        eng = BulkEngine(1, Box(emax=0, b0max=2, zero_fermions_allowed=False))
+        g = GeneratorOperator(GenKey("g", 0, 0))
+        eng.register("big-g", SumOperator([(1 << 29, g)]))
+        try:
+            eng.prepare()
+        except OverflowError as exc:
+            print("raised" if "image entry" in str(exc) else exc)
+
         # a central scalar is an instance coefficient, under the same bound
         eng = BulkEngine(1, Box(emax=1, b0max=0))
         eng.register("big-central", SumOperator((), central=1 << 31))
@@ -844,15 +1053,17 @@ def test_bounds_hold_without_asserts():
             print("raised")
 
         # a composition whose product entries would overflow int64: the
-        # identity's table and tau's box matrix scaled by 2**32, with the
-        # checksum bypassed so that the exact path runs
+        # identity's table and tau's box matrix scaled by 2**32 (the int32
+        # box matrix widened first, so that the shift cannot wrap), with
+        # the checksum bypassed so that the exact path runs
         eng = BulkEngine(1, Box(emax=1, b0max=0))
         eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
         eng.prepare()
         one = eng._ops[IDENTITY]
         one.table = one.table._replace(re=one.table.re << 32)
         rows, cols, re, im = eng._box_mats["tau"]
-        eng._box_mats["tau"] = (rows, cols, re << 32, im)
+        re, im = re.astype(np.int64) << 32, im.astype(np.int64)
+        eng._box_mats["tau"] = (rows, cols, re, im)
         eng._checksum_zero = lambda *args: False
         try:
             eng.bracket_defect(IDENTITY, "tau", False, [])
@@ -910,7 +1121,7 @@ def test_bounds_hold_without_asserts():
         env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{Path(__file__).parent}"},
         check=True,
     )
-    assert out.stdout.split() == ["raised"] * 10
+    assert out.stdout.split() == ["raised"] * 11
 
 
 def occupancy_engine(b0max):
@@ -1290,6 +1501,27 @@ def test_random_term_shapes_compile_like_per_instance(
     engine.universe = bulkrep.Universe(2, engine.box.emax + 3)
     engine._compile()
     _assert_engine_matches_oracle(engine)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shapes=st.lists(_term_shapes(), min_size=1, max_size=3), relative=st.booleans())
+def test_random_term_shapes_build_the_per_operator_domain(shapes, relative):
+    """On random term shapes (see _term_shapes), absolute and relative,
+    as shipped and with one instance per mask chunk, the one-pass domain
+    build gives the per-operator build's level-1 domain and box matrices.
+    Some shapes reach a state only through (column, key) groups that sum
+    to zero, which the one-pass build pools and the grouped build did not,
+    so the pool is compared with the one that pools every pair."""
+    box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
+    for budget in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(bulkrep, "_MASK_CELLS", budget)
+            engine = BulkEngine(2, box, relative)
+            for i, term in enumerate(shapes):
+                engine.register(f"f{i}", FieldOperator([term]))
+            engine.prepare()
+            _assert_domain_matches_oracle(engine, False)
 
 
 def test_pair_chunks_respect_the_mask_budget(monkeypatch):
