@@ -33,11 +33,14 @@ A set of table rows is applied to a block of states in one vectorized
 pass: instances are dropped against the block's per-slot
 occupancy range, an instance x state mask is built one constraint
 column at a time, and the count factors, signs and table rows of all
-(instance, state) pairs are taken at once.  A level-1 state (a box
-monomial or a one-step image) is kept only as its provenance, the box
-column it came from and the table row that produced it: a block of
-level-1 states is built slot-major straight from the engine's box block,
-by gathering the source columns and adding each row's occupancy change.
+(instance, state) pairs are taken at once: each read is one 1-D take at
+the pairs' flat mask index from the block rows that the instances read,
+and a column that is padding on every instance of a chunk is skipped.
+A level-1 state (a box monomial or a one-step image) is kept only as its
+provenance, the box column it came from and the table row that produced
+it: a block of level-1 states is built slot-major straight from the
+engine's box block, by gathering the source columns and adding each row's
+occupancy change.
 A table and block whose mask would exceed a fixed cell budget are taken
 in consecutive instance chunks, so memory follows the output, not the
 product of table and block sizes.
@@ -82,7 +85,9 @@ a pseudo-random weight per box column.  Each composition outer o inner
 is summed inside the table kernel, one instance chunk at a time, as
 sum_inst c z^delta * sum_states fac * sign * u(state) * b(state), where
 b is the inner box matrix times v, with the three primes along one array
-axis.  A report hands its cases to the engine first (``plan``), which
+axis; b is reduced mod p once per row, not once per entry, whenever the
+row's unreduced sum fits int64, and a right-hand side's sum is the sum of
+its u(k) b_k.  A report hands its cases to the engine first (``plan``), which
 groups their compositions by inner operator: the first case that needs
 an inner runs one kernel pass over the rows of every outer the report
 pairs with it, reduced per outer, and later cases read those sums.  A
@@ -780,8 +785,8 @@ def _out_keys(zd, keys, cols, inst):
     rows' z**delta ``zd``."""
     out = np.empty((len(_CHECK_PRIMES), len(cols)), dtype=np.uint32)
     for i, p in enumerate(_CHECK_PRIMES):
-        x = keys[i, cols].astype(np.uint64)
-        x *= zd[i, inst]
+        x = keys[i].take(cols).astype(np.uint64)
+        x *= zd[i].take(inst)
         x %= p
         out[i] = x
     return out
@@ -879,8 +884,10 @@ class BulkEngine:
         (a box monomial has IDENTITY's row, which changes nothing), and its
         key is the state's u.  IDENTITY's box matrix is the box itself and
         is written down directly.  The stream and the box matrices hold
-        int32 rows, columns, entries and table rows, each bounded by a
-        raise."""
+        int32 rows, columns and entries, and the provenance int32 columns
+        and table rows, each bounded by a raise; a pair's table row is not
+        kept, only the table rows with pairs and their pair counts, which
+        give the operator runs and the representatives' table rows."""
         u = self.universe
         t = self._table
         nbox = len(self.box_monos)
@@ -918,6 +925,11 @@ class BulkEngine:
             top + max(int(t.dval.max(initial=0)), 0) <= _FULL,
             "slot occupancy of a one-step image",
         )
+        # per checksum prime, the weight v of every box column
+        self._colw = np.array(
+            [_col_weights(p, r5, r6, np.arange(nbox)) for p, r5, r6 in _CHECK_CONSTS],
+            dtype=np.uint32,
+        )
         k = max(top, int(np.abs(t.dval).max(initial=0)))
         self._ztab = _power_table(u.nslots, k)
         slots = np.broadcast_to(np.arange(u.nslots), states.shape)
@@ -936,12 +948,13 @@ class BulkEngine:
         rows = np.delete(
             np.arange(len(t.re)), np.s_[one.first : one.first + len(one.table.re)]
         )
-        # the stream, one list of chunks per field: box column, table row,
-        # entry (re, im), and the two pool words of the output key
-        col_parts, inst_parts, re_parts, im_parts, ka_parts, kb_parts = (
-            [] for _ in range(6)
-        )
-        for _, inst, cols, fac in self._pair_chunks(t, rows, block):
+        # the stream, one list of chunks per field: box column, entry (re,
+        # im), and the two pool words of the output key; a pair's table row
+        # is kept only per instance, as the table rows with pairs and their
+        # pair counts
+        col_parts, re_parts, im_parts, ka_parts, kb_parts = ([] for _ in range(5))
+        hit_parts, count_parts = [], []
+        for counts, inst, cols, fac in self._pair_chunks(t, rows, block):
             re = t.re[inst] * fac
             im = t.im[inst] * fac
             del fac
@@ -949,9 +962,11 @@ class BulkEngine:
             ka, kb = _pool_words(_out_keys(self._zd, box_u, cols, inst))
             ka_parts.append(ka)
             kb_parts.append(kb)
-            for part, x in (
-                (col_parts, cols), (inst_parts, inst), (re_parts, re), (im_parts, im)
-            ):
+            has = counts > 0
+            hit_parts.append(inst[(np.cumsum(counts) - counts)[has]].astype(np.int32))
+            count_parts.append(counts[has])
+            del inst
+            for part, x in ((col_parts, cols), (re_parts, re), (im_parts, im)):
                 part.append(x.astype(np.int32))
         box_ka, box_kb = _pool_words(box_u)
         del box_u
@@ -982,7 +997,12 @@ class BulkEngine:
         reps = np.minimum.reduceat(order, np.flatnonzero(new))
         del order, new
         self.box_ids = ids[:nbox]
-        cols, inst = _joined(col_parts), _joined(inst_parts)
+        cols = _joined(col_parts)
+        # the table rows with pairs, ascending, and the stream offset where
+        # each one's run of pairs starts, then the stream's length
+        hit = _joined(hit_parts)
+        offs = np.zeros(len(hit) + 1, dtype=np.int64)
+        np.cumsum(_joined(count_parts), out=offs[1:])
         # per level-1 state, its source box column and engine table row
         self.l1_src = np.empty(self.n1, dtype=np.int32)
         self.l1_inst = np.empty(self.n1, dtype=np.int32)
@@ -991,7 +1011,7 @@ class BulkEngine:
         self.l1_inst[isbox] = one.first
         img = reps[~isbox] - nbox
         self.l1_src[~isbox] = cols[img]
-        self.l1_inst[~isbox] = inst[img]
+        self.l1_inst[~isbox] = hit[np.searchsorted(offs, img, side="right") - 1]
         del reps, isbox, img
         re, im = _joined(re_parts), _joined(im_parts)
         ones = np.ones(nbox, dtype=np.int32)
@@ -1005,7 +1025,7 @@ class BulkEngine:
             if b is one:
                 continue
             # an operator's pairs are the run of its table rows
-            lo, hi = np.searchsorted(inst, (b.first, b.first + len(b.table.re)))
+            lo, hi = offs[np.searchsorted(hit, (b.first, b.first + len(b.table.re)))]
             self._box_mats[b.name] = (
                 ids[nbox + lo : nbox + hi],
                 cols[lo:hi],
@@ -1094,31 +1114,58 @@ class BulkEngine:
         """The pairs of the instances ``sel`` of table ``t`` on the block;
         see _pair_chunks.  ``block`` is the slot-major block, ``pre`` its
         exclusive fermionic prefix counts (None if the table has no
-        parity slots)."""
+        parity slots).  A column that is padding on every instance of the
+        chunk is skipped, which is exact: a constraint of span _FULL holds
+        on every uint8 occupancy, a padded count factor is the row of ones
+        with offset 0, and parity slot 0 reads the empty prefix, 0."""
         n = block.shape[1]
         # instance x state mask, one constraint column at a time;
         # occupancy - lo wraps around below lo, so one comparison with
         # the span checks both ends
         mask = np.ones((len(sel), n), dtype=bool)
         for j in range(t.cslot.shape[1]):
-            occ = block[t.cslot[sel, j]] - t.clo[sel, j][:, None]
-            mask &= occ <= t.cspan[sel, j][:, None]
+            span = t.cspan[sel, j]
+            if (span == _FULL).all():
+                continue
+            occ = block[t.cslot[sel, j]]
+            occ -= t.clo[sel, j][:, None]
+            mask &= occ <= span[:, None]
             del occ
-        # (instance, state) pairs in instance-major order; the flat index
-        # becomes the state index in place
+        # (instance, state) pairs in instance-major order, as the flat
+        # index at = i * n + state of the mask cell of the chunk's i-th
+        # instance; every read of a pair is one 1-D take at ``at`` from the
+        # rows the chunk's instances read, gathered per instance, and
+        # per-instance values are spread over the pairs with np.repeat
         counts = np.count_nonzero(mask, axis=1)
-        inst = np.repeat(sel, counts)
-        cols = np.flatnonzero(mask)
+        at = np.flatnonzero(mask)
         del mask
-        cols %= n
-        fac = np.ones(len(cols), dtype=np.int64)
+        ones = block.shape[0] - 1
+        fac = np.ones(len(at), dtype=np.int64)
         for j in range(t.bslot.shape[1]):
-            fac *= block[t.bslot[inst, j], cols] + t.boff[inst, j]
+            slot, off = t.bslot[sel, j], t.boff[sel, j]
+            if ((slot == ones) & (off == 0)).all():
+                continue
+            occ = block[slot].reshape(-1).take(at)
+            if off.any():
+                occ = occ + np.repeat(off, counts)
+            fac *= occ
         if pre is not None:
-            par = pre[t.fslot[inst, 0], cols]
-            for j in range(1, t.fslot.shape[1]):
-                par ^= pre[t.fslot[inst, j], cols]
-            np.negative(fac, out=fac, where=(par & 1).view(bool))
+            par = None
+            for j in range(t.fslot.shape[1]):
+                slot = t.fslot[sel, j]
+                if not slot.any():
+                    continue
+                bits = pre[slot].reshape(-1).take(at)
+                if par is None:
+                    par = bits
+                else:
+                    par ^= bits
+            if par is not None:
+                np.negative(fac, out=fac, where=(par & 1).view(bool))
+        # the flat index becomes the state index in place
+        cols = at
+        cols -= np.repeat(np.arange(0, len(sel) * n, n), counts)
+        inst = np.repeat(sel, counts)
         return counts, inst, cols, fac
 
     def _apply_all(self, bop, block, keys):
@@ -1200,50 +1247,67 @@ class BulkEngine:
     # -- bracket checking ---------------------------------------------
 
     def _inner_weights(self, inner):
-        """Cached (ids, ub_re, ub_im): the distinct level-1 rows hit by
-        the inner box matrix B and, per checksum prime, u(k) * b_k mod p
-        with b_k = sum_j B[k, j] v(j), as uint32 residues; ub_im is None
-        when every b_k is real.  A row and column that B repeats add up."""
+        """The _row_weights of an inner operator, cached."""
         hit = self._inner_cache.get(inner)
         if hit is None:
-            rows, cols, bre, bim = self._box_mats[inner]
-            # the entries in row order, one segment per distinct row
-            order = np.argsort(rows)
-            rows, cols, bre, bim = rows[order], cols[order], bre[order], bim[order]
-            del order
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            ids = rows[starts]
-            del rows
-            ub_re = np.zeros((len(_CHECK_PRIMES), len(ids)), dtype=np.uint32)
-            ub_im = np.zeros_like(ub_re)
-            parts = [(ub_re, bre)] + ([(ub_im, bim)] if bim.any() else [])
-            for i, (p, r5, r6) in enumerate(_CHECK_CONSTS):
-                v = _col_weights(p, r5, r6, cols)
-                for out, x in parts:
-                    # |entry| < 2**30 (the domain build's bound) and
-                    # v < 2**31, so each int64 product fits, and so does a
-                    # segment's sum of residues
-                    b = np.add.reduceat(x * v % p, starts)
-                    out[i] = b % p * self.l1_u[i, ids] % p
-            hit = (ids, ub_re, ub_im if ub_im.any() else None)
-            self._inner_cache[inner] = hit
+            hit = self._inner_cache[inner] = self._row_weights(inner)
         return hit
+
+    def _row_weights(self, name):
+        """(ids, ub_re, ub_im): the distinct level-1 rows hit by the box
+        matrix B of operator ``name`` and, per checksum prime,
+        u(k) * b_k mod p with b_k = sum_j B[k, j] v(j), as uint32 residues;
+        ub_im is None when every b_k is real.  A row and column that B
+        repeats add up."""
+        rows, cols, bre, bim = self._box_mats[name]
+        # the entries in row order, one segment per distinct row
+        order = np.argsort(rows)
+        rows, cols, bre, bim = rows[order], cols[order], bre[order], bim[order]
+        del order
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        ids = rows[starts]
+        del rows
+        # v < 2**31, so an entry below 2**32 keeps its product below
+        # 2**63, and a row of fewer than 2**32 residues sums below 2**63
+        top = _absmax(bre, bim)
+        longest = int(np.diff(starts, append=len(cols)).max(initial=0))
+        _bound(top < 1 << 32 and longest < 1 << 32, "row sum of an inner box matrix")
+        # a row's sum of entry * v fits int64 unreduced, and is reduced
+        # once, when its length times max |entry| is below 2**32
+        wide = top * longest >= 1 << 32
+        parts = (bre, bim) if bim.any() else (bre,)
+        # per part (re, im), prime and row, the row's sum of entry * v,
+        # reduced per entry only when ``wide``
+        sums = np.empty((len(parts), len(_CHECK_PRIMES), len(ids)), dtype=np.int64)
+        v = np.take(self._colw, cols, axis=1)
+        for i, p in enumerate(_CHECK_PRIMES):
+            for k, x in enumerate(parts):
+                b = x * v[i]
+                if wide:
+                    b %= p
+                np.add.reduceat(b, starts, out=sums[k, i])
+        del v, b
+        sums %= _CHECK_P
+        sums *= np.take(self.l1_u, ids, axis=1)
+        sums %= _CHECK_P
+        im = sums[1].astype(np.uint32) if len(parts) > 1 and sums[1].any() else None
+        return ids, sums[0].astype(np.uint32), im
 
     def _rhs_sums(self, name):
         """Cached per checksum prime (sum re*u*v, sum im*u*v) mod p of an
-        operator's box matrix."""
+        operator's box matrix, as Python ints: the sums of its row weights,
+        since sum_k u(k) (B v)_k = sum_k ub_k.  The weights are taken from
+        the inner cache when a composition has used the operator as an
+        inner, and are not kept otherwise."""
         hit = self._rhs_cache.get(name)
         if hit is None:
-            rows, cols, re, im = self._box_mats[name]
-            hit = []
-            for i, (p, r5, r6) in enumerate(_CHECK_CONSTS):
-                w = self.l1_u[i, rows] * _col_weights(p, r5, r6, cols) % p
-                # |entry| < 2**30 (the domain build's bound) and w < 2**31,
-                # so each int64 product fits, and so does a sum of residues
-                hit.append(
-                    (int(np.sum(re * w % p) % p), int(np.sum(im * w % p) % p))
-                )
-            self._rhs_cache[name] = hit
+            _, ub_re, ub_im = self._inner_cache.get(name) or self._row_weights(name)
+            # at most 2**31 rows (level-1 ids are int32) of residues below
+            # 2**31 sum below 2**62
+            sre = ub_re.sum(axis=1, dtype=np.int64) % _CHECK_P[:, 0]
+            sim = 0 * sre if ub_im is None else ub_im.sum(axis=1, dtype=np.int64)
+            sim %= _CHECK_P[:, 0]
+            hit = self._rhs_cache[name] = list(zip(sre.tolist(), sim.tolist()))
         return hit
 
     def plan(self, cases):
@@ -1420,7 +1484,7 @@ def _segment_sums(fac, w, cols, starts, wide):
     2**32 (see BulkEngine._pair_chunks), so each product fits int64.  Each
     product is reduced before the sum when ``wide``: when a segment's
     unreduced sum could pass 2**63."""
-    x = w[:, cols]
+    x = np.take(w, cols, axis=1)
     x *= fac
     if wide:
         x %= _CHECK_P

@@ -977,7 +977,8 @@ def test_box_matrices_match_operator_apply(backend):
 
 
 def test_bounds_hold_without_asserts():
-    """The int64 bounds, the int32 bound of the box matrices' entries, the
+    """The int64 bounds (the row sums of an inner box matrix's checksum
+    weights among them), the int32 bound of the box matrices' entries, the
     z-power table's exponent bound and the domain build's emptied-slot
     guard are explicit raises, so python -O keeps them."""
     code = textwrap.dedent(
@@ -1070,6 +1071,19 @@ def test_bounds_hold_without_asserts():
         except OverflowError as exc:
             print("raised" if "product entry" in str(exc) else exc)
 
+        # an inner box matrix entry of 2**32, whose product with a column
+        # weight could pass 2**63 (tau's box matrix, widened first)
+        eng = BulkEngine(1, Box(emax=1, b0max=0))
+        eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
+        eng.prepare()
+        rows, cols, re, im = eng._box_mats["tau"]
+        re = re.astype(np.int64) << 32
+        eng._box_mats["tau"] = (rows, cols, re, im)
+        try:
+            eng.bracket_defect("tau", "tau", True, [])
+        except OverflowError as exc:
+            print("raised" if "row sum" in str(exc) else exc)
+
         # a hand-built table with five count factors of offset 127: a
         # factor times a checksum weight below 2**31 could pass 2**63
         eng = BulkEngine(1, Box(emax=1, b0max=0))
@@ -1121,7 +1135,7 @@ def test_bounds_hold_without_asserts():
         env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{Path(__file__).parent}"},
         check=True,
     )
-    assert out.stdout.split() == ["raised"] * 11
+    assert out.stdout.split() == ["raised"] * 12
 
 
 def occupancy_engine(b0max):
@@ -1563,6 +1577,245 @@ def test_pair_chunks_respect_the_mask_budget(monkeypatch):
         monkeypatch.undo()
     # the shipped budget splits the largest block into several chunks
     assert len(pairs(_level1_rows(engine, blocks[-1])[1])[0]) > 1
+
+
+# -- the kernel against its 2-D-indexed form ---------------------------
+
+
+def _oracle_apply_chunk(t, block, pre, sel):
+    """BulkEngine._apply_chunk as it read the block and the prefix counts
+    with 2-D fancy indexing, every column of the table, padding or not:
+    the oracle of the shipped kernel's 1-D reads and skipped padding."""
+    n = block.shape[1]
+    mask = np.ones((len(sel), n), dtype=bool)
+    for j in range(t.cslot.shape[1]):
+        occ = block[t.cslot[sel, j]] - t.clo[sel, j][:, None]
+        mask &= occ <= t.cspan[sel, j][:, None]
+    counts = np.count_nonzero(mask, axis=1)
+    inst = np.repeat(sel, counts)
+    cols = np.flatnonzero(mask)
+    cols %= n
+    fac = np.ones(len(cols), dtype=np.int64)
+    for j in range(t.bslot.shape[1]):
+        fac *= block[t.bslot[inst, j], cols] + t.boff[inst, j]
+    if pre is not None:
+        par = pre[t.fslot[inst, 0], cols]
+        for j in range(1, t.fslot.shape[1]):
+            par ^= pre[t.fslot[inst, j], cols]
+        np.negative(fac, out=fac, where=(par & 1).view(bool))
+    return counts, inst, cols, fac
+
+
+def _assert_chunk_matches_oracle(got, t, block, pre, sel):
+    """A chunk's (counts, inst, cols, fac) equal the oracle's, dtypes too."""
+    want = _oracle_apply_chunk(t, block, pre, sel)
+    for field, g, w in zip(("counts", "inst", "cols", "fac"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), field
+
+
+def _checked_kernel(mp):
+    """Patch BulkEngine._apply_chunk to compare every chunk it builds with
+    the oracle; returns the list of the checked chunks' pair counts."""
+    shipped = BulkEngine._apply_chunk
+    seen = []
+
+    def checked(self, t, block, pre, sel):
+        got = shipped(self, t, block, pre, sel)
+        _assert_chunk_matches_oracle(got, t, block, pre, sel)
+        seen.append(len(got[2]))
+        return got
+
+    mp.setattr(BulkEngine, "_apply_chunk", checked)
+    return seen
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_kernel_matches_2d_indexed_oracle_on_families(family, relative):
+    """Every kernel chunk of every FAMILIES engine, absolute and relative,
+    equals the 2-D-indexed oracle's: the domain build, and a batch of
+    every operator on the level-1 states of each inner operator (of the
+    first three with one instance per mask chunk)."""
+    for budget in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _checked_kernel(mp)
+            if budget is not None:
+                mp.setattr(bulkrep, "_MASK_CELLS", budget)
+            engine = _family_engine(family, relative)
+            names = list(engine._ops)
+            for inner in names if budget is None else names[:3]:
+                engine._batch_sums(names, inner)
+            assert sum(seen) > 0
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_kernel_matches_2d_indexed_oracle_on_suites(suite):
+    """Every kernel chunk of a relation suite's run (domain builds,
+    planned batches, the exact comparison of failing cases) equals the
+    2-D-indexed oracle's; as shipped and with one instance per mask
+    chunk."""
+    for budget in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _checked_kernel(mp)
+            if budget is not None:
+                mp.setattr(bulkrep, "_MASK_CELLS", budget)
+            SUITES[suite]()
+            assert sum(seen) > 0
+
+
+def _padding(t, sel, ones):
+    """Per column kind (constraint, count factor, parity), for each column
+    whether it is padding on every instance ``sel`` and on some of them."""
+    kinds = (
+        t.cspan[sel] == FULL,
+        (t.bslot[sel] == ones) & (t.boff[sel] == 0),
+        t.fslot[sel] == 0,
+    )
+    return [(pad.all(axis=0).tolist(), pad.any(axis=0).tolist()) for pad in kinds]
+
+
+def test_kernel_skips_padding_exactly():
+    """Hand-built tables whose chunk has constraint, count-factor and
+    parity columns that are padding on every instance, or on some
+    instances only, give the oracle's pairs on every level-1 state.  Every
+    count factor that is not padding has a positive offset, so it is at
+    least 2 and a skipped one would change the pair's factor."""
+    engine = BulkEngine(AB1.dim, SMALL)
+    engine.register("d", build_differential_d(AB1))
+    engine.prepare()
+    u = engine.universe
+    _, block = _level1_rows(engine)
+    pre = engine._prefix(block)
+    occupied = [s for s in range(u.nslots) if block[s].max() >= 1]
+    bos = [s for s in occupied if s < u.f0][:2]
+    fer = [s for s in occupied if s > u.f0][:2]
+    assert len(bos) == 2 and len(fer) == 2
+    wide = (
+        ONE,
+        [(bos[0], 1, FULL), (fer[0], 0, 1)],
+        [(bos[0], 1), (bos[1], 2)],
+        [fer[0], fer[1]],
+        [],
+    )
+    narrow = (ONE, [(bos[1], 1, FULL)], [(bos[1], 2)], [fer[1]], [])
+    fermion = (ONE, [(fer[1], 0, 0)], [], [fer[0]], [])
+    empty = (ONE, [], [], [], [])
+    t, _ = _pack_table(u, [([wide, narrow, fermion, empty], 1)])
+    assert bulkrep._widths(t) == (2, 2, 2, 0)
+    on_all, on_some = set(), set()
+    for sel in ([1, 2], [3], [1, 3], [0, 1, 2, 3], [0, 3]):
+        sel = np.array(sel)
+        got = engine._apply_chunk(t, block, pre, sel)
+        assert (got[0] > 0).all()
+        _assert_chunk_matches_oracle(got, t, block, pre, sel)
+        for kind, (all_pad, any_pad) in enumerate(_padding(t, sel, u.nslots)):
+            if any(all_pad):
+                on_all.add(kind)
+            if any(b and not a for a, b in zip(all_pad, any_pad)):
+                on_some.add(kind)
+    # each column kind is padding on every instance of some chunk, and on
+    # some instances only of another
+    assert on_all == on_some == {0, 1, 2}
+
+
+# -- checksum weights against their per-entry formulas ----------------
+
+
+def _oracle_inner_weights(engine, name):
+    """(ids, ub_re, ub_im) of _inner_weights by its per-entry formula: the
+    column weight taken per entry with _col_weights and each product
+    reduced mod p before the row sums; ub_im all zero for a real matrix."""
+    rows, cols, bre, bim = engine._box_mats[name]
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    bre, bim = bre[order].astype(np.int64), bim[order].astype(np.int64)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    ids = rows[starts]
+    ub = np.zeros((2, len(bulkrep._CHECK_PRIMES), len(ids)), dtype=np.int64)
+    for i, (p, r5, r6) in enumerate(bulkrep._CHECK_CONSTS):
+        v = bulkrep._col_weights(p, r5, r6, cols)
+        for k, x in enumerate((bre, bim)):
+            b = np.add.reduceat(x * v % p, starts)
+            ub[k, i] = b % p * engine.l1_u[i, ids] % p
+    return ids, ub[0], ub[1]
+
+
+def _oracle_rhs_sums(engine, name):
+    """_rhs_sums by its per-entry formula: per prime, the sums of re * w
+    and im * w mod p with w = u(row) * v(col) mod p per entry."""
+    rows, cols, re, im = engine._box_mats[name]
+    re, im = re.astype(np.int64), im.astype(np.int64)
+    out = []
+    for i, (p, r5, r6) in enumerate(bulkrep._CHECK_CONSTS):
+        w = engine.l1_u[i, rows] * bulkrep._col_weights(p, r5, r6, cols) % p
+        out.append((int(np.sum(re * w % p) % p), int(np.sum(im * w % p) % p)))
+    return out
+
+
+def _assert_weights_match_oracle(engine, name):
+    """_inner_weights and _rhs_sums of operator ``name`` equal their
+    per-entry formulas; _rhs_sums both from weights it does not keep and
+    from the inner cache."""
+    want_sums = _oracle_rhs_sums(engine, name)
+    engine._inner_cache.pop(name, None)
+    engine._rhs_cache.pop(name, None)
+    assert engine._rhs_sums(name) == want_sums, name
+    assert name not in engine._inner_cache
+    ids, ub_re, ub_im = engine._inner_weights(name)
+    want_ids, want_re, want_im = _oracle_inner_weights(engine, name)
+    assert np.array_equal(ids, want_ids), name
+    assert ub_re.dtype == np.uint32 and np.array_equal(ub_re, want_re), name
+    if ub_im is None:
+        assert not want_im.any(), name
+    else:
+        assert ub_im.dtype == np.uint32 and np.array_equal(ub_im, want_im), name
+    engine._rhs_cache.pop(name)
+    assert engine._rhs_sums(name) == want_sums, name
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_checksum_weights_match_per_entry_formulas(suite, monkeypatch):
+    """On every engine of a relation suite, _inner_weights and _rhs_sums
+    of every registered operator, IDENTITY and the right-hand-side-only
+    operators included, equal their per-entry formulas."""
+    engines = {id(s.engine): s.engine for s, _, _ in _suite_reports(suite, monkeypatch)}
+    rhs_only = 0
+    for engine in engines.values():
+        assert bulkrep.IDENTITY in engine._ops
+        for name in engine._ops:
+            _assert_weights_match_oracle(engine, name)
+        rhs_only += len(set(engine._ops) - engine._full_names - {bulkrep.IDENTITY})
+    if suite.startswith("n2") or suite.startswith("s2a"):
+        assert rhs_only > 0
+
+
+def test_checksum_weights_reduce_per_entry_on_long_rows():
+    """A hand-built box matrix with entries near 2**30 and one long row,
+    whose unreduced row sum would pass 2**63, takes the per-entry
+    reduction and still equals the per-entry formulas; so does one whose
+    rows are all short."""
+    engine = BulkEngine(1, Box(emax=1, b0max=0))
+    engine.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
+    engine.prepare()
+    nbox, top = len(engine.box_monos), (1 << 30) - 1
+    long = 64
+    # one row of 64 entries and one of two; imaginary parts of both signs
+    rows = np.concatenate([np.zeros(long), np.ones(2)]).astype(np.int32)
+    cols = (np.arange(long + 2) % nbox).astype(np.int32)
+    re = np.full(long + 2, top, dtype=np.int32)
+    im = np.where(np.arange(long + 2) % 5 == 0, -top, top).astype(np.int32)
+    for name, mat in (
+        ("long", (rows, cols, re, im)),
+        ("short", (rows[long - 2 :], cols[long - 2 :], re[long - 2 :], im[long - 2 :])),
+    ):
+        engine._box_mats[name] = mat
+        _assert_weights_match_oracle(engine, name)
+    # the long row's sum of entry * v would pass 2**63 without reduction
+    v = [
+        bulkrep._col_weights(p, r5, r6, cols[:long]).tolist()
+        for p, r5, r6 in bulkrep._CHECK_CONSTS
+    ]
+    assert max(sum(top * x for x in vs) for vs in v) >= 1 << 63
 
 
 def test_segment_sums_are_exact_residues():
