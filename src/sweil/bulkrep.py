@@ -7,17 +7,19 @@ operator into a finite list of explicit generator-product *instances*
 range that can act nontrivially inside the box universe), scales every
 instance coefficient to a common integer denominator per operator, and
 packs the instances of all of an engine's operators into one *packed
-instance table*.  The compile is one numpy pass per engine: the grid
-points of all term shapes with equal slot and variable counts are built
-at once, and a point's instance depends on it only through a signature
-(the term's slot families and normal ordering, each slot's creator flag,
-and the equality and order pattern of the slots' universe indices, which
-have a closed form).  The instance compiler runs once per distinct
-signature, on a representative point, and its result, with slots written
-as positions in the term, fills the rows of every point with that
-signature; only the opaque coefficient is called per point.  Central
-scalars and single generators are compiled one by one.  The table is
-numpy arrays with one row per instance holding
+instance table*.  The compile is one numpy pass per engine.  Every
+operator tree is first flattened into weighted term shapes: its central
+scalar is the term with no slot and no variable, a single generator a
+one-slot term with no variable.  The grid points of all term shapes with
+equal slot and variable counts are built at once, and a point's instance
+depends on it only through a signature (the term's slot families and
+normal ordering, each slot's creator flag, and the equality and order
+pattern of the slots' universe indices, which have a closed form).  The
+instance compiler runs once per distinct signature, on a representative
+point, and its result, with slots written as positions in the term,
+fills the rows of every point with that signature; only the opaque
+coefficient is called per point.  The table is numpy arrays with one row
+per instance holding
 - the slots it reads, each with the lowest and highest occupancy the
   input state must have there (an annihilator needs a partner, a
   fermionic creator an empty slot);
@@ -27,15 +29,18 @@ numpy arrays with one row per instance holding
 - its scaled integer coefficient.
 An operator's central scalar is the empty generator product: an instance
 with no constraint, count factor or parity slot that changes nothing, so
-it acts as the scalar times the identity.  An operator's own table is a
-view of the engine table: its rows, cut to its widest row.
+it acts as the scalar times the identity.  An operator is the range of
+its rows in the engine table, which every kernel pass reads at its full
+width.
 A set of table rows is applied to a block of states in one vectorized
 pass: instances are dropped against the block's per-slot
 occupancy range, an instance x state mask is built one constraint
-column at a time, and the count factors, signs and table rows of all
-(instance, state) pairs are taken at once: each read is one 1-D take at
-the pairs' flat mask index from the block rows that the instances read,
-and a column that is padding on every instance of a chunk is skipped.
+column at a time, and the count factors and signs of all (instance,
+state) pairs are taken at once: each read is one 1-D take at the pairs'
+flat mask index from the block rows that the instances read, and a
+column that is padding on every instance of a chunk is skipped.  A chunk
+names each of its instances' table rows once, with its pair count; a
+caller that needs a row per pair repeats them.
 A level-1 state (a box monomial or a one-step image) is kept only as its
 provenance, the box column it came from and the table row that produced
 it: a block of level-1 states is built slot-major straight from the
@@ -133,7 +138,7 @@ from .fock import (
     enumerate_box,
     normal_order_slots,
 )
-from .fieldops import SumOperator
+from .fieldops import SlotSpec, SumOperator, TermShape
 from .liealg import StructureError
 
 # name of the identity operator every engine registers; a case's central
@@ -345,11 +350,11 @@ def _compile_instance(universe: Universe, keys, coeff: QI):
 
 
 class _Table(NamedTuple):
-    """Packed instances of one operator, one row each.  Short rows are
-    padded with entries that change nothing: a constraint on the block's
-    row of ones that always holds, a count factor of one read there, a
-    parity read at the first fermionic slot (always even) and a zero
-    change at slot 0."""
+    """Packed instances of an engine's operators, one row each.  Short rows
+    are padded with entries that change nothing: a constraint on the
+    block's row of ones that always holds, a count factor of one read
+    there, a parity read at the first fermionic slot (always even) and a
+    zero change at slot 0."""
 
     cslot: np.ndarray  # (k, kc) constrained slots
     clo: np.ndarray  # (k, kc) lowest input occupancy
@@ -363,44 +368,39 @@ class _Table(NamedTuple):
     im: np.ndarray
 
 
-def _widths(t: _Table):
-    """(constraint, count factor, parity, change) columns of a table."""
-    return t.cslot.shape[1], t.bslot.shape[1], t.fslot.shape[1], t.dslot.shape[1]
+def _unit(vs) -> QI:
+    """Coefficient of a term whose weight is its whole coefficient."""
+    return ONE
 
 
-def _view(t: _Table, rows, kc: int, kb: int, kf: int, kd: int) -> _Table:
-    """The rows ``rows`` of a table with kc constraint, kb count factor, kf
-    parity and kd change columns; a view when ``rows`` is a slice."""
-    return _Table(
-        t.cslot[rows, :kc],
-        t.clo[rows, :kc],
-        t.cspan[rows, :kc],
-        t.bslot[rows, :kb],
-        t.boff[rows, :kb],
-        t.fslot[rows, :kf],
-        t.dslot[rows, :kd],
-        t.dval[rows, :kd],
-        t.re[rows],
-        t.im[rows],
-    )
+# an operator's central scalar: the term with no slot and no variable
+_CENTRAL = TermShape(0, (), _unit, False)
 
 
-def _leaf_iter(op, weight: QI):
-    """Flatten an operator tree into (weight, leaf) pairs plus the total
-    central scalar; leaves are FieldOperators or single-generator ops."""
-    central = weight * getattr(op, "central", ZERO)
-    if hasattr(op, "terms") or hasattr(op, "key"):
-        return central, [(weight, op)]
-    if hasattr(op, "parts"):
-        leaves = []
-        for c, part in op.parts:
-            sub_central, sub = _leaf_iter(part, weight * c)
-            central = central + sub_central
-            leaves.extend(sub)
-        return central, leaves
-    raise StructureError(
-        f"operator {op.name or type(op).__name__} cannot be bulk-compiled"
-    )
+def _op_terms(op):
+    """The (weight, TermShape) pairs of an operator tree: its total central
+    scalar, when nonzero, as the _CENTRAL term, then the terms of its
+    leaves in order, a single generator as a one-slot term with no
+    variable that is not normal ordered.  Zero weights are kept."""
+    central = ZERO
+    terms = []
+    todo = [(ONE, op)]
+    while todo:
+        weight, node = todo.pop()
+        central = central + weight * getattr(node, "central", ZERO)
+        if hasattr(node, "terms"):
+            terms += [(weight, term) for term in node.terms]
+        elif hasattr(node, "key"):
+            k = node.key
+            slot = SlotSpec(k.family, k.comp, k.mode, ())
+            terms.append((weight, TermShape(0, (slot,), _unit, False)))
+        elif hasattr(node, "parts"):
+            todo += [(weight * c, part) for c, part in reversed(node.parts)]
+        else:
+            raise StructureError(
+                f"operator {node.name or type(node).__name__} cannot be bulk-compiled"
+            )
+    return ([] if central.is_zero() else [(central, _CENTRAL)]) + terms
 
 
 # family codes of a compile signature: g and e create at mode > 0, t and
@@ -590,29 +590,6 @@ class _Compiler:
         seg = np.array([s for s, _, _ in terms], dtype=np.int64)[tid]
         return seg, tmpl, slots, coeffs
 
-    def single_points(self, singles):
-        """(seg, template, slots, coeffs) of the instances ``singles``,
-        (segment, keys, coeff) each with at most one key, with the
-        signature of a one-slot or empty term; slots has one column."""
-        u = self.universe
-        out = []
-        for seg, keys, c in singles:
-            sig = (0,) + tuple(
-                x for k in keys for x in (_FAMILY_CODE[k.family], k.is_creator())
-            )
-            at = [u.creator_slot(k if k.is_creator() else k.dual()) for k in keys]
-            tmpl = self.template(sig, keys, at, 1)
-            if tmpl >= 0:
-                # slot 0 stands in for the empty product's missing slot
-                out.append((seg, tmpl, at[0] if at else 0, c))
-        seg, tmpl, slots, coeffs = zip(*out) if out else ((), (), (), ())
-        return (
-            np.array(seg, dtype=np.int64),
-            np.array(tmpl, dtype=np.int64),
-            np.array(slots, dtype=np.int64).reshape(len(out), 1),
-            list(coeffs),
-        )
-
     def template_arrays(self):
         """sign (templates,), entry counts (templates, 4), and the padded
         fields (templates, width) of every template: cons positions, lows
@@ -626,34 +603,20 @@ class _Compiler:
 
 def _compile_table(universe: Universe, ops, relative: bool):
     """The packed table of the nonzero instances of the operator trees
-    ``ops``, (name, op) each, and per operator (first, den, view): its
-    first table row, the common denominator that scales its coefficients
-    to integers, and a view of its rows, cut to its widest row.  Rows run
-    in operator order; within an operator, its central scalar, then its
-    leaves and their terms in order, each term's grid points in
+    ``ops``, (name, op) each, and per operator (first, count, den): its
+    first table row, its row count and the common denominator that scales
+    its coefficients to integers.  Rows run in operator order; within an
+    operator, its _op_terms in order, each term's grid points in
     itertools.product order."""
-    owner = []  # operator index of each segment
-    singles = []  # (segment, keys, coeff)
+    owner = []  # operator index of each segment, one term each
     groups = {}  # (slots, vars) -> [(segment, term, weight)]
     for i, (_, op) in enumerate(ops):
-        central, leaves = _leaf_iter(op, ONE)
-        if not central.is_zero():
-            singles.append((len(owner), [], central))
+        for weight, term in _op_terms(op):
+            group = groups.setdefault((len(term.slots), term.nvars), [])
+            group.append((len(owner), term, weight))
             owner.append(i)
-        for weight, leaf in leaves:
-            if hasattr(leaf, "key"):
-                key = leaf.key
-                if not (relative and key.is_fermionic() and key.mode == 0):
-                    singles.append((len(owner), [key], weight))
-                    owner.append(i)
-                continue
-            for term in leaf.terms:
-                group = groups.setdefault((len(term.slots), term.nvars), [])
-                group.append((len(owner), term, weight))
-                owner.append(i)
     comp = _Compiler(universe, relative, max([1] + [ns for ns, _ in groups]))
-    parts = [comp.single_points(singles)]
-    parts += [comp.term_points(terms) for terms in groups.values()]
+    parts = [comp.term_points(terms) for terms in groups.values()]
     seg = np.concatenate([p[0] for p in parts])
     tmpl = np.concatenate([p[1] for p in parts])
     slots = np.zeros((len(seg), comp.width), dtype=np.int64)
@@ -662,13 +625,10 @@ def _compile_table(universe: Universe, ops, relative: bool):
         slots[at : at + len(s), : s.shape[1]] = s
         at += len(s)
     coeffs = [c for p in parts for c in p[3]]
-    # a zero coefficient drops its row, except on a single-generator leaf
-    fixed = np.zeros(len(seg), dtype=bool)
-    fixed[: len(parts[0][0])] = True
     del parts
     # segment order, each segment's rows in grid order
     order = np.argsort(seg, kind="stable")
-    seg, tmpl, slots, fixed = seg[order], tmpl[order], slots[order], fixed[order]
+    seg, tmpl, slots = seg[order], tmpl[order], slots[order]
     order = order.tolist()
     re = [coeffs[i].re for i in order]
     im = [coeffs[i].im for i in order]
@@ -697,13 +657,11 @@ def _compile_table(universe: Universe, ops, relative: bool):
     sign, tlens, (cpos, clo, chi, bpos, boff, fpos, dpos, dval) = comp.template_arrays()
     re = np.array(re, dtype=np.int64) * sign[tmpl]
     im = np.array(im, dtype=np.int64) * sign[tmpl]
-    keep = fixed | (re != 0) | (im != 0)
+    # a zero coefficient drops its row
+    keep = (re != 0) | (im != 0)
     tmpl, slots, re, im = tmpl[keep], slots[keep], re[keep], im[keep]
-    row_op = row_op[keep]
-    counts = np.bincount(row_op, minlength=len(ops))
-    starts = np.cumsum(counts) - counts
-    lens = tlens[tmpl]
-    kc, kb, kf, kd = widths = lens.max(axis=0, initial=0).tolist()
+    counts = np.bincount(row_op[keep], minlength=len(ops))
+    kc, kb, kf, kd = widths = tlens[tmpl].max(axis=0, initial=0).tolist()
     # the slot columns of every row at once: the universe index of the
     # slot at each template position, or a padding slot
     ones, f0 = universe.nslots, universe.f0
@@ -727,49 +685,31 @@ def _compile_table(universe: Universe, ops, relative: bool):
         re=re,
         im=im,
     )
-    # each operator's widest row
-    op_widths = np.zeros((len(ops), 4), dtype=np.int64)
-    live = counts > 0
-    if live.any():
-        op_widths[live] = np.maximum.reduceat(lens, starts[live], axis=0)
-    return table, [
-        (a, den, _view(table, slice(a, a + n), *w))
-        for a, n, den, w in zip(
-            starts.tolist(), counts.tolist(), dens, op_widths.tolist()
-        )
-    ]
+    starts = np.cumsum(counts) - counts
+    return table, list(zip(starts.tolist(), counts.tolist(), dens))
 
 
 class _BulkOp:
-    __slots__ = ("name", "op", "table", "first", "den", "smax", "zd")
+    __slots__ = ("name", "op", "first", "stop", "den", "smax")
 
     def __init__(self, name, op):
         self.name = name
         self.op = op
-        # view of the engine table: the operator's rows, from engine row
-        # ``first``, cut to its widest row
-        self.table = None
+        # the operator's rows of the engine table, first:stop
         self.first = 0
+        self.stop = 0
         self.den = 1
         self.smax = 0
-        # per checksum prime and table row, z**delta mod p (a view)
-        self.zd = None
 
 
 def _op_energy_span(op) -> int:
-    """Largest |energy shift| among the leaves of an operator tree."""
-    _, leaves = _leaf_iter(op, QI(1))
+    """Largest |energy shift| among the terms of an operator tree."""
     span = 0
-    for _, leaf in leaves:
-        if hasattr(leaf, "key"):
-            span = max(span, abs(leaf.key.mode))
-        else:
-            for term in leaf.terms:
-                de = sum(
-                    (1 if s.family in _CREATOR_POSITIVE else -1) * s.const
-                    for s in term.slots
-                )
-                span = max(span, abs(de))
+    for _, term in _op_terms(op):
+        de = sum(
+            (1 if s.family in _CREATOR_POSITIVE else -1) * s.const for s in term.slots
+        )
+        span = max(span, abs(de))
     return span
 
 
@@ -860,13 +800,13 @@ class BulkEngine:
 
     def _compile(self):
         """Compile every registered operator into the engine table; each
-        operator's table is a view of its rows."""
+        operator is the range first:stop of its rows."""
         bops = list(self._ops.values())
         self._table, compiled = _compile_table(
             self.universe, [(b.name, b.op) for b in bops], self.relative
         )
-        for bop, (first, den, view) in zip(bops, compiled):
-            bop.first, bop.den, bop.table = first, den, view
+        for bop, (first, count, den) in zip(bops, compiled):
+            bop.first, bop.stop, bop.den = first, first + count, den
 
     def _build_domain(self):
         """Phase A: apply every operator to the box; the level-1 domain is
@@ -908,9 +848,7 @@ class BulkEngine:
             bad = low[~held.any(axis=1)]
             if len(bad):
                 name = next(
-                    b.name
-                    for b in self._ops.values()
-                    if b.first <= bad[0] < b.first + len(b.table.re)
+                    b.name for b in self._ops.values() if b.first <= bad[0] < b.stop
                 )
                 raise StructureError(f"{name} emptied an unoccupied slot")
         # slot-major box block plus the row of ones that padded table
@@ -943,18 +881,15 @@ class BulkEngine:
             ((x % _CHECK_P) * zd % _CHECK_P).astype(np.uint32) for x in (t.re, t.im)
         )
         del zd
-        for bop in self._ops.values():
-            bop.zd = self._zd[:, bop.first : bop.first + len(bop.table.re)]
-        rows = np.delete(
-            np.arange(len(t.re)), np.s_[one.first : one.first + len(one.table.re)]
-        )
+        rows = np.delete(np.arange(len(t.re)), np.s_[one.first : one.stop])
         # the stream, one list of chunks per field: box column, entry (re,
         # im), and the two pool words of the output key; a pair's table row
         # is kept only per instance, as the table rows with pairs and their
         # pair counts
         col_parts, re_parts, im_parts, ka_parts, kb_parts = ([] for _ in range(5))
         hit_parts, count_parts = [], []
-        for counts, inst, cols, fac in self._pair_chunks(t, rows, block):
+        for counts, sel, cols, fac in self._pair_chunks(t, rows, block):
+            inst = np.repeat(sel, counts)
             re = t.re[inst] * fac
             im = t.im[inst] * fac
             del fac
@@ -963,7 +898,7 @@ class BulkEngine:
             ka_parts.append(ka)
             kb_parts.append(kb)
             has = counts > 0
-            hit_parts.append(inst[(np.cumsum(counts) - counts)[has]].astype(np.int32))
+            hit_parts.append(sel[has].astype(np.int32))
             count_parts.append(counts[has])
             del inst
             for part, x in ((col_parts, cols), (re_parts, re), (im_parts, im)):
@@ -1025,7 +960,7 @@ class BulkEngine:
             if b is one:
                 continue
             # an operator's pairs are the run of its table rows
-            lo, hi = offs[np.searchsorted(hit, (b.first, b.first + len(b.table.re)))]
+            lo, hi = offs[np.searchsorted(hit, (b.first, b.stop))]
             self._box_mats[b.name] = (
                 ids[nbox + lo : nbox + hi],
                 cols[lo:hi],
@@ -1084,10 +1019,11 @@ class BulkEngine:
         instance table ``t`` on the states of the slot-major ``block`` (one
         column per state, one row per slot, then the row of ones that
         padded table entries read), one chunk of instances at a time, in
-        the order of ``rows``, instance-major.  Yields (counts, inst, cols,
-        fac): the number of pairs of each instance of the chunk, each
-        pair's table row and state, and its count factor times its Koszul
-        sign."""
+        the order of ``rows``, instance-major.  Yields (counts, sel, cols,
+        fac): the table rows of the chunk's instances and the number of
+        pairs of each, then each pair's state and its count factor times
+        its Koszul sign; the pairs of instance sel[i] are the next
+        counts[i] entries of cols and fac."""
         n = block.shape[1]
         if n == 0 or len(rows) == 0:
             return
@@ -1095,26 +1031,31 @@ class BulkEngine:
         cslot, clo = t.cslot[rows], t.clo[rows]
         bmax = block.max(axis=1)
         live = (bmax[cslot] >= clo) & (block.min(axis=1)[cslot] <= clo + t.cspan[rows])
-        sel = rows[live.all(axis=1)]
+        rows = rows[live.all(axis=1)]
         del cslot, clo, live
-        if len(sel) == 0:
+        if len(rows) == 0:
             return
         # a count factor times a coefficient or a checksum weight, each
-        # below 2**31, must fit int64
-        top = int(bmax.max()) + max(int(t.boff[sel].max(initial=0)), 0)
-        _bound(top ** t.bslot.shape[1] < 1 << 32, "count factor x weight")
-        # the block's fermionic prefix counts, when the table reads parity
-        pre = self._prefix(block) if t.fslot.shape[1] else None
+        # below 2**31, must fit int64: a pair's count factor is a product
+        # of at most ``nfac`` factors (the real ones of a row, not its
+        # padding on the row of ones), each at most ``top``
+        top = int(bmax.max()) + max(int(t.boff[rows].max(initial=0)), 0)
+        ones = block.shape[0] - 1
+        nfac = int(np.count_nonzero(t.bslot[rows] != ones, axis=1).max())
+        _bound(top**nfac < 1 << 32, "count factor x weight")
+        # the block's fermionic prefix counts, when a row reads parity (a
+        # parity slot 0 reads the empty prefix)
+        pre = self._prefix(block) if t.fslot[rows].any() else None
         # consecutive instance chunks keep the instance-major order
         step = max(1, _MASK_CELLS // n)
-        for i in range(0, len(sel), step):
-            yield self._apply_chunk(t, block, pre, sel[i : i + step])
+        for i in range(0, len(rows), step):
+            yield self._apply_chunk(t, block, pre, rows[i : i + step])
 
     def _apply_chunk(self, t, block, pre, sel):
         """The pairs of the instances ``sel`` of table ``t`` on the block;
         see _pair_chunks.  ``block`` is the slot-major block, ``pre`` its
-        exclusive fermionic prefix counts (None if the table has no
-        parity slots).  A column that is padding on every instance of the
+        exclusive fermionic prefix counts (None if no instance reads
+        parity).  A column that is padding on every instance of the
         chunk is skipped, which is exact: a constraint of span _FULL holds
         on every uint8 occupancy, a padded count factor is the row of ones
         with offset 0, and parity slot 0 reads the empty prefix, 0."""
@@ -1165,8 +1106,7 @@ class BulkEngine:
         # the flat index becomes the state index in place
         cols = at
         cols -= np.repeat(np.arange(0, len(sel) * n, n), counts)
-        inst = np.repeat(sel, counts)
-        return counts, inst, cols, fac
+        return counts, sel, cols, fac
 
     def _apply_all(self, bop, block, keys):
         """Keyed COO stream of ``bop`` applied to every state of the
@@ -1176,14 +1116,15 @@ class BulkEngine:
         Returns (cols, keys, re, im), one entry per (instance, state) pair
         in instance-major order; an output's key is its u, so
         u(state) * z**delta of its instance."""
-        t = bop.table
+        t = self._table
         parts = []
-        rows = np.arange(len(t.re))
-        for _, inst, cols, fac in self._pair_chunks(t, rows, block):
+        rows = np.arange(bop.first, bop.stop)
+        for counts, sel, cols, fac in self._pair_chunks(t, rows, block):
+            inst = np.repeat(sel, counts)
             parts.append(
                 (
                     cols,
-                    _out_keys(bop.zd, keys, cols, inst),
+                    _out_keys(self._zd, keys, cols, inst),
                     t.re[inst] * fac,
                     t.im[inst] * fac,
                 )
@@ -1199,31 +1140,27 @@ class BulkEngine:
         row order), (re, im) mod p of u^T outer (inner v), summed over the
         output entries of the outer applied to the states the inner box
         matrix reaches, with w = u(state) b(state) from _inner_weights.
-        One kernel pass takes the outers' rows of the engine table, cut to
-        their widest row, and each instance chunk is reduced as it is
-        built: u(out) = u(state) * z**delta, so an outer's sum is
-        sum_inst c z**delta * sum_pairs fac * w; no stream is formed."""
+        One kernel pass takes the outers' rows of the engine table, and
+        each instance chunk is reduced as it is built: u(out) = u(state) *
+        z**delta, so an outer's sum is sum_inst c z**delta * sum_pairs
+        fac * w; no stream is formed."""
         ids, ub_re, ub_im = self._inner_weights(inner)
         # int64 weights, so that each pair's product is formed in place
         ub_re = ub_re.astype(np.int64)
         ub_im = None if ub_im is None else ub_im.astype(np.int64)
         bops = [self._ops[name] for name in outers]
-        t = _view(
-            self._table, slice(None), *map(max, zip(*(_widths(b.table) for b in bops)))
-        )
-        stops = np.array([b.first + len(b.table.re) for b in bops])
-        rows = np.concatenate([np.arange(b.first, e) for b, e in zip(bops, stops)])
+        stops = np.array([b.stop for b in bops])
+        rows = np.concatenate([np.arange(b.first, b.stop) for b in bops])
         cz_re, cz_im = self._cz
         out = np.zeros((len(bops), len(_CHECK_PRIMES), 2), dtype=np.int64)
-        for counts, inst, cols, fac in self._pair_chunks(
-            t, rows, self._level1_block(ids)
+        for counts, sel, cols, fac in self._pair_chunks(
+            self._table, rows, self._level1_block(ids)
         ):
             # one reduceat segment per instance with pairs (reduceat
             # returns an element, not zero, for an empty segment)
-            ends = np.cumsum(counts)
-            starts = (ends - counts)[counts > 0]
-            first = inst[starts]
-            del inst  # each pair's table row is not needed past here
+            has = counts > 0
+            starts = (np.cumsum(counts) - counts)[has]
+            first = sel[has]
             # w < 2**31, so a segment's sum of fac * w fits int64 without
             # reducing each pair when its length times max |fac| is below
             # 2**32

@@ -390,6 +390,14 @@ _FLAGS = {
     "fmt": ("--format", {"dest": "fmt", "choices": ("json", "csv", "text")}),
 }
 
+# a config file names a key by its flag: the key of each flag name
+_KEY_OF_NAME = {flag[2:]: key for key, (flag, _) in _FLAGS.items()}
+
+# the values a config file may give a boolean key, in any case
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -428,8 +436,8 @@ def resolve_config(args) -> dict:
     if args.config:
         file_values = _read_config_file(args.config)
         for key, raw in file_values.items():
-            dest = "fmt" if key == "format" else key
-            if dest not in _CONFIG_DEFAULTS:
+            dest = _KEY_OF_NAME.get(key)
+            if dest is None:
                 raise UsageError(f"unknown config key: {key}")
             if dest not in values:
                 raise UsageError(f"{args.command} does not read config key: {key}")
@@ -438,7 +446,9 @@ def resolve_config(args) -> dict:
                 continue
             default = _CONFIG_DEFAULTS[dest]
             if isinstance(default, bool):
-                values[dest] = raw.lower() in ("1", "true", "yes")
+                if raw.lower() not in _BOOLEANS:
+                    raise UsageError(f"bad config value {key} = {raw!r}")
+                values[dest] = _BOOLEANS[raw.lower()]
             elif isinstance(default, int):
                 try:
                     values[dest] = int(raw)

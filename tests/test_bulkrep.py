@@ -207,19 +207,29 @@ def _term_products(universe, term, weight, relative):
 
 
 def _op_products(universe, op, relative):
-    """The (keys, coeff) generator products of an operator tree; its
-    central scalar is the empty product."""
-    central, leaves = bulkrep._leaf_iter(op, QI(1))
-    products = [] if central.is_zero() else [([], central)]
-    for weight, leaf in leaves:
-        if hasattr(leaf, "key"):
-            key = leaf.key
-            if not (relative and key.is_fermionic() and key.mode == 0):
+    """The (keys, coeff) generator products of an operator tree whose
+    coefficient is not zero; its total central scalar is the empty
+    product, first."""
+    central, products = ZERO, []
+
+    def walk(node, weight):
+        nonlocal central
+        central = central + weight * getattr(node, "central", ZERO)
+        if hasattr(node, "key"):
+            key = node.key
+            if not weight.is_zero() and not (
+                relative and key.is_fermionic() and key.mode == 0
+            ):
                 products.append(([key], weight))
-        else:
-            for term in leaf.terms:
+        elif hasattr(node, "terms"):
+            for term in node.terms:
                 products.extend(_term_products(universe, term, weight, relative))
-    return products
+        else:
+            for c, part in node.parts:
+                walk(part, weight * c)
+
+    walk(op, ONE)
+    return ([] if central.is_zero() else [([], central)]) + products
 
 
 def _op_instances(universe, op, relative):
@@ -233,13 +243,17 @@ def _op_instances(universe, op, relative):
     return out
 
 
-def _padded(rows, fill, dtype):
+def _padded(rows, fill, dtype, width):
     """Stack variable-length rows of equal-length tuples (of plain values
     when ``fill`` has length one) into one array of shape (len(rows),
-    widest row, len(fill)), padding with ``fill``; also returns the row
-    lengths."""
+    width, len(fill)), padding with ``fill``; ``width`` None is the widest
+    row."""
     lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    out = np.empty((len(rows), int(lens.max(initial=0)), len(fill)), dtype=dtype)
+    widest = int(lens.max(initial=0))
+    if width is None:
+        width = widest
+    assert widest <= width
+    out = np.empty((len(rows), width, len(fill)), dtype=dtype)
     out[...] = fill
     flat = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
     # entry e of the flat list is column e - (start of its row) of its row
@@ -247,13 +261,19 @@ def _padded(rows, fill, dtype):
     out[owner, np.arange(len(owner)) - (np.cumsum(lens) - lens)[owner]] = (
         flat.reshape(len(owner), len(fill))
     )
-    return out, lens
+    return out
 
 
-def _pack_table(universe, groups):
+def _table_widths(t):
+    """(constraint, count factor, parity, change) columns of a table."""
+    return t.cslot.shape[1], t.bslot.shape[1], t.fslot.shape[1], t.dslot.shape[1]
+
+
+def _pack_table(universe, groups, widths=(None,) * 4):
     """One packed table of the compiled instances of every (instances,
-    den) group, each coefficient scaled by its group's den, and per group
-    a view of the table: the group's rows, cut to its widest row."""
+    den) group, each coefficient scaled by its group's den, with the
+    constraint, count factor, parity and change columns ``widths`` (None:
+    the widest row's)."""
     f0, ones = universe.f0, universe.nslots
     instances = [r for insts, _ in groups for r in insts]
     re = [int(c.re * den) for insts, den in groups for c, *_ in insts]
@@ -262,9 +282,11 @@ def _pack_table(universe, groups):
         all(abs(x) < 1 << 30 for x in re) and all(abs(x) < 1 << 30 for x in im),
         "instance coefficient",
     )
-    (cons, kc), (bos, kb), (par, kf), (delta, kd) = (
-        _padded([r[i] for r in instances], fill, np.int16)
-        for i, fill in ((1, (ones, 0, FULL)), (2, (ones, 0)), (3, (f0,)), (4, (0, 0)))
+    cons, bos, par, delta = (
+        _padded([r[i] for r in instances], fill, np.int16, width)
+        for i, fill, width in zip(
+            (1, 2, 3, 4), ((ones, 0, FULL), (ones, 0), (f0,), (0, 0)), widths
+        )
     )
     table = bulkrep._Table(
         cslot=cons[:, :, 0],
@@ -278,17 +300,11 @@ def _pack_table(universe, groups):
         re=np.array(re, dtype=np.int64),
         im=np.array(im, dtype=np.int64),
     )
-    views, start = [], 0
-    for insts, _ in groups:
-        stop = start + len(insts)
-        widths = (int(k[start:stop].max(initial=0)) for k in (kc, kb, kf, kd))
-        views.append(bulkrep._view(table, slice(start, stop), *widths))
-        start = stop
-    return table, views
+    return table
 
 
 def _oracle_table(engine):
-    """The engine table and per operator (first, den, view), compiled
+    """The engine table and per operator (first, stop, den), compiled
     instance by instance from the engine's operators and universe."""
     groups, out, first = [], [], 0
     for bop in engine._ops.values():
@@ -298,10 +314,9 @@ def _oracle_table(engine):
             den = lcm(den, c.re.denominator, c.im.denominator)
         bulkrep._bound(den < 1 << 24, f"denominator of {bop.name}")
         groups.append((instances, den))
-        out.append((first, den))
+        out.append((first, first + len(instances), den))
         first += len(instances)
-    table, views = _pack_table(engine.universe, groups)
-    return table, [(f, d, v) for (f, d), v in zip(out, views)]
+    return _pack_table(engine.universe, groups), out
 
 
 def _assert_same_table(got, want, what):
@@ -312,14 +327,11 @@ def _assert_same_table(got, want, what):
 
 
 def _assert_engine_matches_oracle(engine):
-    """The engine table, and every operator's view, first row and
+    """The engine table, and every operator's rows first:stop and
     denominator, equal the per-instance compile's."""
-    table, compiled = _oracle_table(engine)
+    table, ranges = _oracle_table(engine)
     _assert_same_table(engine._table, table, "engine")
-    assert len(compiled) == len(engine._ops)
-    for (name, bop), (first, den, view) in zip(engine._ops.items(), compiled):
-        assert (bop.first, bop.den) == (first, den), name
-        _assert_same_table(bop.table, view, name)
+    assert [(b.first, b.stop, b.den) for b in engine._ops.values()] == ranges
 
 
 # -- per-instance reference for the packed kernel ----------------------
@@ -466,17 +478,18 @@ def _grouped(entries):
     return {k: v for k, v in sums.items() if v != (0, 0)}, rows
 
 
-def _image_rows(bop, states, cols, inst):
-    """Output occupancy rows of the (instance, state) pairs ``inst`` x
-    ``cols``: each state's row plus its instance's occupancy change."""
-    t = bop.table
+def _image_rows(engine, name, states, cols, inst):
+    """Output occupancy rows of operator ``name``'s (instance, state) pairs
+    ``inst`` x ``cols`` (engine table rows and states): each state's row
+    plus its instance's occupancy change."""
+    t = engine._table
     rows = states[cols]
     at = np.arange(len(cols))
     for j in range(t.dslot.shape[1]):
         p = t.dslot[inst, j]
         occ = rows[at, p] + t.dval[inst, j]
         if occ.min(initial=0) < 0:
-            raise StructureError(f"{bop.name} emptied an unoccupied slot")
+            raise StructureError(f"{name} emptied an unoccupied slot")
         rows[at, p] = occ
     return rows
 
@@ -495,20 +508,22 @@ def _level1_rows(engine, ids=None):
 
 def _op_stream(engine, bop, block, keys):
     """(cols, keys, re, im, inst): the keyed stream of ``bop`` on the
-    slot-major ``block`` (states' u ``keys``) with each pair's row of the
-    operator's table, from the same kernel as BulkEngine._apply_all."""
-    t = bop.table
-    rows = np.arange(len(t.re))
-    parts = [
-        (
-            cols,
-            bulkrep._out_keys(bop.zd, keys, cols, inst),
-            t.re[inst] * fac,
-            t.im[inst] * fac,
-            inst,
+    slot-major ``block`` (states' u ``keys``) with each pair's engine table
+    row, from the same kernel as BulkEngine._apply_all."""
+    t = engine._table
+    rows = np.arange(bop.first, bop.stop)
+    parts = []
+    for counts, sel, cols, fac in engine._pair_chunks(t, rows, block):
+        inst = np.repeat(sel, counts)
+        parts.append(
+            (
+                cols,
+                bulkrep._out_keys(engine._zd, keys, cols, inst),
+                t.re[inst] * fac,
+                t.im[inst] * fac,
+                inst,
+            )
         )
-        for _, inst, cols, fac in engine._pair_chunks(t, rows, block)
-    ]
     if not parts:
         e = np.zeros(0, dtype=np.int64)
         return e, np.zeros((len(bulkrep._CHECK_PRIMES), 0), dtype=np.uint32), e, e, e
@@ -522,7 +537,7 @@ def _kernel_entries(engine, name, block, state_keys):
     cols, keys, re, im, inst = _op_stream(engine, bop, block, state_keys)
     got = engine._apply_all(bop, block, state_keys)
     assert all(np.array_equal(a, b) for a, b in zip(got, (cols, keys, re, im)))
-    rows = _image_rows(bop, block[:-1].T, cols, inst)
+    rows = _image_rows(engine, name, block[:-1].T, cols, inst)
     return list(
         zip(
             cols.tolist(),
@@ -711,7 +726,9 @@ def test_level1_pool_invariants(family, relative):
     )
     rows_ids, got_cols, got_re, got_im = engine._box_mats[bulkrep.IDENTITY]
     assert all(x.dtype == np.int32 for x in engine._box_mats[bulkrep.IDENTITY])
-    assert np.array_equal(rows[rows_ids], _image_rows(bop, box_rows, cols, inst))
+    assert np.array_equal(
+        rows[rows_ids], _image_rows(engine, bulkrep.IDENTITY, box_rows, cols, inst)
+    )
     assert np.array_equal(got_cols, cols)
     assert np.array_equal(got_re, re) and np.array_equal(got_im, im)
 
@@ -805,11 +822,9 @@ def _oracle_domain(engine, every_pair=False):
         gcols, gkeys, gre, gim, first = bulkrep._group_keyed(cols, keys, re, im)
         gkeys = list(map(tuple, gkeys.T.tolist()))
         if every_pair:
-            pooled += zip(
-                map(tuple, keys.T.tolist()), cols.tolist(), (bop.first + inst).tolist()
-            )
+            pooled += zip(map(tuple, keys.T.tolist()), cols.tolist(), inst.tolist())
         else:
-            pooled += zip(gkeys, gcols.tolist(), (bop.first + inst[first]).tolist())
+            pooled += zip(gkeys, gcols.tolist(), inst[first].tolist())
         grouped[name] = list(zip(gkeys, gcols.tolist(), gre.tolist(), gim.tolist()))
     prov = {}
     for key, src, row in pooled:
@@ -980,11 +995,14 @@ def test_bounds_hold_without_asserts():
     """The int64 bounds (the row sums of an inner box matrix's checksum
     weights among them), the int32 bound of the box matrices' entries, the
     z-power table's exponent bound and the domain build's emptied-slot
-    guard are explicit raises, so python -O keeps them."""
+    guard are explicit raises, so python -O keeps them.  The count factor
+    bound counts a row's own factors, not the engine table's columns."""
     code = textwrap.dedent(
         """
         import numpy as np
-        from sweil.bulkrep import IDENTITY, BulkEngine, Universe, _group_keyed
+        from sweil.bulkrep import (
+            _CHECK_P, IDENTITY, BulkEngine, Universe, _group_keyed
+        )
         from sweil.fieldops import SumOperator
         from sweil.fock import Box, FockMonomial, GenKey
         from sweil.liealg import StructureError
@@ -992,13 +1010,25 @@ def test_bounds_hold_without_asserts():
         from sweil.verify import GeneratorOperator
         from test_bulkrep import FULL, _pack_table, occupancy_engine
 
-        # a hand-built instance as the engine table's one row and the
-        # table of operator ``name``
-        def install(eng, name, instance):
-            bop = eng._ops[name]
-            eng._table, (bop.table,) = _pack_table(eng.universe, [([instance], 1)])
-            bop.first = 0
-            return bop
+        # hand-built instances, (name, instance) each, as the engine
+        # table's rows in order, each the one row of operator ``name``;
+        # every other operator has no rows.  The checksum's per-row
+        # z**delta and c * z**delta follow the new table.
+        def install(eng, instances):
+            t = eng._table = _pack_table(
+                eng.universe, [([inst], 1) for _, inst in instances]
+            )
+            for bop in eng._ops.values():
+                bop.first = bop.stop = 0
+            for i, (name, _) in enumerate(instances):
+                eng._ops[name].first, eng._ops[name].stop = i, i + 1
+            if hasattr(eng, "_ztab"):
+                zd = eng._zpow(t.dslot, t.dval)
+                eng._zd = zd.astype(np.uint32)
+                eng._cz = tuple(
+                    ((x % _CHECK_P) * zd % _CHECK_P).astype(np.uint32)
+                    for x in (t.re, t.im)
+                )
 
         big = np.array([1 << 61, 1 << 61], dtype=np.int64)
         cols = np.zeros(2, dtype=np.int64)
@@ -1018,7 +1048,7 @@ def test_bounds_hold_without_asserts():
         def rigged():
             compile_table()
             slot = eng.universe.creator_slot(GenKey("g", 0, eng.universe.mmax))
-            install(eng, "tau", (ONE, [], [], [], [(slot, -1)]))
+            install(eng, [("tau", (ONE, [], [], [], [(slot, -1)]))])
 
         eng._compile = rigged
         try:
@@ -1054,14 +1084,16 @@ def test_bounds_hold_without_asserts():
             print("raised")
 
         # a composition whose product entries would overflow int64: the
-        # identity's table and tau's box matrix scaled by 2**32 (the int32
-        # box matrix widened first, so that the shift cannot wrap), with
-        # the checksum bypassed so that the exact path runs
+        # identity's table rows and tau's box matrix scaled by 2**32 (the
+        # int32 box matrix widened first, so that the shift cannot wrap),
+        # with the checksum bypassed so that the exact path runs
         eng = BulkEngine(1, Box(emax=1, b0max=0))
         eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
         eng.prepare()
         one = eng._ops[IDENTITY]
-        one.table = one.table._replace(re=one.table.re << 32)
+        re = eng._table.re.copy()
+        re[one.first : one.stop] <<= 32
+        eng._table = eng._table._replace(re=re)
         rows, cols, re, im = eng._box_mats["tau"]
         re, im = re.astype(np.int64) << 32, im.astype(np.int64)
         eng._box_mats["tau"] = (rows, cols, re, im)
@@ -1084,17 +1116,30 @@ def test_bounds_hold_without_asserts():
         except OverflowError as exc:
             print("raised" if "row sum" in str(exc) else exc)
 
-        # a hand-built table with five count factors of offset 127: a
-        # factor times a checksum weight below 2**31 could pass 2**63
+        # a hand-built engine table whose row for tau has five count
+        # factors of offset 127 and whose row for tau2 has one: on the box
+        # states (occupancies at most 1) a factor times a checksum weight
+        # below 2**31 could pass 2**63 on tau's row, as 128**5 >= 2**32,
+        # and not on tau2's, as 128 < 2**32, though the table has five
+        # count factor columns
         eng = BulkEngine(1, Box(emax=1, b0max=0))
         eng.register("tau", GeneratorOperator(GenKey("t", 0, 0)))
+        eng.register("tau2", GeneratorOperator(GenKey("t", 0, 0)))
         eng.prepare()
         slot = eng.universe.creator_slot(GenKey("g", 0, 1))
-        install(eng, "tau", (ONE, [], [(slot, 127)] * 5, [], []))
+        install(
+            eng,
+            [
+                ("tau", (ONE, [], [(slot, 127)] * 5, [], [])),
+                ("tau2", (ONE, [], [(slot, 127)], [], [])),
+            ],
+        )
         try:
             eng.bracket_defect("tau", "tau", True, [])
         except OverflowError as exc:
             print("raised" if "count factor" in str(exc) else exc)
+        sums = eng._batch_sums(("tau2",), "tau2")
+        print("passed" if sums.shape == (1, 3, 2) else sums)
 
         # an exponent past the z-power table, which a negative index would
         # otherwise read from the table's far end
@@ -1135,7 +1180,7 @@ def test_bounds_hold_without_asserts():
         env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{Path(__file__).parent}"},
         check=True,
     )
-    assert out.stdout.split() == ["raised"] * 12
+    assert out.stdout.split() == ["raised"] * 8 + ["passed"] + ["raised"] * 4
 
 
 def occupancy_engine(b0max):
@@ -1382,10 +1427,11 @@ def test_report_witness_is_first_failing_case(suite, monkeypatch):
 def test_operator_tables_are_views_of_the_engine_table(family, relative):
     """prepare packs every operator into one engine table, equal field by
     field (dtype, shape and values) to the per-instance compile's, with
-    the same first rows and denominators; each operator's table is a view
-    of its own rows, cut to its own widest row, and equals, field by
-    field, the table the per-instance compile (_pack_table) builds for
-    that operator alone."""
+    the same row ranges and denominators.  Each operator is the range
+    first:stop of its own rows, consecutive in registration order, and
+    those rows equal, field by field, the table the per-instance compile
+    (_pack_table) builds for that operator alone, padded to the engine
+    table's widths."""
     backend, ops = FAMILIES[family]
     box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
     engine = BulkEngine(backend.dim, box, relative)
@@ -1393,17 +1439,15 @@ def test_operator_tables_are_views_of_the_engine_table(family, relative):
         engine.register(name, op)
     engine.prepare()
     u, table = engine.universe, engine._table
+    widths = _table_widths(table)
     first = 0
     for name, bop in engine._ops.items():
         instances = _op_instances(u, bop.op, relative)
-        alone, (view,) = _pack_table(u, [(instances, bop.den)])
-        assert bop.first == first
-        first += len(instances)
-        for field, got, want, whole in zip(bulkrep._Table._fields, bop.table, alone, table):
-            assert got.dtype == want.dtype and got.shape == want.shape, (name, field)
-            assert np.array_equal(got, want), (name, field)
-            assert got.base is whole or got.base is whole.base, (name, field)
-        assert np.array_equal(view.re, alone.re)
+        alone = _pack_table(u, [(instances, bop.den)], widths)
+        assert (bop.first, bop.stop) == (first, first + len(instances)), name
+        first = bop.stop
+        rows = bulkrep._Table(*(x[bop.first : bop.stop] for x in table))
+        _assert_same_table(rows, alone, name)
     assert first == len(table.re)
     _assert_engine_matches_oracle(engine)
 
@@ -1411,7 +1455,7 @@ def test_operator_tables_are_views_of_the_engine_table(family, relative):
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_suite_engine_tables_match_per_instance_compile(suite, monkeypatch):
     """Every engine a relation suite builds has the per-instance compile's
-    table, views, first rows and denominators."""
+    table, operator row ranges and denominators."""
     engines = {id(s.engine): s.engine for s, _, _ in _suite_reports(suite, monkeypatch)}
     assert engines
     for engine in engines.values():
@@ -1495,9 +1539,10 @@ def test_random_term_shapes_compile_like_per_instance(
     """On random term shapes (up to two variables; coincident and dual
     slots, so repeated fermionic creators and bosonic count offsets;
     normal ordering; filters; absolute and relative), with weighted sums,
-    a central scalar and a single generator (whose row stays when its
-    weight is zero), the signature compile gives the per-instance
-    compile's engine table, views, first rows and denominators."""
+    a central scalar and a single generator (whose row, like every row
+    with a zero coefficient, is dropped when its weight is zero), the
+    signature compile gives the per-instance compile's engine table,
+    operator row ranges and denominators."""
     box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
     engine = BulkEngine(2, box, relative)
     for i, term in enumerate(shapes):
@@ -1515,6 +1560,30 @@ def test_random_term_shapes_compile_like_per_instance(
     engine.universe = bulkrep.Universe(2, engine.box.emax + 3)
     engine._compile()
     _assert_engine_matches_oracle(engine)
+
+
+def test_zero_weight_generator_leaf_drops_its_row():
+    """A GeneratorOperator leaf of weight zero in a SumOperator compiles to
+    no table row, like any zero coefficient, while its mode still counts
+    in the operator's energy span; bracket_defect gives the exact
+    comparison's column on [g(0,0) + 0 e(0,1), b(0,0)] = 1, which holds,
+    and on the seeded wrong claim = 2."""
+    engine = BulkEngine(1, Box(emax=1, b0max=2, zero_fermions_allowed=False))
+    zero_e = GeneratorOperator(GenKey("e", 0, 1))
+    g = GeneratorOperator(GenKey("g", 0, 0))
+    engine.register("g+0e", SumOperator([(ONE, g), (ZERO, zero_e)]))
+    engine.register("b", GeneratorOperator(GenKey("b", 0, 0)))
+    engine.prepare()
+    bop = engine._ops["g+0e"]
+    assert (bop.stop - bop.first, bop.smax) == (1, 1)
+    _assert_engine_matches_oracle(engine)
+    got = []
+    for claim in (ONE, QI(2)):
+        rhs = [(claim, bulkrep.IDENTITY)]
+        col = engine.bracket_defect("g+0e", "b", False, rhs)
+        assert col == _exact_bracket_defect(engine, "g+0e", "b", False, rhs)
+        got.append(col)
+    assert got[0] is None and got[1] is not None
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1558,10 +1627,11 @@ def test_pair_chunks_respect_the_mask_budget(monkeypatch):
 
     def pairs(block):
         chunks = list(engine._pair_chunks(t, rows, block))
-        for counts, inst, cols, fac in chunks:
+        for counts, sel, cols, fac in chunks:
             cells = len(counts) * block.shape[1]
             assert cells <= bulkrep._MASK_CELLS or len(counts) == 1
-            assert len(inst) == len(cols) == len(fac) == counts.sum()
+            assert len(sel) == len(counts)
+            assert len(cols) == len(fac) == counts.sum()
         return chunks, [np.concatenate(x) for x in zip(*chunks)]
 
     for ids in blocks:
@@ -1585,7 +1655,8 @@ def test_pair_chunks_respect_the_mask_budget(monkeypatch):
 def _oracle_apply_chunk(t, block, pre, sel):
     """BulkEngine._apply_chunk as it read the block and the prefix counts
     with 2-D fancy indexing, every column of the table, padding or not:
-    the oracle of the shipped kernel's 1-D reads and skipped padding."""
+    the oracle of the shipped kernel's 1-D reads and skipped padding.
+    Returns (counts, inst, cols, fac) with each pair's table row inst."""
     n = block.shape[1]
     mask = np.ones((len(sel), n), dtype=bool)
     for j in range(t.cslot.shape[1]):
@@ -1607,8 +1678,13 @@ def _oracle_apply_chunk(t, block, pre, sel):
 
 
 def _assert_chunk_matches_oracle(got, t, block, pre, sel):
-    """A chunk's (counts, inst, cols, fac) equal the oracle's, dtypes too."""
+    """A chunk's (counts, sel, cols, fac) equal the oracle's, dtypes too:
+    its instance rows are ``sel``, and repeated by their pair counts they
+    are the oracle's table row of each pair."""
+    counts, got_sel, cols, fac = got
+    assert np.array_equal(got_sel, sel)
     want = _oracle_apply_chunk(t, block, pre, sel)
+    got = (counts, np.repeat(got_sel, counts), cols, fac)
     for field, g, w in zip(("counts", "inst", "cols", "fac"), got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w), field
 
@@ -1700,8 +1776,8 @@ def test_kernel_skips_padding_exactly():
     narrow = (ONE, [(bos[1], 1, FULL)], [(bos[1], 2)], [fer[1]], [])
     fermion = (ONE, [(fer[1], 0, 0)], [], [fer[0]], [])
     empty = (ONE, [], [], [], [])
-    t, _ = _pack_table(u, [([wide, narrow, fermion, empty], 1)])
-    assert bulkrep._widths(t) == (2, 2, 2, 0)
+    t = _pack_table(u, [([wide, narrow, fermion, empty], 1)])
+    assert _table_widths(t) == (2, 2, 2, 0)
     on_all, on_some = set(), set()
     for sel in ([1, 2], [3], [1, 3], [0, 1, 2, 3], [0, 3]):
         sel = np.array(sel)

@@ -202,6 +202,34 @@ def test_bad_config_value_is_usage_error(tmp_path):
     assert main(["verify-chain", "--config", str(cfgfile)]) == 2
 
 
+def test_config_keys_are_flag_names(tmp_path, capsys):
+    """``format`` names the --format flag; ``fmt``, the key's internal
+    name, is an unknown key."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("fmt = json\n")
+    assert main(["verify-chain", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key: fmt\n"
+    cfgfile.write_text("format = json\n")
+    args = build_parser().parse_args(["verify-chain", "--config", str(cfgfile)])
+    assert resolve_config(args)["fmt"] == "json"
+
+
+def test_config_booleans_are_strict(tmp_path, capsys):
+    """A boolean key takes 1/0/true/false/yes/no in any case; any other
+    value is a usage error, not False."""
+    cfgfile = tmp_path / "run.cfg"
+    parser = build_parser()
+    for raw, want in (("1", True), ("TRUE", True), ("Yes", True),
+                      ("0", False), ("False", False), ("no", False)):
+        cfgfile.write_text(f"rel = {raw}\n")
+        args = parser.parse_args(["cohomology", "--config", str(cfgfile)])
+        assert resolve_config(args)["rel"] is want, raw
+    for raw in ("maybe", "", "2", "on"):
+        cfgfile.write_text(f"rel = {raw}\n")
+        assert main(["cohomology", "--config", str(cfgfile)]) == 2, raw
+        assert "bad config value rel" in capsys.readouterr().err, raw
+
+
 def test_verify_n2_reports_central_charge():
     status, out = capture(
         ["verify-n2", "--backend", "fmu:1/2:0", "--emax", "1", "--b0max", "0",
