@@ -195,15 +195,29 @@ def _col_weights(p, r5, r6, cols):
     return ((c * r5 + r6) % np.uint64(p)).astype(np.int64)
 
 
+def _inverses(zs, p: int) -> list:
+    """The inverses mod p of the nonzero residues ``zs``, by batch
+    inversion: one modular inverse of their product, then each inverse
+    from the prefix products."""
+    # pre[s] is the product of zs[:s], and inv the inverse of pre[s + 1]
+    pre = list(itertools.accumulate(zs, lambda a, b: a * b % p, initial=1))
+    inv = pow(pre[-1], -1, p)
+    out = [0] * len(zs)
+    for s in reversed(range(len(zs))):
+        out[s] = inv * pre[s] % p
+        inv = inv * zs[s] % p
+    return out
+
+
 def _power_table(nslots: int, k: int) -> np.ndarray:
     """(prime, slot, k + e) -> z_s**e mod p for |e| <= k, with one seeded
-    weight z_s in [2, p) per slot and prime; z_s**-1 is taken once per
-    slot."""
+    weight z_s in [2, p) per slot and prime; the z_s**-1 of a prime come
+    from one modular inverse."""
     rng = np.random.Generator(np.random.PCG64(_SLOT_SEED))
     tab = np.ones((len(_CHECK_PRIMES), nslots, 2 * k + 1), dtype=np.int64)
     for i, p in enumerate(_CHECK_PRIMES):
         z = rng.integers(2, p, size=nslots, dtype=np.int64)
-        zi = np.array([pow(int(x), -1, p) for x in z], dtype=np.int64)
+        zi = np.array(_inverses(z.tolist(), p), dtype=np.int64)
         for e in range(1, k + 1):
             tab[i, :, k + e] = tab[i, :, k + e - 1] * z % p
             tab[i, :, k - e] = tab[i, :, k - e + 1] * zi % p
@@ -280,23 +294,25 @@ class Universe:
         )
 
     def rows_of(self, monos) -> np.ndarray:
-        """Occupancy rows of ``monos``, one per monomial, built with one
-        scatter-add over all (monomial, slot) pairs; raises OverflowError
-        when an occupancy passes what a row holds."""
-        keys = [k for m in monos for part in m for k in part]
-        get = self.index.get
-        slots = np.array([get(k, -1) for k in keys], dtype=np.int64)
+        """Occupancy rows of ``monos``, one per monomial, counted with one
+        bincount over the flat (monomial, slot) index of every key; raises
+        OverflowError when an occupancy passes what a row holds."""
+        parts = list(itertools.chain.from_iterable(monos))
+        keys = list(itertools.chain.from_iterable(parts))
+        slots = np.fromiter(
+            map(self.index.get, keys, itertools.repeat(-1)), np.int64, len(keys)
+        )
         if len(slots) and slots.min() < 0:
             bad = keys[int(np.argmin(slots))]
             raise StructureError(f"generator {bad} outside the slot universe")
-        sizes = [len(bos) + len(fer) for bos, fer in monos]
-        # a row counts in uint8 only when no monomial has more keys than
-        # uint8 holds, so that the bound below sees every count
-        wide = max(sizes, default=0) > _FULL
-        rows = np.zeros((len(monos), self.nslots), dtype=np.int64 if wide else np.uint8)
-        np.add.at(rows, (np.repeat(np.arange(len(monos)), sizes), slots), 1)
+        # keys per monomial: its boson and its fermion part
+        sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+        sizes = sizes.reshape(-1, 2).sum(axis=1)
+        n = len(sizes) * self.nslots
+        slots += np.repeat(np.arange(0, n, self.nslots), sizes)
+        rows = np.bincount(slots, minlength=n).reshape(len(sizes), self.nslots)
         _bound(int(rows.max(initial=0)) <= _FULL, "slot occupancy of an occupancy row")
-        return rows.astype(np.uint8, copy=False)
+        return rows.astype(np.uint8)
 
 
 def _compile_instance(universe: Universe, keys, coeff: QI):
@@ -752,7 +768,7 @@ class BulkEngine:
         self.dim = dim
         self.box = box
         self.relative = relative
-        self.box_monos = list(enumerate_box(dim, box))
+        self.box_monos = enumerate_box(dim, box)
         self._ops: dict[str, _BulkOp] = {}
         self._full_names: set[str] = set()
         self._prepared = False
@@ -851,12 +867,12 @@ class BulkEngine:
                     b.name for b in self._ops.values() if b.first <= bad[0] < b.stop
                 )
                 raise StructureError(f"{name} emptied an unoccupied slot")
+        states = u.rows_of(self.box_monos)
         # slot-major box block plus the row of ones that padded table
         # entries read
         block = np.ones((u.nslots + 1, nbox), dtype=np.uint8)
-        block[:-1] = u.rows_of(self.box_monos).T
+        block[:-1] = states.T
         self._box_block = block
-        states = block[:-1].T
         top = int(states.max(initial=0))
         # the uint8 occupancies of the one-step images
         _bound(
@@ -870,9 +886,8 @@ class BulkEngine:
         )
         k = max(top, int(np.abs(t.dval).max(initial=0)))
         self._ztab = _power_table(u.nslots, k)
-        slots = np.broadcast_to(np.arange(u.nslots), states.shape)
-        box_u = self._zpow(slots, states).astype(np.uint32)
-        del slots, states
+        box_u = self._occupancy_u(states).astype(np.uint32)
+        del states
         # per checksum prime and engine table row, z**delta mod p and the
         # (re, im) of c * z**delta mod p
         zd = self._zpow(t.dslot, t.dval)
@@ -1012,6 +1027,24 @@ class BulkEngine:
             if e.any():
                 out *= self._ztab[:, slots[..., j], e.astype(np.int64) + k]
                 out %= _CHECK_P
+        return out
+
+    def _occupancy_u(self, rows):
+        """Per checksum prime, u of each occupancy row of ``rows`` (one row
+        per state, at most the power table's occupancy in a slot), from its
+        nonzero occupancies: the j-th factor of every state that has one is
+        multiplied in by one pass, so the passes are as many as the most
+        occupied slots of one state; shape (primes, states)."""
+        k = self._ztab.shape[2] // 2
+        state, slot = np.nonzero(rows)
+        # z_slot ** occupancy of every nonzero occupancy, state-major
+        factor = self._ztab[:, slot, rows[state, slot].astype(np.intp) + k]
+        count = np.bincount(state, minlength=len(rows))
+        start = np.cumsum(count) - count
+        out = np.ones((len(_CHECK_PRIMES), len(rows)), dtype=np.int64)
+        for j in range(int(count.max(initial=0))):
+            has = np.flatnonzero(count > j)
+            out[:, has] = out[:, has] * factor[:, start[has] + j] % _CHECK_P
         return out
 
     def _pair_chunks(self, t, rows, block):

@@ -375,7 +375,10 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise UsageError(f"bad config line: {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise UsageError(f"duplicate config key: {key}")
+            out[key] = value.strip()
     return out
 
 

@@ -25,12 +25,15 @@ A monomial is a NamedTuple of its two key tuples, so hashing, equality and
 construction run in C; it is the key of every per-monomial memo and
 vector.  ``enumerate_box`` appends bosonic creators in ``_bsort_key``
 order and fermionic ones in ``_fsort_key`` order, so each monomial it
-builds is already canonical and inside the box.
+builds is already canonical and inside the box; its parts are sorted,
+so the box comes out in canonical order without sorting the box.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import partial
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .scalars import QI, ONE
@@ -335,13 +338,17 @@ class Box(NamedTuple):
 
 def enumerate_box(dim: int, box: Box):
     """Deterministic, duplicate-free enumeration of the monomials in a box,
-    sorted by ``_mono_sort_key``.
+    in ``_mono_sort_key`` order.
 
     The bosonic parts take the bosonic creators in ``_bsort_key`` order,
     each as often as the energy and mode-0 budgets allow; the fermionic
     parts take the fermionic creators in ``_fsort_key`` order, each at
     most once.  Every pair of parts within the energy budget is then a
-    canonical monomial of the box, built without canonicalizing."""
+    canonical monomial of the box, built without canonicalizing.  Each
+    list of parts is sorted once by its keys' canonical order, the
+    fermionic parts kept per energy budget in that order, so the nested
+    product of the two lists is already in canonical order and the
+    monomials themselves are never sorted."""
     if box.emax < 0 or box.b0max < 0:
         raise StructureError("box bounds must be nonnegative")
     emax = box.emax
@@ -354,10 +361,12 @@ def enumerate_box(dim: int, box: Box):
         bos.append(GenKey("b", c, 0))
         if box.zero_fermions_allowed:
             fer.append(GenKey("t", c, 0))
+    bos.sort(key=_bsort_key)
+    fer.sort(key=_fsort_key)
     # (energy, mode-0 count, keys); a part grows only by keys sorted after
     # all of its own, so every part stays in canonical order
     bos_parts = [(0, 0, ())]
-    for key in sorted(bos, key=_bsort_key):
+    for key in bos:
         cost = abs(key.mode)
         zero = key.mode == 0
         grown = []
@@ -368,20 +377,24 @@ def enumerate_box(dim: int, box: Box):
                 n += 1
         bos_parts += grown
     fer_parts = [(0, ())]
-    for key in sorted(fer, key=_fsort_key):
+    for key in fer:
         cost = abs(key.mode)
         fer_parts += [(e + cost, keys + (key,)) for e, keys in fer_parts if e + cost <= emax]
-    # fermionic parts of energy at most E, for each E
+    # a part's canonical sort key is the tuple of its keys' positions in
+    # the sorted creator lists
+    rank = {k: i for i, k in enumerate(bos + fer)}.__getitem__
+    bos_parts.sort(key=lambda part: tuple(map(rank, part[2])))
+    fer_parts.sort(key=lambda part: tuple(map(rank, part[1])))
+    # fermionic parts of energy at most E, for each E, in canonical order
     upto = [[] for _ in range(emax + 1)]
     for energy, keys in fer_parts:
         for budget in range(energy, emax + 1):
             upto[budget].append(keys)
-    out = [
-        FockMonomial(bkeys, fkeys)
-        for energy, _, bkeys in bos_parts
-        for fkeys in upto[emax - energy]
-    ]
-    out.sort(key=_mono_sort_key)
+    # FockMonomial's own tuple constructor, called from C per monomial
+    mono = partial(tuple.__new__, FockMonomial)
+    out = []
+    for energy, _, bkeys in bos_parts:
+        out += map(mono, zip(repeat(bkeys), upto[emax - energy]))
     return out
 
 

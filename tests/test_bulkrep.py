@@ -640,6 +640,23 @@ def test_rows_of_counts_every_key():
         u.rows_of(monos[:3] + [FockMonomial((GenKey("g", 0, 4),), ())])
 
 
+def test_rows_of_counts_monomials_of_more_than_255_keys():
+    """A monomial may hold more keys than a uint8 occupancy holds, as long
+    as no slot passes it: its row counts every key, next to the rows of a
+    box, and one slot past the uint8 range raises OverflowError."""
+    u = bulkrep.Universe(2, 2)
+    b00, b10 = GenKey("b", 0, 0), GenKey("b", 1, 0)
+    wide = FockMonomial((b00,) * 200 + (b10,) * FULL, (GenKey("t", 1, 0),))
+    monos = enumerate_box(2, Box(emax=1, b0max=1))
+    monos = monos[:5] + [wide] + monos[5:]
+    rows = u.rows_of(monos)
+    assert rows.dtype == np.uint8
+    assert np.array_equal(rows, _ref_rows(u, monos))
+    assert rows[5, u.creator_slot(b10)] == FULL
+    with pytest.raises(OverflowError, match="slot occupancy"):
+        u.rows_of(monos + [FockMonomial(wide.bosons + (b10,), ())])
+
+
 def test_slots_of_is_the_universe_layout():
     """The closed-form slot of every key with |mode| <= mmax, creator or
     annihilator, is the index of its creator in the slot universe."""
@@ -654,6 +671,80 @@ def test_slots_of_is_the_universe_layout():
         np.array([k.mode for k in keys]),
     )
     assert got.tolist() == want
+
+
+def _per_slot_u(engine, rows):
+    """Per checksum prime, u of each occupancy row with one _zpow factor
+    per slot column: the oracle of _occupancy_u."""
+    slots = np.broadcast_to(np.arange(engine.universe.nslots), rows.shape)
+    return engine._zpow(slots, rows)
+
+
+def _assert_box_u_matches_per_slot_zpow(engine):
+    """The box states' u, as the domain build keeps it and as
+    _occupancy_u gives it, equals the per-slot _zpow oracle; so does
+    _occupancy_u on random rows within the power table, with empty rows
+    and rows occupied in every slot among them."""
+    rows = engine._box_block[:-1].T
+    want = _per_slot_u(engine, rows)
+    assert np.array_equal(engine._occupancy_u(np.ascontiguousarray(rows)), want)
+    assert np.array_equal(engine.l1_u[:, engine.box_ids], want.astype(np.uint32))
+    k = engine._ztab.shape[2] // 2
+    rng = np.random.default_rng(engine.universe.nslots)
+    rows = rng.integers(0, k + 1, size=(50, engine.universe.nslots), dtype=np.uint8)
+    rows[rng.random(rows.shape) < 0.7] = 0
+    rows[:3] = 0
+    rows[3:6] = rng.integers(1, k + 1, size=(3, rows.shape[1]), dtype=np.uint8)
+    assert np.array_equal(engine._occupancy_u(rows), _per_slot_u(engine, rows))
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_box_u_matches_per_slot_zpow_on_families(family, relative):
+    backend, ops = FAMILIES[family]
+    box = Box(emax=1, b0max=1, zero_fermions_allowed=not relative)
+    engine = BulkEngine(backend.dim, box, relative)
+    for name, op in ops():
+        engine.register(name, op)
+    engine.prepare()
+    _assert_box_u_matches_per_slot_zpow(engine)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_box_u_matches_per_slot_zpow_on_suites(suite, monkeypatch):
+    reports = _suite_reports(suite, monkeypatch)
+    engines = {id(s.engine): s.engine for s, _, _ in reports}
+    assert engines
+    for engine in engines.values():
+        _assert_box_u_matches_per_slot_zpow(engine)
+
+
+def _ref_power_table(nslots, k):
+    """The z-power table with one Python modular inverse per slot and
+    prime, as it was built before batch inversion."""
+    rng = np.random.Generator(np.random.PCG64(bulkrep._SLOT_SEED))
+    tab = np.ones((len(bulkrep._CHECK_PRIMES), nslots, 2 * k + 1), dtype=np.int64)
+    for i, p in enumerate(bulkrep._CHECK_PRIMES):
+        z = rng.integers(2, p, size=nslots, dtype=np.int64)
+        zi = np.array([pow(int(x), -1, p) for x in z], dtype=np.int64)
+        for e in range(1, k + 1):
+            tab[i, :, k + e] = tab[i, :, k + e - 1] * z % p
+            tab[i, :, k - e] = tab[i, :, k - e + 1] * zi % p
+    return tab
+
+
+def test_power_table_batch_inverses_are_the_per_slot_inverses():
+    """Batch inversion gives every residue's own inverse, and the z-power
+    table is the one built with a modular inverse per slot."""
+    rng = np.random.default_rng(7)
+    for p in bulkrep._CHECK_PRIMES:
+        for n in (0, 1, 2, 57):
+            zs = rng.integers(1, p, size=n).tolist()
+            assert bulkrep._inverses(zs, p) == [pow(z, -1, p) for z in zs]
+    for nslots, k in ((2, 1), (42, 2), (90, 3), (18, 0)):
+        tab = bulkrep._power_table(nslots, k)
+        assert tab.dtype == np.int64
+        assert np.array_equal(tab, _ref_power_table(nslots, k)), (nslots, k)
 
 
 def test_group_keyed_is_exact_in_column_and_key():

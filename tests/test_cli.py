@@ -20,6 +20,7 @@ from sweil.fieldops import SlotSpec, TermShape
 from sweil.cohomology import GradedPiece, Matrix, PieceRow
 from sweil.cli import (
     CSV_HEADER,
+    UsageError,
     build_parser,
     emit_report,
     emit_rows,
@@ -212,6 +213,20 @@ def test_config_keys_are_flag_names(tmp_path, capsys):
     cfgfile.write_text("format = json\n")
     args = build_parser().parse_args(["verify-chain", "--config", str(cfgfile)])
     assert resolve_config(args)["fmt"] == "json"
+
+
+def test_config_repeated_key_is_usage_error(tmp_path, capsys):
+    """A key that a config file gives twice is a usage error naming the
+    key, whether or not the two values agree, so that no setting is
+    silently dropped."""
+    cfgfile = tmp_path / "run.cfg"
+    for text in ("emax = 1\nemax = 0\n", "emax = 1\n# again\n emax=1\n"):
+        cfgfile.write_text(text)
+        assert main(["verify-chain", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == "error: duplicate config key: emax\n"
+    args = build_parser().parse_args(["verify-chain", "--config", str(cfgfile)])
+    with pytest.raises(UsageError, match="duplicate config key: emax"):
+        resolve_config(args)
 
 
 def test_config_booleans_are_strict(tmp_path, capsys):
