@@ -268,18 +268,30 @@ class GradedPiece(NamedTuple):
         return v
 
 
-def slice_monomials(backend, energy, deg_s, relative):
+def _box_monomials(backend, box: Box, boxes=None):
+    """``enumerate_box`` on the backend's dimension.  ``boxes`` is a memo
+    from Box to its monomials that the calls of one report on one backend
+    share, so each distinct box is enumerated once per report."""
+    if boxes is None:
+        return enumerate_box(backend.dim, box)
+    hit = boxes.get(box)
+    if hit is None:
+        hit = boxes[box] = enumerate_box(backend.dim, box)
+    return hit
+
+
+def slice_monomials(backend, energy, deg_s, relative, boxes=None):
     """The monomials at exact energy and S-degree, bucketed by Deg_Lambda
     as {deg_l: monomials}; mode-0 fermions are excluded on the relative
     model. Finite because mode-0 boson count is bounded by the energy
-    minus the S-degree."""
+    minus the S-degree.  ``boxes`` is the report's ``_box_monomials`` memo."""
     box = Box(
         emax=energy,
         b0max=max(0, energy - deg_s),
         zero_fermions_allowed=not relative,
     )
     buckets = {}
-    for m in enumerate_box(backend.dim, box):
+    for m in _box_monomials(backend, box, boxes):
         e, ds, dl, _, _ = m.degrees()
         if e == energy and ds == deg_s:
             buckets.setdefault(dl, []).append(m)
@@ -389,9 +401,10 @@ def cohomology_table(backend, energies, deg_s_values, relative):
     d = build_differential_d(backend)
     rows = []
     matrices = []
+    boxes = {}
     for energy in energies:
         for deg_s in deg_s_values:
-            ls = slice_monomials(backend, energy, deg_s, relative)
+            ls = slice_monomials(backend, energy, deg_s, relative, boxes)
             if not ls:
                 continue
             lo, hi = min(ls), max(ls)
@@ -496,7 +509,9 @@ def classical_operator(build, sym) -> Operator:
     return SumOperator(parts, name=f"psi({sym})")
 
 
-def kahler_matrix_checks(backend, emax=2, b0max=2, build=None, triple=None):
+def kahler_matrix_checks(
+    backend, emax=2, b0max=2, build=None, triple=None, boxes=None
+):
     """All bracket relations of the classical operator package, plus the
     exterior sl(2) triple relations, evaluated exactly on the relative
     quotient box.  The module realization carries the central extension,
@@ -505,10 +520,13 @@ def kahler_matrix_checks(backend, emax=2, b0max=2, build=None, triple=None):
     bracket of the classical symbols' images.  ``build`` (the alpha = 0
     family builder) and ``triple`` (the sl(2) operators by name) let a
     caller share its operators, and with them their applied columns;
-    both are made here when omitted."""
+    both are made here when omitted.  ``boxes`` is the caller's
+    ``_box_monomials`` memo.  Each package operator is a SumOperator over
+    family operators; the engine applies each family operator once per
+    monomial, and every symbol that uses it shares its columns."""
     from .liealg import CheckReport
     from .sca import KAHLER_SYMBOLS, kahler_bracket, kahler_parity, psi, s2a_bracket
-    from .verify import FastEngine, FastOp, fast_bracket_check, s2a_builder
+    from .verify import FastEngine, fast_bracket_check, s2a_builder
 
     if build is None:
         build = s2a_builder(backend, ZERO)
@@ -517,9 +535,9 @@ def kahler_matrix_checks(backend, emax=2, b0max=2, build=None, triple=None):
     charge = QI(3 * backend.dim)
     box = Box(emax=emax, b0max=b0max, zero_fermions_allowed=False)
     engine = FastEngine(relative=True)
-    box_ids = [engine.intern(m) for m in enumerate_box(backend.dim, box)]
+    box_ids = [engine.intern(m) for m in _box_monomials(backend, box, boxes)]
     fops = {
-        sym: FastOp(engine, classical_operator(build, sym))
+        sym: engine.fastop(classical_operator(build, sym))
         for sym in KAHLER_SYMBOLS
     }
     checks = []
@@ -541,7 +559,7 @@ def kahler_matrix_checks(backend, emax=2, b0max=2, build=None, triple=None):
                     "",
                 )
             )
-    triple = {s: FastOp(engine, op) for s, op in triple.items()}
+    triple = {s: engine.fastop(op) for s, op in triple.items()}
     sl2_rels = (
         ("EE", "FF", (("HH", ONE),)),
         ("HH", "EE", (("EE", QI(2)),)),
@@ -629,12 +647,15 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     from .verify import s2a_builder
 
     # one operator object per family member and sl(2) symbol for the whole
-    # report, so each column is applied once
+    # report, so each column is applied once, and one enumeration per box
     build = s2a_builder(backend, ZERO)
     triple = sl2_triple(backend)
     d = build_differential_d(backend)
+    boxes = {}
     checks = list(
-        kahler_matrix_checks(backend, emax=emax, build=build, triple=triple)
+        kahler_matrix_checks(
+            backend, emax=emax, build=build, triple=triple, boxes=boxes
+        )
     )
 
     # star is an involution and the vacuum has norm one
@@ -642,7 +663,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     box = Box(emax=emax, b0max=2, zero_fermions_allowed=False)
     star_ok = all(
         star(star(FockVector.of(m))) == FockVector.of(m)
-        for m in enumerate_box(backend.dim, box)
+        for m in _box_monomials(backend, box, boxes)
     )
     checks.append(CheckReport("star:involution", star_ok, None, ""))
     vac = FockVector.vacuum()
@@ -661,7 +682,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     hh = triple["HH"]
     count_ok = True
     count_witness = None
-    for m in enumerate_box(backend.dim, box):
+    for m in _box_monomials(backend, box, boxes):
         _, _, _, a, b = m.degrees()
         v = FockVector.of(m)
         if hh.apply(v, relative=True) != v.scale(QI(a - b)):
@@ -680,7 +701,7 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     def get_slice(energy, deg_s):
         key = (energy, deg_s)
         if key not in slices:
-            slices[key] = slice_monomials(backend, energy, deg_s, True)
+            slices[key] = slice_monomials(backend, energy, deg_s, True, boxes)
         return slices[key]
 
     pieces = {}

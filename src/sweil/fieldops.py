@@ -292,11 +292,21 @@ class FieldOperator(Operator):
             raise StructureError("central summand requires an even shiftless operator")
         return parity, shift
 
-    def _apply_monomial(self, m, relative):
+    def apply_monomial(self, m, relative=False, bounds=None):
+        """As ``Operator.apply_monomial``; a caller that holds the
+        ``_slot_bounds`` of ``m`` passes them as ``bounds``."""
+        key = (m, relative)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._apply_monomial(m, relative, bounds)
+        return hit
+
+    def _apply_monomial(self, m, relative, bounds=None):
         out = FockVector()
         if not self.central.is_zero():
             out.add_term(m, self.central)
-        bounds = _slot_bounds(m)
+        if bounds is None:
+            bounds = _slot_bounds(m)
         for plan in self._plans:
             for point in plan.window(bounds):
                 keys, sign, c, vs = point
@@ -524,9 +534,11 @@ S2A_SYMBOLS = ("Lalpha", "E", "H", "F", "h", "p", "x", "y", "HH")
 
 
 def build_s2alpha_family(
-    backend: GradedBackend, alpha, symbol: str, n: int = 0
+    backend: GradedBackend, alpha, symbol: str, n: int = 0, h=None
 ) -> Operator:
-    """The S'(2, alpha) quadratic expansions on a loop complex."""
+    """The S'(2, alpha) quadratic expansions on a loop complex.  ``h``, for
+    ``Lalpha``, is the family's H[n] when the caller already holds it; it
+    is built here when omitted."""
     if backend.kind != "loop":
         raise StructureError("S'(2,alpha) family needs a loop backend")
     alpha = QI.of(alpha)
@@ -536,11 +548,13 @@ def build_s2alpha_family(
         terms = [_quad("b", a, 0, "g", a, n, _const(QI(-1))) for a in range(D)]
         return FieldOperator(terms, name=f"H[{n}]")
     if symbol == "Lalpha":
+        if h is None:
+            h = build_s2alpha_family(backend, alpha, "H", n)
         central = (alpha / QI(4) - alpha * alpha / QI(8)) * QI(D) if n == 0 else ZERO
         return SumOperator(
             [
                 (QI(-1), _loop_witt_L(backend, -n, alpha)),
-                ((QI(n) + ONE - alpha) / QI(2), build_s2alpha_family(backend, alpha, "H", n)),
+                ((QI(n) + ONE - alpha) / QI(2), h),
             ],
             central,
             name=f"Lalpha[{n}]",

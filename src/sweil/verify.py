@@ -22,7 +22,10 @@ from .fock import (
     format_monomial,
 )
 from .fieldops import (
+    FieldOperator,
     Operator,
+    SumOperator,
+    _slot_bounds,
     build_differential_d,
     build_koszul_h,
     build_n2_family,
@@ -119,12 +122,18 @@ class GeneratorOperator(Operator):
 
 
 class FastEngine:
-    """Shared monomial interning table for a batch of checks."""
+    """Shared monomial interning table for a batch of checks, with one
+    FastOp per operator object reached through a SumOperator, so each
+    leaf operator is applied to each monomial once, and one
+    ``_slot_bounds`` dict per monomial for every FieldOperator leaf.
+    Both live as long as the engine."""
 
     def __init__(self, relative: bool = False):
         self.relative = relative
         self._ids = {}
         self.monos = []
+        self._bounds = {}  # monomial id -> _slot_bounds of the monomial
+        self._ops = {}  # operator -> its FastOp
 
     def intern(self, m: FockMonomial) -> int:
         i = self._ids.get(m)
@@ -134,44 +143,139 @@ class FastEngine:
             self.monos.append(m)
         return i
 
+    def fastop(self, op: Operator) -> "FastOp":
+        """The engine's one FastOp of ``op``."""
+        f = self._ops.get(op)
+        if f is None:
+            f = self._ops[op] = FastOp(self, op)
+        return f
+
 
 class FastOp:
-    """Lazily assembled integer-scaled sparse columns of an operator."""
+    """Lazily assembled integer-scaled sparse columns of an operator: a
+    column is a tuple of (monomial id, re, im), the entries times ``den``.
+
+    A SumOperator's column is the integer combination of its parts'
+    columns, and its parts are the engine's FastOps, so every sum that
+    uses an operator shares that operator's columns; a single part of
+    weight one shares its column tuples outright.  Any other operator is
+    a leaf, applied to the monomial.  A FastOp holds the engine's tables,
+    not the engine, so the engine's FastOps form no reference cycle."""
 
     def __init__(self, engine: FastEngine, op: Operator):
-        self.engine = engine
         self.op = op
         self.den = 1
         self.cols = {}
+        self._monos = engine.monos
+        if isinstance(op, SumOperator):
+            self._parts = tuple((c, engine.fastop(p)) for c, p in op.parts)
+            self._central = None if op.central.is_zero() else op.central
+            # the weights over den, for the part denominators _part_dens
+            self._part_dens = None
+            self._scaled = None
+            self._zc = None
+        else:
+            self._parts = None
+            self._ids = engine._ids
+            self._relative = engine.relative
+            self._bounds = (
+                engine._bounds if isinstance(op, FieldOperator) else None
+            )
 
     def col(self, i: int):
         c = self.cols.get(i)
         if c is None:
-            v = self.op.apply_monomial(self.engine.monos[i], self.engine.relative)
-            den = self.den
-            for _, q in v.terms.items():
-                den = lcm(den, q.re.denominator, q.im.denominator)
-            if den != self.den:
-                f = den // self.den
-                self.den = den
-                for k in self.cols:
-                    self.cols[k] = tuple(
-                        (j, re * f, im * f) for j, re, im in self.cols[k]
-                    )
-            intern = self.engine.intern
-            c = tuple(
-                (intern(m), int(q.re * den), int(q.im * den))
-                for m, q in v.terms.items()
-            )
+            c = self._leaf_col(i) if self._parts is None else self._sum_col(i)
             self.cols[i] = c
         return c
+
+    def _rescale(self, den: int):
+        """Hold every column over ``den``, a multiple of ``self.den``."""
+        f = den // self.den
+        self.den = den
+        cols = self.cols
+        for k in cols:
+            cols[k] = tuple((j, re * f, im * f) for j, re, im in cols[k])
+
+    def _leaf_col(self, i: int):
+        m = self._monos[i]
+        if self._bounds is None:
+            v = self.op.apply_monomial(m, self._relative)
+        else:
+            bounds = self._bounds.get(i)
+            if bounds is None:
+                bounds = self._bounds[i] = _slot_bounds(m)
+            v = self.op.apply_monomial(m, self._relative, bounds)
+        den = self.den
+        for q in v.terms.values():
+            den = lcm(den, q.re.denominator, q.im.denominator)
+        if den != self.den:
+            self._rescale(den)
+        ids = self._ids
+        monos = self._monos
+        out = []
+        for m2, q in v.terms.items():
+            j = ids.get(m2)
+            if j is None:
+                j = ids[m2] = len(monos)
+                monos.append(m2)
+            out.append((j, int(q.re * den), int(q.im * den)))
+        return tuple(out)
+
+    def _weights(self):
+        """Each part's weight as Gaussian integers over this FastOp's
+        denominator, and the central term's; the denominator grows first
+        when a part's has grown since the last column."""
+        parts = self._parts
+        dens = tuple([p.den for _, p in parts])
+        if dens != self._part_dens:
+            den = self.den
+            for c, p in parts:
+                den = lcm(den, p.den * lcm(c.re.denominator, c.im.denominator))
+            z = self._central
+            if z is not None:
+                den = lcm(den, z.re.denominator, z.im.denominator)
+            if den != self.den:
+                self._rescale(den)
+            self._scaled = [
+                (int(c.re * (den // p.den)), int(c.im * (den // p.den)))
+                for c, p in parts
+            ]
+            self._zc = None if z is None else (int(z.re * den), int(z.im * den))
+            self._part_dens = dens
+        return self._scaled, self._zc
+
+    def _sum_col(self, i: int):
+        parts = self._parts
+        for _, p in parts:
+            p.col(i)
+        scaled, zc = self._weights()
+        if len(parts) == 1 and zc is None and scaled[0] != (0, 0):
+            (wr, wi), = scaled
+            pc = parts[0][1].cols[i]
+            if wr == 1 and wi == 0:
+                return pc
+            # a nonzero Gaussian integer times a nonzero entry is nonzero
+            return tuple(
+                (j, wr * re - wi * im, wr * im + wi * re) for j, re, im in pc
+            )
+        acc = {}
+        if zc is not None:
+            acc[i] = zc
+        for (wr, wi), (_, p) in zip(scaled, parts):
+            for j, re, im in p.cols[i]:
+                r = wr * re - wi * im
+                m = wr * im + wi * re
+                cur = acc.get(j)
+                acc[j] = (r, m) if cur is None else (cur[0] + r, cur[1] + m)
+        return tuple((j, r, m) for j, (r, m) in acc.items() if r or m)
 
 
 def fast_bracket_check(engine, fa, fb, both_odd, rhs_terms, central, box_ids):
     """Check [A, B] = sum c_t T_t + central on the interned box monomials;
     rhs_terms is a list of (QI coefficient, FastOp). Returns the first
     mismatching monomial id, or None."""
-    # first pass: warm every needed column so denominators stabilize
+    # first pass: form every needed column so denominators stabilize
     for i in box_ids:
         for j, _, _ in fb.col(i):
             fa.col(j)
@@ -188,29 +292,32 @@ def fast_bracket_check(engine, fa, fb, both_odd, rhs_terms, central, box_ids):
     scaled_rhs = []
     for c, ft in rhs_terms:
         s = R // ft.den
-        scaled_rhs.append((int(c.re * s), int(c.im * s), ft))
+        scaled_rhs.append((int(c.re * s), int(c.im * s), ft.cols))
     zc = None
     if central is not None and not central.is_zero():
         zc = (int(central.re * R), int(central.im * R))
     lf = R // D
     sgn = 1 if both_odd else -1
+    # every column read below was formed above
+    acols = fa.cols
+    bcols = fb.cols
     for i in box_ids:
         acc = {}
-        for j, br, bi in fb.col(i):
-            for k, ar, ai in fa.col(j):
+        for j, br, bi in bcols[i]:
+            for k, ar, ai in acols[j]:
                 re = ar * br - ai * bi
                 im = ar * bi + ai * br
                 cur = acc.get(k)
                 acc[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-        for j, ar, ai in fa.col(i):
-            for k, br, bi in fb.col(j):
+        for j, ar, ai in acols[i]:
+            for k, br, bi in bcols[j]:
                 re = (br * ar - bi * ai) * sgn
                 im = (br * ai + bi * ar) * sgn
                 cur = acc.get(k)
                 acc[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
         rac = {}
-        for cr, ci, ft in scaled_rhs:
-            for k, r, m_ in ft.col(i):
+        for cr, ci, tcols in scaled_rhs:
+            for k, r, m_ in tcols[i]:
                 re = cr * r - ci * m_
                 im = cr * m_ + ci * r
                 cur = rac.get(k)
@@ -297,10 +404,19 @@ def s2a_builder(backend: GradedBackend, alpha):
     cache = {}
 
     def build(sym, n):
+        # L[n] takes the cached H[n] as its H part; build does not call
+        # itself, so the closure holds no reference to itself
         key = (sym, n)
         if key not in cache:
-            name = "Lalpha" if sym == "L" else sym
-            cache[key] = build_s2alpha_family(backend, alpha, name, n)
+            if sym == "L":
+                hkey = ("H", n)
+                if hkey not in cache:
+                    cache[hkey] = build_s2alpha_family(backend, alpha, "H", n)
+                cache[key] = build_s2alpha_family(
+                    backend, alpha, "Lalpha", n, cache[hkey]
+                )
+            else:
+                cache[key] = build_s2alpha_family(backend, alpha, sym, n)
         return cache[key]
 
     return build

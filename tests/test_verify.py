@@ -145,3 +145,49 @@ def test_relative_derext_abelian_skips_control():
     reports = check_relative_derext(AB1, Box(emax=1, b0max=1), window=1)
     assert len(reports) == 1
     assert reports[0].passed, reports[0].witness
+
+
+def test_s2a_builder_L_takes_the_builders_H():
+    # L[n]'s H part is the builder's own H[n], whichever is built first
+    for first in ("L", "H"):
+        build = s2a_builder(SL2, ZERO)
+        for n in (-1, 0, 2):
+            ops = {s: build(s, n) for s in (first, "L" if first == "H" else "H")}
+            (_, h_part), = [p for p in ops["L"].parts if p[1].name == f"H[{n}]"]
+            assert h_part is ops["H"]
+            assert build("L", n) is ops["L"] and build("H", n) is ops["H"]
+
+
+# the relation lines of the benchmark's relations workload, with the
+# bulk engine tables they build: level-1 states, box states and operators
+RELATION_LINES = (
+    "verify-s2a --backend loop:sl2 --alpha 0 --emax 1 --b0max 1 --window 0",
+    "verify-s2a --backend loop:abelian:2 --alpha 1/2 --emax 2 --b0max 1 --window 0",
+    "verify-relative --backend loop:abelian:1 --emax 2 --b0max 1 --window 1",
+    "verify-chain --backend loop:sl2 --emax 1 --b0max 1 --window 1",
+    "verify-n2 --backend loop:sl2 --emax 1 --b0max 1 --window 1",
+    "verify-n2 --backend fmu:1/2:0 --emax 2 --b0max 1 --window 1",
+    "verify-chain --backend witt --emax 3 --b0max 2 --window 2",
+)
+
+
+def test_shared_H_leaves_bulk_engine_tables_unchanged(monkeypatch):
+    import io
+
+    from sweil import bulkrep, cli
+
+    totals = [0, 0, 0]
+    prepare = bulkrep.BulkEngine.prepare
+
+    def counted(self, *args, **kwargs):
+        out = prepare(self, *args, **kwargs)
+        totals[0] += self.n1
+        totals[1] += len(self.box_monos)
+        totals[2] += len(self._ops)
+        return out
+
+    monkeypatch.setattr(bulkrep.BulkEngine, "prepare", counted)
+    for line in RELATION_LINES:
+        cfg = cli.resolve_config(cli.build_parser().parse_args(line.split()))
+        assert cli.run(cfg, io.BytesIO()) == 0, line
+    assert totals == [22638, 2300, 140]
