@@ -20,6 +20,7 @@ from .fock import (
 )
 from .fieldops import (
     Operator,
+    _slot_bounds,
     build_differential_d,
     build_koszul_h,
     build_theta_adjoint,
@@ -308,7 +309,8 @@ def piece_basis(
     """The graded slice as a piece; on the relative model the basis is the
     joint kernel of the degree-zero adjoint action.  ``ambient`` is the
     Deg_Lambda bucket of ``slice_monomials`` when the caller already holds
-    it; otherwise the slice is enumerated here."""
+    it; otherwise the slice is enumerated here.  The degree-zero operators
+    share each ambient monomial's slot bounds, computed once."""
     if ambient is None:
         ambient = slice_monomials(backend, energy, deg_s, relative).get(deg_l, ())
     n = len(ambient)
@@ -320,8 +322,9 @@ def piece_basis(
     thetas = _theta_zero_ops(backend)
     stacked = Matrix(len(thetas) * n, n)
     for j, m in enumerate(ambient):
+        bounds = _slot_bounds(m)
         for t, op in enumerate(thetas):
-            out = op.apply(FockVector.of(m), relative=True)
+            out = op.apply_monomial(m, True, bounds)
             for m2, c in out.terms.items():
                 i = index.get(m2)
                 if i is None:
@@ -394,53 +397,103 @@ class PieceRow(NamedTuple):
         return (self.energy, self.deg_s, self.deg_l)
 
 
+class _Complex:
+    """The graded complex of one report on one backend: the differential
+    preserves E and Deg_S and raises Deg_Lambda, so each (E, Deg_S) slice
+    is a finite complex over Deg_Lambda.  Slices, pieces, Hodge-form Gram
+    matrices, differential matrices and their ranks are each built once
+    and kept for the report; kernels are handed out, never kept.  The
+    module functions are looked up at call time, so hooks on them see
+    every call."""
+
+    def __init__(self, backend, relative, boxes=None):
+        self.backend = backend
+        self.relative = relative
+        self.boxes = {} if boxes is None else boxes  # ``_box_monomials`` memo
+        self.d = build_differential_d(backend)
+        self.slices = {}  # (E, Deg_S) -> {Deg_Lambda: monomials}
+        self.pieces = {}  # (E, Deg_S, Deg_Lambda) -> GradedPiece
+        self.grams = {}  # same keys -> Hodge-form Gram matrix
+        self.d_mats = {}  # same keys -> differential out of the piece
+        self.ranks = {}  # same keys -> rank of that differential
+
+    def slice(self, energy, deg_s) -> dict:
+        key = (energy, deg_s)
+        if key not in self.slices:
+            self.slices[key] = slice_monomials(
+                self.backend, energy, deg_s, self.relative, self.boxes
+            )
+        return self.slices[key]
+
+    def piece(self, energy, deg_s, deg_l) -> GradedPiece:
+        key = (energy, deg_s, deg_l)
+        if key not in self.pieces:
+            ambient = self.slice(energy, deg_s).get(deg_l, ())
+            self.pieces[key] = piece_basis(
+                self.backend, energy, deg_s, deg_l, self.relative, ambient
+            )
+        return self.pieces[key]
+
+    def keys(self, energies, deg_s_values) -> list:
+        """(E, Deg_S, Deg_Lambda) of every nonzero piece, ascending."""
+        return sorted(
+            (energy, deg_s, deg_l)
+            for energy in energies
+            for deg_s in deg_s_values
+            for deg_l in self.slice(energy, deg_s)
+            if self.piece(energy, deg_s, deg_l).dim
+        )
+
+    def gram(self, energy, deg_s, deg_l) -> Matrix:
+        key = (energy, deg_s, deg_l)
+        if key not in self.grams:
+            self.grams[key] = gram_matrix(self.piece(*key), hodge_form)
+        return self.grams[key]
+
+    def d_matrix(self, energy, deg_s, deg_l) -> Matrix:
+        """The differential from Deg_Lambda ``deg_l`` to ``deg_l + 1``;
+        out of a Deg_Lambda missing from the slice it is zero, not built."""
+        key = (energy, deg_s, deg_l)
+        if key not in self.d_mats:
+            tgt = self.piece(energy, deg_s, deg_l + 1)
+            if deg_l in self.slice(energy, deg_s):
+                mat = assemble_matrix(self.d, self.piece(*key), tgt)
+            else:
+                mat = Matrix(tgt.dim, 0)
+            self.d_mats[key] = mat
+        return self.d_mats[key]
+
+    def cocycles(self, energy, deg_s, deg_l) -> Matrix:
+        """Kernel of the differential out of the piece, as columns of
+        coordinates in the piece basis, by one elimination that also
+        records the differential's rank; none runs out of an empty piece."""
+        mat = self.d_matrix(energy, deg_s, deg_l)
+        rank, kernel = exact_rank_kernel(mat) if mat.ncols else (0, [])
+        self.ranks[(energy, deg_s, deg_l)] = rank
+        return Matrix(mat.ncols, len(kernel), kernel)
+
+    def rank(self, energy, deg_s, deg_l) -> int:
+        key = (energy, deg_s, deg_l)
+        if key not in self.ranks:
+            self.cocycles(*key)
+        return self.ranks[key]
+
+    def row(self, energy, deg_s, deg_l) -> PieceRow:
+        dim = self.piece(energy, deg_s, deg_l).dim
+        rank_in = self.rank(energy, deg_s, deg_l - 1)
+        rank_out = self.rank(energy, deg_s, deg_l)
+        return PieceRow(
+            energy, deg_s, deg_l, dim, rank_in, rank_out,
+            dim - rank_in - rank_out,
+        )
+
+
 def cohomology_table(backend, energies, deg_s_values, relative):
-    """Rows per (E, Deg_S, Deg_Lambda): the differential preserves E and
-    Deg_S and raises Deg_Lambda, so each (E, Deg_S) slice is a finite
-    complex over Deg_Lambda."""
-    d = build_differential_d(backend)
-    rows = []
-    matrices = []
-    boxes = {}
-    for energy in energies:
-        for deg_s in deg_s_values:
-            ls = slice_monomials(backend, energy, deg_s, relative, boxes)
-            if not ls:
-                continue
-            lo, hi = min(ls), max(ls)
-            pieces = {}
-            for deg_l in range(lo, hi + 2):
-                pieces[deg_l] = piece_basis(
-                    backend, energy, deg_s, deg_l, relative, ls.get(deg_l, ())
-                )
-            mats = {}
-            for deg_l in range(lo, hi + 1):
-                mats[deg_l] = assemble_matrix(
-                    d, pieces[deg_l], pieces[deg_l + 1]
-                )
-            ranks = {
-                deg_l: exact_rank_kernel(m)[0] for deg_l, m in mats.items()
-            }
-            for deg_l in range(lo, hi + 1):
-                piece = pieces[deg_l]
-                if piece.dim == 0:
-                    continue
-                rank_out = ranks.get(deg_l, 0)
-                rank_in = ranks.get(deg_l - 1, 0)
-                rows.append(
-                    PieceRow(
-                        energy,
-                        deg_s,
-                        deg_l,
-                        piece.dim,
-                        rank_in,
-                        rank_out,
-                        piece.dim - rank_in - rank_out,
-                    )
-                )
-                matrices.append(mats[deg_l])
-    rows.sort(key=PieceRow.key)
-    return rows, matrices
+    """Rows per (E, Deg_S, Deg_Lambda) nonzero piece, ascending, and the
+    matrix of the differential out of each row's piece."""
+    cx = _Complex(backend, relative)
+    keys = cx.keys(energies, deg_s_values)
+    return [cx.row(*key) for key in keys], [cx.d_matrix(*key) for key in keys]
 
 
 # -- Koszul acyclicity -------------------------------------------------
@@ -586,16 +639,6 @@ def _signature_str(sig) -> str:
     return f"+{pos}-{neg}0{zero}"
 
 
-def _cocycle_basis(piece: GradedPiece, d_out: Matrix):
-    """(rank of the outgoing differential, its kernel vectors as a Matrix
-    of coordinates in the piece basis)."""
-    rank, kernel = exact_rank_kernel(d_out)
-    z = Matrix(piece.dim, len(kernel))
-    for j, vec in enumerate(kernel):
-        z.cols[j] = dict(vec)
-    return rank, z
-
-
 def _completing_units(basis: Matrix, count: int) -> list:
     """The first ``count`` indices j, in increasing order, whose unit
     vectors e_j are independent of the basis columns and of the unit
@@ -636,6 +679,124 @@ def induced_cohomology_matrix(op_mat: Matrix, z_src: Matrix, z_tgt: Matrix,
     return _top_rows(sol, n)
 
 
+def _lefschetz_strip(cx: _Complex, ee: Operator, energy, deg_s, ls):
+    """The exterior sl(2) triple acts on the cohomology of the (E, DegS)
+    strip whose nonzero pieces sit at Deg_Lambda ``ls``: the raising
+    operator ``ee`` and the counting operator descend to cohomology
+    directly, and a lowering family completing them to an sl(2) exists
+    there (the lowering operator itself does not commute with the
+    differential, so its action on cohomology is obtained by solving the
+    bracket relation exactly).  None when it does, else a witness.  The
+    strip eliminates each differential out of its pieces once, through
+    ``cx``, and drops the kernels when it returns."""
+    lo, hi = min(ls) - 2, max(ls) + 2
+    z = {}  # cocycles
+    bnd = {}  # boundaries: the differential into the piece
+    for deg_l in range(lo, hi + 1):
+        z[deg_l] = cx.cocycles(energy, deg_s, deg_l)
+        bnd[deg_l] = cx.d_matrix(energy, deg_s, deg_l - 1)
+    hdim = {
+        deg_l: z[deg_l].ncols - cx.rank(energy, deg_s, deg_l - 1)
+        for deg_l in range(lo, hi + 1)
+    }
+    emap = {}
+    for deg_l in range(lo, hi - 1):
+        src_p = cx.piece(energy, deg_s, deg_l)
+        if src_p.dim == 0:
+            emap[deg_l] = Matrix(z[deg_l + 2].ncols, 0)
+            continue
+        om = assemble_matrix(ee, src_p, cx.piece(energy, deg_s, deg_l + 2))
+        got = induced_cohomology_matrix(
+            om, z[deg_l], z[deg_l + 2], bnd[deg_l + 2]
+        )
+        if got is None:
+            return (
+                f"raising operator does not descend at "
+                f"E={energy} DegS={deg_s} DegL={deg_l}"
+            )
+        emap[deg_l] = got
+    # quotient to cohomology: columns of z modulo boundaries; the
+    # induced matrices act on cocycle coordinates, and the bracket
+    # relation is solved modulo boundary coordinates, so express all
+    # maps on a cohomology basis: pick cocycle columns completing the
+    # boundary span
+    cohq = {}
+    for deg_l in range(lo, hi + 1):
+        # boundary vectors in cocycle coordinates
+        bcoords = solve_in_span(z[deg_l], bnd[deg_l])
+        if bcoords is None:
+            raise StructureError("boundary is not a cocycle")
+        # choose representative columns: unit vectors independent of
+        # the boundary span
+        cohq[deg_l] = (bcoords, _completing_units(bcoords, hdim[deg_l]))
+
+    def project(deg_l, coords: Matrix) -> Matrix:
+        """Coordinates (in cocycle basis) -> cohomology coordinates
+        over the chosen representatives, modulo boundaries."""
+        bcoords, chosen = cohq[deg_l]
+        n = len(chosen)
+        joint = Matrix(
+            z[deg_l].ncols,
+            n + bcoords.ncols,
+            [{j: ONE} for j in chosen] + list(bcoords.cols),
+        )
+        sol = solve_in_span(joint, coords)
+        if sol is None:
+            raise StructureError("cocycle escapes cohomology span")
+        return _top_rows(sol, n)
+
+    eh = {}
+    for deg_l in range(lo, hi - 1):
+        _, chosen = cohq[deg_l]
+        images = [emap[deg_l].cols[j] for j in chosen]
+        eh[deg_l] = project(
+            deg_l + 2, Matrix(z[deg_l + 2].ncols, len(chosen), images)
+        )
+    # solve for the lowering maps F_l : H^l -> H^(l-2) with
+    # E_(l-2) F_l - F_(l+2) E_l = l * Id on every H^l
+    var = {}
+    for deg_l in range(lo, hi + 1):
+        if hdim[deg_l] and hdim.get(deg_l - 2, 0):
+            for r in range(hdim[deg_l - 2]):
+                for c in range(hdim[deg_l]):
+                    var[(deg_l, r, c)] = len(var)
+    eqs = []
+    targ = []
+    for deg_l in range(lo, hi + 1):
+        n = hdim[deg_l]
+        if n == 0:
+            continue
+        for i in range(n):
+            for c in range(n):
+                row = {}
+                e_lm2 = eh.get(deg_l - 2)
+                if e_lm2 is not None:
+                    for r in range(hdim.get(deg_l - 2, 0)):
+                        coeff = e_lm2.get(i, r)
+                        v = var.get((deg_l, r, c))
+                        if v is not None and not coeff.is_zero():
+                            row[v] = row.get(v, ZERO) + coeff
+                e_l = eh.get(deg_l)
+                if e_l is not None:
+                    for r in range(hdim.get(deg_l + 2, 0)):
+                        coeff = e_l.get(r, c)
+                        v = var.get((deg_l + 2, i, r))
+                        if v is not None and not coeff.is_zero():
+                            row[v] = row.get(v, ZERO) - coeff
+                rhs = QI(deg_l) if i == c else ZERO
+                if row or not rhs.is_zero():
+                    eqs.append(row)
+                    targ.append(rhs)
+    system = Matrix(len(eqs), len(var))
+    for r, row in enumerate(eqs):
+        for v, coeff in row.items():
+            system.cols[v][r] = coeff
+    target = {r: c for r, c in enumerate(targ) if not c.is_zero()}
+    if solve_in_span(system, Matrix(len(eqs), 1, [target])) is None:
+        return f"no lowering action on cohomology at E={energy} DegS={deg_s}"
+    return None
+
+
 def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     """Per relative piece: Hodge-form Gram signature, harmonic dimension
     of the Laplacian of the differential, and the comparison with the
@@ -650,7 +811,6 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     # report, so each column is applied once, and one enumeration per box
     build = s2a_builder(backend, ZERO)
     triple = sl2_triple(backend)
-    d = build_differential_d(backend)
     boxes = {}
     checks = list(
         kahler_matrix_checks(
@@ -694,41 +854,8 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
 
     h0 = build("h", 0)
     p0neg = SumOperator([(QI(-1), build("p", 0))], name="-p0")
-    ee = triple["EE"]
-
-    slices = {}
-
-    def get_slice(energy, deg_s):
-        key = (energy, deg_s)
-        if key not in slices:
-            slices[key] = slice_monomials(backend, energy, deg_s, True, boxes)
-        return slices[key]
-
-    pieces = {}
-
-    def get_piece(energy, deg_s, deg_l):
-        key = (energy, deg_s, deg_l)
-        if key not in pieces:
-            pieces[key] = piece_basis(
-                backend, energy, deg_s, deg_l, True,
-                get_slice(energy, deg_s).get(deg_l, ()),
-            )
-        return pieces[key]
-
-    grams = {}
-
-    def get_gram(piece):
-        key = (piece.energy, piece.deg_s, piece.deg_l)
-        if key not in grams:
-            grams[key] = gram_matrix(piece, hodge_form)
-        return grams[key]
-
-    keys = []
-    for energy in range(emax + 1):
-        for deg_s in range(-s_range, s_range + 1):
-            for deg_l in sorted(get_slice(energy, deg_s)):
-                if get_piece(energy, deg_s, deg_l).dim:
-                    keys.append((energy, deg_s, deg_l))
+    cx = _Complex(backend, True, boxes)
+    keys = cx.keys(range(emax + 1), range(-s_range, s_range + 1))
 
     # form-adjoint of the Koszul differential equals minus the homotopy
     # operator, piece by piece
@@ -736,14 +863,15 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     adj_ok = True
     adj_witness = None
     for energy, deg_s, deg_l in keys:
-        src = get_piece(energy, deg_s, deg_l)
-        tgt = get_piece(energy, deg_s + 1, deg_l - 1)
+        src = cx.piece(energy, deg_s, deg_l)
+        tgt = cx.piece(energy, deg_s + 1, deg_l - 1)
         if tgt.dim == 0:
             continue
         a = assemble_matrix(h0, src, tgt)
         b = assemble_matrix(p0neg, tgt, src)
         adj_checked += 1
-        if adjoint_matrix(a, get_gram(src), get_gram(tgt)) != b:
+        gram_tgt = cx.gram(energy, deg_s + 1, deg_l - 1)
+        if adjoint_matrix(a, cx.gram(energy, deg_s, deg_l), gram_tgt) != b:
             adj_ok = False
             adj_witness = f"piece E={energy} DegS={deg_s} DegL={deg_l}"
             break
@@ -756,196 +884,44 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
         )
     )
 
+    # the sl(2) strips run before the rows: each eliminates its own
+    # differentials once and leaves their ranks for the rows; their check
+    # is reported last
+    lef_witness = None
+    for energy, deg_s in sorted({(e, s) for e, s, _ in keys}):
+        ls = [l for e, s, l in keys if (e, s) == (energy, deg_s)]
+        lef_witness = _lefschetz_strip(cx, triple["EE"], energy, deg_s, ls)
+        if lef_witness is not None:
+            break
+
     # rows: Gram signature, harmonic and cohomology dimensions
     rows = []
-    hodge_ok = True
     hodge_witness = None
-    d_mats = {}
-
-    def get_d(energy, deg_s, deg_l):
-        key = (energy, deg_s, deg_l)
-        if key not in d_mats:
-            d_mats[key] = assemble_matrix(
-                d,
-                get_piece(energy, deg_s, deg_l),
-                get_piece(energy, deg_s, deg_l + 1),
-            )
-        return d_mats[key]
-
-    # rank of each d_mats entry, filled by the first elimination of it
-    d_ranks = {}
-
-    def d_rank(energy, deg_s, deg_l):
-        key = (energy, deg_s, deg_l)
-        if key not in d_ranks:
-            d_ranks[key] = exact_rank_kernel(get_d(*key))[0]
-        return d_ranks[key]
-
     for energy, deg_s, deg_l in keys:
-        piece = get_piece(energy, deg_s, deg_l)
-        up = get_piece(energy, deg_s, deg_l + 1)
-        down = get_piece(energy, deg_s, deg_l - 1)
-        a = get_d(energy, deg_s, deg_l)
-        c = get_d(energy, deg_s, deg_l - 1)
-        rank_out = d_rank(energy, deg_s, deg_l)
-        rank_in = d_rank(energy, deg_s, deg_l - 1)
-        coh = piece.dim - rank_in - rank_out
-        g = get_gram(piece)
+        row = cx.row(energy, deg_s, deg_l)
+        g = cx.gram(energy, deg_s, deg_l)
         sig = hermitian_signature(g)
         harmonic = ""
         if sig[2] == 0:
-            astar = adjoint_matrix(a, g, get_gram(up))
-            cstar = adjoint_matrix(c, get_gram(down), g)
+            a = cx.d_matrix(energy, deg_s, deg_l)
+            c = cx.d_matrix(energy, deg_s, deg_l - 1)
+            astar = adjoint_matrix(a, g, cx.gram(energy, deg_s, deg_l + 1))
+            cstar = adjoint_matrix(c, cx.gram(energy, deg_s, deg_l - 1), g)
             lap = (astar @ a) + (c @ cstar)
             rank_l, _ = exact_rank_kernel(lap)
-            hdim = piece.dim - rank_l
+            hdim = row.dim - rank_l
             harmonic = str(hdim)
             definite = sig[1] == 0 or sig[0] == 0
-            if definite and hdim != coh and hodge_ok:
-                hodge_ok = False
+            if definite and hdim != row.coh_dim and hodge_witness is None:
                 hodge_witness = (
                     f"E={energy} DegS={deg_s} DegL={deg_l}: "
-                    f"harmonic {hdim} vs cohomology {coh}"
+                    f"harmonic {hdim} vs cohomology {row.coh_dim}"
                 )
-        rows.append(
-            PieceRow(
-                energy, deg_s, deg_l, piece.dim, rank_in, rank_out, coh,
-                _signature_str(sig), harmonic,
-            )
-        )
-    checks.append(
-        CheckReport("hodge:definite-pieces", hodge_ok, hodge_witness, ""))
-
-    # the exterior sl(2) triple acts on the cohomology of each (E, DegS)
-    # strip: the raising operator and the counting operator descend to
-    # cohomology directly, and a lowering family completing them to an
-    # sl(2) exists there (the lowering operator itself does not commute
-    # with the differential, so its action on cohomology is obtained by
-    # solving the bracket relation exactly)
-    lef_ok = True
-    lef_witness = None
-    strips = sorted({(e, s) for e, s, _ in keys})
-    for energy, deg_s in strips:
-        ls = sorted(l for e, s, l in keys if (e, s) == (energy, deg_s))
-        lo, hi = min(ls) - 2, max(ls) + 2
-        z = {}
-        bnd = {}
-        for deg_l in range(lo, hi + 1):
-            piece = get_piece(energy, deg_s, deg_l)
-            rank, z[deg_l] = _cocycle_basis(piece, get_d(energy, deg_s, deg_l))
-            d_ranks.setdefault((energy, deg_s, deg_l), rank)
-            c = get_d(energy, deg_s, deg_l - 1)
-            bnd[deg_l] = Matrix(piece.dim, 0) if c.ncols == 0 else c
-        hdim = {
-            deg_l: z[deg_l].ncols - d_rank(energy, deg_s, deg_l - 1)
-            for deg_l in range(lo, hi + 1)
-        }
-        emap = {}
-        for deg_l in range(lo, hi - 1):
-            src_p = get_piece(energy, deg_s, deg_l)
-            if src_p.dim == 0:
-                emap[deg_l] = Matrix(z[deg_l + 2].ncols, 0)
-                continue
-            om = assemble_matrix(ee, src_p, get_piece(energy, deg_s, deg_l + 2))
-            got = induced_cohomology_matrix(
-                om, z[deg_l], z[deg_l + 2], bnd[deg_l + 2]
-            )
-            if got is None:
-                lef_ok = False
-                lef_witness = (
-                    f"raising operator does not descend at "
-                    f"E={energy} DegS={deg_s} DegL={deg_l}"
-                )
-                break
-            emap[deg_l] = got
-        if not lef_ok:
-            break
-        # quotient to cohomology: columns of z modulo boundaries; the
-        # induced matrices act on cocycle coordinates, and the bracket
-        # relation is solved modulo boundary coordinates, so express all
-        # maps on a cohomology basis: pick cocycle columns completing the
-        # boundary span
-        cohq = {}
-        for deg_l in range(lo, hi + 1):
-            # boundary vectors in cocycle coordinates
-            bcoords = solve_in_span(z[deg_l], bnd[deg_l])
-            if bcoords is None:
-                raise StructureError("boundary is not a cocycle")
-            # choose representative columns: unit vectors independent of
-            # the boundary span
-            cohq[deg_l] = (bcoords, _completing_units(bcoords, hdim[deg_l]))
-
-        def project(deg_l, coords: Matrix) -> Matrix:
-            """Coordinates (in cocycle basis) -> cohomology coordinates
-            over the chosen representatives, modulo boundaries."""
-            bcoords, chosen = cohq[deg_l]
-            n = len(chosen)
-            joint = Matrix(
-                z[deg_l].ncols,
-                n + bcoords.ncols,
-                [{j: ONE} for j in chosen] + list(bcoords.cols),
-            )
-            sol = solve_in_span(joint, coords)
-            if sol is None:
-                raise StructureError("cocycle escapes cohomology span")
-            return _top_rows(sol, n)
-
-        eh = {}
-        for deg_l in range(lo, hi - 1):
-            _, chosen = cohq[deg_l]
-            images = [emap[deg_l].cols[j] for j in chosen]
-            eh[deg_l] = project(
-                deg_l + 2, Matrix(z[deg_l + 2].ncols, len(chosen), images)
-            )
-        # solve for the lowering maps F_l : H^l -> H^(l-2) with
-        # E_(l-2) F_l - F_(l+2) E_l = l * Id on every H^l
-        var = {}
-        for deg_l in range(lo, hi + 1):
-            if hdim[deg_l] and hdim.get(deg_l - 2, 0):
-                for r in range(hdim[deg_l - 2]):
-                    for c in range(hdim[deg_l]):
-                        var[(deg_l, r, c)] = len(var)
-        eqs = []
-        targ = []
-        for deg_l in range(lo, hi + 1):
-            n = hdim[deg_l]
-            if n == 0:
-                continue
-            for i in range(n):
-                for c in range(n):
-                    row = {}
-                    e_lm2 = eh.get(deg_l - 2)
-                    if e_lm2 is not None:
-                        for r in range(hdim.get(deg_l - 2, 0)):
-                            coeff = e_lm2.get(i, r)
-                            v = var.get((deg_l, r, c))
-                            if v is not None and not coeff.is_zero():
-                                row[v] = row.get(v, ZERO) + coeff
-                    e_l = eh.get(deg_l)
-                    if e_l is not None:
-                        for r in range(hdim.get(deg_l + 2, 0)):
-                            coeff = e_l.get(r, c)
-                            v = var.get((deg_l + 2, i, r))
-                            if v is not None and not coeff.is_zero():
-                                row[v] = row.get(v, ZERO) - coeff
-                    rhs = QI(deg_l) if i == c else ZERO
-                    if row or not rhs.is_zero():
-                        eqs.append(row)
-                        targ.append(rhs)
-        system = Matrix(len(eqs), len(var))
-        for r, row in enumerate(eqs):
-            for v, coeff in row.items():
-                system.cols[v][r] = coeff
-        target = {r: c for r, c in enumerate(targ) if not c.is_zero()}
-        if solve_in_span(system, Matrix(len(eqs), 1, [target])) is None:
-            lef_ok = False
-            lef_witness = (
-                f"no lowering action on cohomology at "
-                f"E={energy} DegS={deg_s}"
-            )
-            break
-    checks.append(
-        CheckReport("lefschetz:cohomology-action", lef_ok, lef_witness, ""))
-
-    rows.sort(key=PieceRow.key)
+        rows.append(row._replace(
+            gram_signature=_signature_str(sig), harmonic_dim=harmonic
+        ))
+    checks.append(CheckReport(
+        "hodge:definite-pieces", hodge_witness is None, hodge_witness, ""))
+    checks.append(CheckReport(
+        "lefschetz:cohomology-action", lef_witness is None, lef_witness, ""))
     return rows, checks

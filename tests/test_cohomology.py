@@ -11,6 +11,7 @@ from sweil.liealg import (
     builtin_sl2_orthonormal,
     dense_rank,
     loop_backend,
+    parse_backend,
 )
 from sweil.fock import Box, FockVector, GenKey, VACUUM, enumerate_box
 from sweil.fieldops import (
@@ -446,3 +447,93 @@ def test_harmonic_lefschetz_report_sl2_ranks(monkeypatch):
     assert any(r.rank_in and r.rank_out for r in rows)
     table, _ = cohomology_table(SL2, range(3), range(-1, 2), True)
     assert piece_ranks(rows) == piece_ranks(table)
+
+
+# -- one graded complex per report ---------------------------------------
+
+
+def test_table_matrices_follow_rows_for_descending_ranges():
+    """Rows come out ascending whatever the order of the ranges, and each
+    matrix is the differential out of its own row's piece."""
+    rows, matrices = cohomology_table(SL2, range(1, -1, -1), range(1, -2, -1), False)
+    want_rows, want_matrices = cohomology_table(SL2, range(2), range(-1, 2), False)
+    assert rows == want_rows
+    assert matrices == want_matrices
+    for row, m in zip(rows, matrices):
+        src = piece_basis(SL2, row.energy, row.deg_s, row.deg_l, False)
+        assert (m.nrows, m.ncols) == (
+            piece_basis(SL2, row.energy, row.deg_s, row.deg_l + 1, False).dim,
+            src.dim,
+        )
+
+
+def independent_ranks(backend, row, relative):
+    """A row's (dim, rank_in, rank_out) from freshly built pieces and the
+    dense-rank oracle, without the report's shared complex."""
+    d = build_differential_d(backend)
+    pieces = [
+        piece_basis(backend, row.energy, row.deg_s, row.deg_l + k, relative)
+        for k in (-1, 0, 1)
+    ]
+    rank_in = dense_rank_oracle(assemble_matrix(d, pieces[0], pieces[1]))
+    rank_out = dense_rank_oracle(assemble_matrix(d, pieces[1], pieces[2]))
+    return pieces[1].dim, rank_in, rank_out
+
+
+def assert_independent_ranks(backend, rows, relative):
+    assert rows
+    for row in rows:
+        dim, rank_in, rank_out = independent_ranks(backend, row, relative)
+        assert (row.dim, row.rank_in, row.rank_out) == (dim, rank_in, rank_out)
+        assert row.coh_dim == dim - rank_in - rank_out
+
+
+def test_table_ranks_match_independent_oracle():
+    rows, _ = cohomology_table(AB1, range(3), range(-2, 3), True)
+    assert_independent_ranks(AB1, rows, True)
+    rows, _ = cohomology_table(SL2, range(2), range(-1, 2), False)
+    assert any(r.rank_in or r.rank_out for r in rows)
+    assert_independent_ranks(SL2, rows, False)
+
+
+def test_report_ranks_match_independent_oracle(monkeypatch):
+    monkeypatch.setattr(
+        cohomology, "kahler_matrix_checks", lambda b, emax, **ops: []
+    )
+    rows, _ = harmonic_lefschetz_report(SL2, emax=2, s_range=1)
+    assert any(r.rank_in and r.rank_out for r in rows)
+    assert_independent_ranks(SL2, rows, True)
+
+
+def test_each_differential_is_eliminated_once(monkeypatch):
+    """Within one report no matrix is eliminated twice and no piece is
+    built twice.  The wrappers keep every argument alive, so an object id
+    is never reused."""
+    eliminated = []
+    built = []
+    exact_rank_kernel_ = cohomology.exact_rank_kernel
+    piece_basis_ = cohomology.piece_basis
+
+    def rank_kernel(mat):
+        eliminated.append(mat)
+        return exact_rank_kernel_(mat)
+
+    def basis(backend, energy, deg_s, deg_l, relative, ambient=None):
+        built.append((energy, deg_s, deg_l, relative))
+        return piece_basis_(backend, energy, deg_s, deg_l, relative, ambient)
+
+    monkeypatch.setattr(cohomology, "exact_rank_kernel", rank_kernel)
+    monkeypatch.setattr(cohomology, "piece_basis", basis)
+    backend = parse_backend("loop:abelian:2")
+    reports = (
+        lambda: harmonic_lefschetz_report(backend, emax=1),
+        lambda: cohomology_table(backend, range(2), range(-3, 2), True),
+        lambda: cohomology_table(backend, range(2), range(-3, 2), False),
+    )
+    for report in reports:
+        eliminated.clear()
+        built.clear()
+        report()
+        assert eliminated and built
+        assert len({id(m) for m in eliminated}) == len(eliminated)
+        assert len(set(built)) == len(built)
