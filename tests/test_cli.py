@@ -106,6 +106,16 @@ def test_abelian_relative_cohomology_csv():
         assert cells[6] == cells[3]  # coh_dim == dim: the differential is 0
 
 
+def test_negative_fraction_alpha_must_join_its_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sca-tables", "--alpha", "-2/7", "--window", "1"])
+    assert exc.value.code == 2
+    assert "--alpha: expected one argument" in capsys.readouterr().err
+    status, out = capture(["sca-tables", "--alpha=-2/7", "--window", "1"])
+    assert status == 0
+    assert b"alpha=-2/7" in out
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify-s2a", "--backend", "bogus"]) == 2
     assert main(["verify-chain", "--emax", "-1"]) == 2

@@ -15,16 +15,17 @@ from sweil.liealg import (
 )
 from sweil.fock import Box, FockVector, GenKey, VACUUM, enumerate_box
 from sweil.fieldops import (
+    FieldOperator,
     build_differential_d,
     build_s2alpha_family,
     build_sl2_EHF,
     hodge_form,
+    sl2_triple,
 )
 from sweil import cohomology
 from sweil.cohomology import (
     GradedPiece,
     Matrix,
-    _completing_units,
     adjoint_matrix,
     assemble_matrix,
     cohomology_table,
@@ -38,6 +39,9 @@ from sweil.cohomology import (
     slice_monomials,
     solve_in_span,
 )
+
+import lefschetz_reference
+from lefschetz_reference import _completing_units
 
 SL2 = loop_backend(builtin_sl2_orthonormal())
 AB1 = loop_backend(abelian(1, with_form=True))
@@ -447,6 +451,216 @@ def test_harmonic_lefschetz_report_sl2_ranks(monkeypatch):
     assert any(r.rank_in and r.rank_out for r in rows)
     table, _ = cohomology_table(SL2, range(3), range(-1, 2), True)
     assert piece_ranks(rows) == piece_ranks(table)
+
+
+# -- the Lefschetz criterion on cohomology -------------------------------
+
+
+def report_strips(backend, emax, s_range=2):
+    """(complex, E, DegS, Deg_Lambda values) of every sl(2) strip of the
+    Kähler report, sharing one complex as the report does."""
+    cx = cohomology._Complex(backend, True)
+    keys = cx.keys(range(emax + 1), range(-s_range, s_range + 1))
+    for energy, deg_s in sorted({(e, s) for e, s, _ in keys}):
+        ls = [l for e, s, l in keys if (e, s) == (energy, deg_s)]
+        yield cx, energy, deg_s, ls
+
+
+STRIP_REPORTS = (
+    ("loop:abelian:1", 2),
+    ("loop:abelian:2", 1),
+    ("loop:abelian:2", 2),
+    ("loop:sl2", 1),
+    ("loop:sl2", 2),
+)
+
+
+@pytest.mark.parametrize("name,emax", STRIP_REPORTS)
+def test_lefschetz_strips_match_reference(name, emax):
+    backend = parse_backend(name)
+    ee = sl2_triple(backend)["EE"]
+    for strip in report_strips(backend, emax):
+        cx, energy, deg_s, ls = strip
+        assert cohomology._lefschetz_strip(
+            cx, ee, energy, deg_s, ls
+        ) == lefschetz_reference._lefschetz_strip(cx, ee, energy, deg_s, ls)
+
+
+def seeded_raising(backend, seed):
+    """A raising operator in place of EE = sum_a sum_{m>0} i m e_a(-m) e_a(m):
+    zero, EE without its m = 1 terms, or EE plus sum_a e_a(-1) e_a(1), an
+    e.e term with zero E and DegS shift that does not descend."""
+    terms = sl2_triple(backend)["EE"].terms
+    if seed == "zero":
+        terms = ()
+    elif seed == "no-m1":
+        terms = tuple(
+            t._replace(coeff=lambda vs: I * QI(vs[0]) if vs[0] > 1 else ZERO)
+            for t in terms
+        )
+    else:
+        terms += tuple(
+            t._replace(coeff=lambda vs: ONE if vs[0] == 1 else ZERO)
+            for t in terms
+        )
+    return FieldOperator(terms, name="EE")
+
+
+@pytest.mark.parametrize(
+    "name,emax,seed,witness",
+    (
+        ("loop:abelian:1", 2, "zero", "no lowering action"),
+        ("loop:sl2", 1, "zero", "no lowering action"),
+        ("loop:abelian:1", 2, "no-m1", "no lowering action"),
+        ("loop:sl2", 1, "no-m1", "no lowering action"),
+        ("loop:sl2", 2, "plus-e-e", "raising operator does not descend"),
+    ),
+)
+def test_seeded_raising_operator_fails_with_reference_witness(
+    name, emax, seed, witness, monkeypatch
+):
+    backend = parse_backend(name)
+    triple = sl2_triple(backend)
+    triple["EE"] = seeded_raising(backend, seed)
+    monkeypatch.setattr(cohomology, "sl2_triple", lambda b: dict(triple))
+    monkeypatch.setattr(
+        cohomology, "kahler_matrix_checks", lambda b, emax, **ops: []
+    )
+
+    def action():
+        _, checks = harmonic_lefschetz_report(backend, emax=emax)
+        (check,) = [c for c in checks if c.name == "lefschetz:cohomology-action"]
+        return check
+
+    got = action()
+    monkeypatch.setattr(
+        cohomology, "_lefschetz_strip", lefschetz_reference._lefschetz_strip
+    )
+    assert got == action()
+    assert not got.passed and got.witness.startswith(witness)
+
+
+class SyntheticComplex:
+    """A strip given by piece dimensions {Deg_Lambda: dim} and
+    differentials {Deg_Lambda: Matrix}, with identity piece bases, standing
+    in for the report's complex."""
+
+    def __init__(self, dims, d=None):
+        self.dims = dims
+        self.d = d or {}
+
+    def piece(self, energy, deg_s, deg_l):
+        n = self.dims.get(deg_l, 0)
+        ambient = tuple((deg_l, i) for i in range(n))
+        return GradedPiece(
+            None, energy, deg_s, deg_l, True, ambient, Matrix.identity(n)
+        )
+
+    def d_matrix(self, energy, deg_s, deg_l):
+        zero = Matrix(self.dims.get(deg_l + 1, 0), self.dims.get(deg_l, 0))
+        return self.d.get(deg_l, zero)
+
+    def cocycles(self, energy, deg_s, deg_l):
+        _, kernel = exact_rank_kernel(self.d_matrix(energy, deg_s, deg_l))
+        return Matrix(self.dims.get(deg_l, 0), len(kernel), kernel)
+
+    def rank(self, energy, deg_s, deg_l):
+        return exact_rank_kernel(self.d_matrix(energy, deg_s, deg_l))[0]
+
+
+class MatrixRaising:
+    """The degree-2 operator with matrices {Deg_Lambda: Matrix} on the
+    pieces of a SyntheticComplex."""
+
+    name = "E"
+
+    def __init__(self, mats):
+        self.mats = mats
+
+    def apply(self, v, relative=False):
+        out = FockVector()
+        for (deg_l, j), c in v.terms.items():
+            mat = self.mats.get(deg_l)
+            for i, a in (mat.cols[j] if mat else {}).items():
+                out.add_term((deg_l + 2, i), a * c)
+        return out
+
+
+def lowering_solvable(dims, mats) -> bool:
+    """Whether some F of degree -2 has [E, F] = H, H acting by Deg_Lambda,
+    by dense ranks of the linear system in F's entries."""
+    var = {}
+    for deg_l, n in dims.items():
+        for r in range(dims.get(deg_l - 2, 0)):
+            for c in range(n):
+                var[(deg_l, r, c)] = len(var)
+
+    def e(deg_l, i, j):
+        mat = mats.get(deg_l)
+        return mat.get(i, j) if mat else ZERO
+
+    rows = []
+    for deg_l, n in dims.items():
+        for i in range(n):
+            for c in range(n):
+                # (E F)_l - (F E)_l = l Id in entry (i, c)
+                row = [ZERO] * (len(var) + 1)
+                for r in range(dims.get(deg_l - 2, 0)):
+                    v = var[(deg_l, r, c)]
+                    row[v] = row[v] + e(deg_l - 2, i, r)
+                for r in range(dims.get(deg_l + 2, 0)):
+                    v = var[(deg_l + 2, i, r)]
+                    row[v] = row[v] - e(deg_l, r, c)
+                row[-1] = QI(deg_l) if i == c else ZERO
+                rows.append(row)
+    return dense_rank([row[:-1] for row in rows]) == dense_rank(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lefschetz_criterion_matches_dense_sl2_solvability(data):
+    """With d = 0, cohomology is the graded space itself: the criterion
+    passes exactly when [E, F] = H has a solution F."""
+    half = data.draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    dims = {l: half[abs(l)] for l in range(-3, 4)}
+    if data.draw(st.integers(0, 3)) == 0:
+        dims[data.draw(st.integers(-3, 3))] = data.draw(st.integers(0, 2))
+    dims = {l: n for l, n in dims.items() if n}
+    if not dims:
+        dims = {0: 1}
+    entry = st.sampled_from([ZERO, ONE, -ONE, QI(2), I])
+    mats = {}
+    for deg_l, n in dims.items():
+        m = dims.get(deg_l + 2, 0)
+        if m:
+            rows = data.draw(
+                st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m)
+            )
+            mats[deg_l] = mat(rows)
+    cx = SyntheticComplex(dims)
+    args = (cx, MatrixRaising(mats), 0, 0, sorted(dims))
+    got = cohomology._lefschetz_strip(*args)
+    assert got == lefschetz_reference._lefschetz_strip(*args)
+    assert (got is None) == lowering_solvable(dims, mats)
+    if got is not None:
+        assert got.startswith("no lowering action")
+
+
+def test_raising_operator_must_map_boundaries_to_boundaries():
+    """H^-1 = <p, p'> (y = dx is exact) and H^1 = <q, r>, with E p = q and
+    E p' = E y = r.  E maps cocycles to cocycles but the boundary y to the
+    class r, so it does not descend.  The representatives that the old
+    strip picked, p and p', happened to make E look bijective on
+    cohomology; p' - y would not have."""
+    dims = {-2: 1, -1: 3, 1: 2}
+    d = {-2: mat([[0], [0], [1]])}  # x -> y in the basis (p, p', y)
+    raising = MatrixRaising({-1: mat([[1, 0, 0], [0, 1, 1]])})
+    args = (SyntheticComplex(dims, d), raising, 0, 0, sorted(dims))
+    assert lefschetz_reference._lefschetz_strip(*args) is None
+    assert cohomology._lefschetz_strip(*args) == (
+        "raising operator does not descend at E=0 DegS=0 DegL=-1"
+    )
 
 
 # -- one graded complex per report ---------------------------------------
