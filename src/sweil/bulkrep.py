@@ -130,6 +130,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import stats
 from .scalars import ONE, QI, ZERO
 from .fock import (
     _CREATOR_POSITIVE,
@@ -297,22 +298,24 @@ class Universe:
         """Occupancy rows of ``monos``, one per monomial, counted with one
         bincount over the flat (monomial, slot) index of every key; raises
         OverflowError when an occupancy passes what a row holds."""
-        parts = list(itertools.chain.from_iterable(monos))
-        keys = list(itertools.chain.from_iterable(parts))
-        slots = np.fromiter(
-            map(self.index.get, keys, itertools.repeat(-1)), np.int64, len(keys)
-        )
-        if len(slots) and slots.min() < 0:
-            bad = keys[int(np.argmin(slots))]
-            raise StructureError(f"generator {bad} outside the slot universe")
-        # keys per monomial: its boson and its fermion part
-        sizes = np.fromiter(map(len, parts), np.int64, len(parts))
-        sizes = sizes.reshape(-1, 2).sum(axis=1)
-        n = len(sizes) * self.nslots
-        slots += np.repeat(np.arange(0, n, self.nslots), sizes)
-        rows = np.bincount(slots, minlength=n).reshape(len(sizes), self.nslots)
-        _bound(int(rows.max(initial=0)) <= _FULL, "slot occupancy of an occupancy row")
-        return rows.astype(np.uint8)
+        with stats.span("bulkrep.Universe.rows_of"):
+            parts = list(itertools.chain.from_iterable(monos))
+            keys = list(itertools.chain.from_iterable(parts))
+            slots = np.fromiter(
+                map(self.index.get, keys, itertools.repeat(-1)), np.int64, len(keys)
+            )
+            if len(slots) and slots.min() < 0:
+                bad = keys[int(np.argmin(slots))]
+                raise StructureError(f"generator {bad} outside the slot universe")
+            # keys per monomial: its boson and its fermion part
+            sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+            sizes = sizes.reshape(-1, 2).sum(axis=1)
+            n = len(sizes) * self.nslots
+            slots += np.repeat(np.arange(0, n, self.nslots), sizes)
+            rows = np.bincount(slots, minlength=n).reshape(len(sizes), self.nslots)
+            top = int(rows.max(initial=0))
+            _bound(top <= _FULL, "slot occupancy of an occupancy row")
+            return rows.astype(np.uint8)
 
 
 def _compile_instance(universe: Universe, keys, coeff: QI):
@@ -810,9 +813,25 @@ class BulkEngine:
             self.universe.nslots + 1 <= np.iinfo(np.int16).max,
             "slot index of the int16 slot columns",
         )
-        self._compile()
-        self._build_domain()
+        with stats.span("bulkrep.BulkEngine._compile"):
+            self._compile()
+        with stats.span("bulkrep.BulkEngine._build_domain"):
+            self._build_domain()
         self._prepared = True
+        t, mats = self._table, self._box_mats.values()
+        for name, n in (
+            ("n1", self.n1),
+            ("level1_bytes", self.l1_src.nbytes + self.l1_inst.nbytes),
+            ("level1_row_bytes", self.n1 * self.universe.nslots),
+            ("box_matrix_entries", sum(len(m[1]) for m in mats)),
+            ("box_matrix_bytes", sum(x.nbytes for m in mats for x in m)),
+            ("table_rows", len(t.re)),
+            ("table_cells.constraint", t.cslot.size),
+            ("table_cells.count_factor", t.bslot.size),
+            ("table_cells.parity", t.fslot.size),
+            ("table_cells.change", t.dslot.size),
+        ):
+            stats.count("bulkrep." + name, n)
 
     def _compile(self):
         """Compile every registered operator into the engine table; each
@@ -1177,51 +1196,57 @@ class BulkEngine:
         each instance chunk is reduced as it is built: u(out) = u(state) *
         z**delta, so an outer's sum is sum_inst c z**delta * sum_pairs
         fac * w; no stream is formed."""
-        ids, ub_re, ub_im = self._inner_weights(inner)
-        # int64 weights, so that each pair's product is formed in place
-        ub_re = ub_re.astype(np.int64)
-        ub_im = None if ub_im is None else ub_im.astype(np.int64)
-        bops = [self._ops[name] for name in outers]
-        stops = np.array([b.stop for b in bops])
-        rows = np.concatenate([np.arange(b.first, b.stop) for b in bops])
-        cz_re, cz_im = self._cz
-        out = np.zeros((len(bops), len(_CHECK_PRIMES), 2), dtype=np.int64)
-        for counts, sel, cols, fac in self._pair_chunks(
-            self._table, rows, self._level1_block(ids)
-        ):
-            # one reduceat segment per instance with pairs (reduceat
-            # returns an element, not zero, for an empty segment)
-            has = counts > 0
-            starts = (np.cumsum(counts) - counts)[has]
-            first = sel[has]
-            # w < 2**31, so a segment's sum of fac * w fits int64 without
-            # reducing each pair when its length times max |fac| is below
-            # 2**32
-            wide = int(counts.max()) * int(np.abs(fac).max(initial=0)) >= 1 << 32
-            sr = _segment_sums(fac, ub_re, cols, starts, wide)
-            a, b = cz_re[:, first], cz_im[:, first]
-            if ub_im is None:
-                parts = (a * sr, b * sr)
-            else:
-                si = _segment_sums(fac, ub_im, cols, starts, wide)
-                parts = (a * sr - b * si, a * si + b * sr)
-            # an outer's instances are consecutive: one segment per outer
-            own = np.searchsorted(stops, first, side="right")
-            seg = np.flatnonzero(np.diff(own, prepend=-1))
-            for k, x in enumerate(parts):
-                x %= _CHECK_P
-                out[own[seg], :, k] += np.add.reduceat(x, seg, axis=1).T
-            out %= _CHECK_P
-        return out
+        with stats.span("bulkrep.BulkEngine._batch_sums"):
+            ids, ub_re, ub_im = self._inner_weights(inner)
+            # int64 weights, so that each pair's product is formed in place
+            ub_re = ub_re.astype(np.int64)
+            ub_im = None if ub_im is None else ub_im.astype(np.int64)
+            bops = [self._ops[name] for name in outers]
+            stops = np.array([b.stop for b in bops])
+            rows = np.concatenate([np.arange(b.first, b.stop) for b in bops])
+            cz_re, cz_im = self._cz
+            out = np.zeros((len(bops), len(_CHECK_PRIMES), 2), dtype=np.int64)
+            pairs = 0
+            for counts, sel, cols, fac in self._pair_chunks(
+                self._table, rows, self._level1_block(ids)
+            ):
+                pairs += len(cols)
+                # one reduceat segment per instance with pairs (reduceat
+                # returns an element, not zero, for an empty segment)
+                has = counts > 0
+                starts = (np.cumsum(counts) - counts)[has]
+                first = sel[has]
+                # w < 2**31, so a segment's sum of fac * w fits int64
+                # without reducing each pair when its length times max |fac|
+                # is below 2**32
+                top = int(np.abs(fac).max(initial=0))
+                wide = int(counts.max()) * top >= 1 << 32
+                sr = _segment_sums(fac, ub_re, cols, starts, wide)
+                a, b = cz_re[:, first], cz_im[:, first]
+                if ub_im is None:
+                    parts = (a * sr, b * sr)
+                else:
+                    si = _segment_sums(fac, ub_im, cols, starts, wide)
+                    parts = (a * sr - b * si, a * si + b * sr)
+                # an outer's instances are consecutive: one segment per outer
+                own = np.searchsorted(stops, first, side="right")
+                seg = np.flatnonzero(np.diff(own, prepend=-1))
+                for k, x in enumerate(parts):
+                    x %= _CHECK_P
+                    out[own[seg], :, k] += np.add.reduceat(x, seg, axis=1).T
+                out %= _CHECK_P
+            stats.count("bulkrep.checksum_pairs", pairs)
+            return out
 
     # -- bracket checking ---------------------------------------------
 
     def _inner_weights(self, inner):
         """The _row_weights of an inner operator, cached."""
-        hit = self._inner_cache.get(inner)
-        if hit is None:
-            hit = self._inner_cache[inner] = self._row_weights(inner)
-        return hit
+        with stats.span("bulkrep.BulkEngine._inner_weights"):
+            hit = self._inner_cache.get(inner)
+            if hit is None:
+                hit = self._inner_cache[inner] = self._row_weights(inner)
+            return hit
 
     def _row_weights(self, name):
         """(ids, ub_re, ub_im): the distinct level-1 rows hit by the box
@@ -1269,16 +1294,17 @@ class BulkEngine:
         since sum_k u(k) (B v)_k = sum_k ub_k.  The weights are taken from
         the inner cache when a composition has used the operator as an
         inner, and are not kept otherwise."""
-        hit = self._rhs_cache.get(name)
-        if hit is None:
-            _, ub_re, ub_im = self._inner_cache.get(name) or self._row_weights(name)
-            # at most 2**31 rows (level-1 ids are int32) of residues below
-            # 2**31 sum below 2**62
-            sre = ub_re.sum(axis=1, dtype=np.int64) % _CHECK_P[:, 0]
-            sim = 0 * sre if ub_im is None else ub_im.sum(axis=1, dtype=np.int64)
-            sim %= _CHECK_P[:, 0]
-            hit = self._rhs_cache[name] = list(zip(sre.tolist(), sim.tolist()))
-        return hit
+        with stats.span("bulkrep.BulkEngine._rhs_sums"):
+            hit = self._rhs_cache.get(name)
+            if hit is None:
+                _, ub_re, ub_im = self._inner_cache.get(name) or self._row_weights(name)
+                # at most 2**31 rows (level-1 ids are int32) of residues below
+                # 2**31 sum below 2**62
+                sre = ub_re.sum(axis=1, dtype=np.int64) % _CHECK_P[:, 0]
+                sim = 0 * sre if ub_im is None else ub_im.sum(axis=1, dtype=np.int64)
+                sim %= _CHECK_P[:, 0]
+                hit = self._rhs_cache[name] = list(zip(sre.tolist(), sim.tolist()))
+            return hit
 
     def plan(self, cases):
         """Take a report's cases, (name_a, name_b, both_odd, rhs_terms)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple, Optional
 
+from . import stats
 from .scalars import QI, ZERO, ONE
 from .liealg import GradedBackend, StructureError
 from .fock import (
@@ -116,17 +117,6 @@ class Matrix:
                 out.cols[i][j] = c.conj()
         return out
 
-    def apply_coords(self, vec: dict) -> dict:
-        acc = {}
-        for j, c in vec.items():
-            for i, a in self.cols[j].items():
-                cur = acc.get(i, ZERO) + a * c
-                if cur.is_zero():
-                    acc.pop(i, None)
-                else:
-                    acc[i] = cur
-        return acc
-
     @staticmethod
     def identity(n: int) -> "Matrix":
         m = Matrix(n, n)
@@ -174,6 +164,7 @@ def _eliminate(cols):
 def exact_rank_kernel(mat: Matrix):
     """(rank, kernel basis) by exact Gaussian elimination with
     deterministic pivoting (lowest row index first)."""
+    stats.count("cohomology.exact_rank_kernel")
     kernel = [cmb for cmb in _eliminate(mat.cols) if cmb is not None]
     return mat.ncols - len(kernel), kernel
 
@@ -184,6 +175,7 @@ def solve_in_span(basis: Matrix, targets: Matrix) -> Optional[Matrix]:
     basis columns and then the targets, so each target is reduced against
     the basis pivots only; each column of X is supported on those pivot
     columns, so X is the unique solution when the basis is independent."""
+    stats.count("cohomology.solve_in_span")
     if targets.nrows != basis.nrows:
         raise StructureError("matrix shape mismatch")
     n = basis.ncols
@@ -318,6 +310,7 @@ def piece_basis(
     Deg_Lambda bucket of ``slice_monomials`` when the caller already holds
     it; otherwise the slice is enumerated here.  The degree-zero operators
     share each ambient monomial's slot bounds, computed once."""
+    stats.count("cohomology.piece_basis")
     if ambient is None:
         ambient = slice_monomials(backend, energy, deg_s, relative).get(deg_l, ())
     n = len(ambient)
@@ -348,7 +341,10 @@ def piece_basis(
 
 def assemble_matrix(op: Operator, src: GradedPiece, tgt: GradedPiece) -> Matrix:
     """Matrix of op from src basis to tgt basis; exact; error when an
-    image falls outside the target span."""
+    image falls outside the target span.  A piece basis is the identity
+    or kernel vectors of ``_eliminate``, each 1 at its largest row and 0
+    at every other's, so an image's coordinates are its entries there;
+    one product checks them, and no elimination runs."""
     index = {m: i for i, m in enumerate(tgt.ambient)}
     images = Matrix(len(tgt.ambient), src.dim)
     for j in range(src.dim):
@@ -360,8 +356,10 @@ def assemble_matrix(op: Operator, src: GradedPiece, tgt: GradedPiece) -> Matrix:
                     f"{op.name or 'operator'} image leaves the target slice"
                 )
             images.cols[j][i] = c
-    out = solve_in_span(tgt.basis, images)
-    if out is None:
+    lead = [max(col) for col in tgt.basis.cols]
+    out = Matrix(tgt.dim, src.dim)
+    out.cols = [{k: c[i] for k, i in enumerate(lead) if i in c} for c in images.cols]
+    if tgt.basis @ out != images:
         raise StructureError(
             f"{op.name or 'operator'} image leaves the target basis span"
         )
@@ -588,57 +586,59 @@ def kahler_matrix_checks(
     from .sca import KAHLER_SYMBOLS, kahler_bracket, kahler_parity, psi, s2a_bracket
     from .verify import FastEngine, fast_bracket_check, s2a_builder
 
-    if build is None:
-        build = s2a_builder(backend, ZERO)
-    if triple is None:
-        triple = sl2_triple(backend)
-    charge = QI(3 * backend.dim)
-    box = Box(emax=emax, b0max=b0max, zero_fermions_allowed=False)
-    engine = FastEngine(relative=True)
-    box_ids = [engine.intern(m) for m in _box_monomials(backend, box, boxes)]
-    fops = {
-        sym: engine.fastop(classical_operator(build, sym))
-        for sym in KAHLER_SYMBOLS
-    }
-    checks = []
-    for i, sa in enumerate(KAHLER_SYMBOLS):
-        for sb in KAHLER_SYMBOLS[i:]:
-            rhs = kahler_bracket({sa: ONE}, {sb: ONE})
-            rhs_terms = [(c, fops[s]) for s, c in sorted(rhs.items())]
-            both_odd = bool(kahler_parity(sa) and kahler_parity(sb))
-            central = s2a_bracket(ZERO, psi(sa), psi(sb)).central * charge
+    with stats.span("cohomology.kahler_matrix_checks"):
+        if build is None:
+            build = s2a_builder(backend, ZERO)
+        if triple is None:
+            triple = sl2_triple(backend)
+        charge = QI(3 * backend.dim)
+        box = Box(emax=emax, b0max=b0max, zero_fermions_allowed=False)
+        engine = FastEngine(relative=True)
+        box_ids = [engine.intern(m) for m in _box_monomials(backend, box, boxes)]
+        fops = {
+            sym: engine.fastop(classical_operator(build, sym))
+            for sym in KAHLER_SYMBOLS
+        }
+        checks = []
+        for i, sa in enumerate(KAHLER_SYMBOLS):
+            for sb in KAHLER_SYMBOLS[i:]:
+                rhs = kahler_bracket({sa: ONE}, {sb: ONE})
+                rhs_terms = [(c, fops[s]) for s, c in sorted(rhs.items())]
+                both_odd = bool(kahler_parity(sa) and kahler_parity(sb))
+                central = s2a_bracket(ZERO, psi(sa), psi(sb)).central * charge
+                bad = fast_bracket_check(
+                    engine, fops[sa], fops[sb], both_odd, rhs_terms,
+                    central, box_ids,
+                )
+                checks.append(
+                    CheckReport(
+                        f"package:[{sa},{sb}]",
+                        bad is None,
+                        None if bad is None else format_monomial(engine.monos[bad]),
+                        "",
+                    )
+                )
+        triple = {s: engine.fastop(op) for s, op in triple.items()}
+        sl2_rels = (
+            ("EE", "FF", (("HH", ONE),)),
+            ("HH", "EE", (("EE", QI(2)),)),
+            ("HH", "FF", (("FF", QI(-2)),)),
+        )
+        for sa, sb, rhs in sl2_rels:
+            rhs_terms = [(c, triple[s]) for s, c in rhs]
             bad = fast_bracket_check(
-                engine, fops[sa], fops[sb], both_odd, rhs_terms,
-                central, box_ids,
+                engine, triple[sa], triple[sb], False, rhs_terms, None, box_ids
             )
             checks.append(
                 CheckReport(
-                    f"package:[{sa},{sb}]",
+                    f"lefschetz:[{sa},{sb}]",
                     bad is None,
                     None if bad is None else format_monomial(engine.monos[bad]),
                     "",
                 )
             )
-    triple = {s: engine.fastop(op) for s, op in triple.items()}
-    sl2_rels = (
-        ("EE", "FF", (("HH", ONE),)),
-        ("HH", "EE", (("EE", QI(2)),)),
-        ("HH", "FF", (("FF", QI(-2)),)),
-    )
-    for sa, sb, rhs in sl2_rels:
-        rhs_terms = [(c, triple[s]) for s, c in rhs]
-        bad = fast_bracket_check(
-            engine, triple[sa], triple[sb], False, rhs_terms, None, box_ids
-        )
-        checks.append(
-            CheckReport(
-                f"lefschetz:[{sa},{sb}]",
-                bad is None,
-                None if bad is None else format_monomial(engine.monos[bad]),
-                "",
-            )
-        )
-    return checks
+        engine.count_sizes()
+        return checks
 
 
 def _signature_str(sig) -> str:

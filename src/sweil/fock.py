@@ -36,6 +36,7 @@ from functools import partial
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
+from . import stats
 from .scalars import QI, ONE
 from .liealg import StructureError
 
@@ -349,53 +350,56 @@ def enumerate_box(dim: int, box: Box):
     fermionic parts kept per energy budget in that order, so the nested
     product of the two lists is already in canonical order and the
     monomials themselves are never sorted."""
-    if box.emax < 0 or box.b0max < 0:
-        raise StructureError("box bounds must be nonnegative")
-    emax = box.emax
-    bos = []
-    fer = []
-    for c in range(dim):
-        for k in range(1, emax + 1):
-            bos += [GenKey("g", c, k), GenKey("b", c, -k)]
-            fer += [GenKey("e", c, k), GenKey("t", c, -k)]
-        bos.append(GenKey("b", c, 0))
-        if box.zero_fermions_allowed:
-            fer.append(GenKey("t", c, 0))
-    bos.sort(key=_bsort_key)
-    fer.sort(key=_fsort_key)
-    # (energy, mode-0 count, keys); a part grows only by keys sorted after
-    # all of its own, so every part stays in canonical order
-    bos_parts = [(0, 0, ())]
-    for key in bos:
-        cost = abs(key.mode)
-        zero = key.mode == 0
-        grown = []
-        for energy, b0, keys in bos_parts:
-            n = 1
-            while energy + n * cost <= emax and b0 + n * zero <= box.b0max:
-                grown.append((energy + n * cost, b0 + n * zero, keys + (key,) * n))
-                n += 1
-        bos_parts += grown
-    fer_parts = [(0, ())]
-    for key in fer:
-        cost = abs(key.mode)
-        fer_parts += [(e + cost, keys + (key,)) for e, keys in fer_parts if e + cost <= emax]
-    # a part's canonical sort key is the tuple of its keys' positions in
-    # the sorted creator lists
-    rank = {k: i for i, k in enumerate(bos + fer)}.__getitem__
-    bos_parts.sort(key=lambda part: tuple(map(rank, part[2])))
-    fer_parts.sort(key=lambda part: tuple(map(rank, part[1])))
-    # fermionic parts of energy at most E, for each E, in canonical order
-    upto = [[] for _ in range(emax + 1)]
-    for energy, keys in fer_parts:
-        for budget in range(energy, emax + 1):
-            upto[budget].append(keys)
-    # FockMonomial's own tuple constructor, called from C per monomial
-    mono = partial(tuple.__new__, FockMonomial)
-    out = []
-    for energy, _, bkeys in bos_parts:
-        out += map(mono, zip(repeat(bkeys), upto[emax - energy]))
-    return out
+    with stats.span("fock.enumerate_box"):
+        if box.emax < 0 or box.b0max < 0:
+            raise StructureError("box bounds must be nonnegative")
+        emax = box.emax
+        bos = []
+        fer = []
+        for c in range(dim):
+            for k in range(1, emax + 1):
+                bos += [GenKey("g", c, k), GenKey("b", c, -k)]
+                fer += [GenKey("e", c, k), GenKey("t", c, -k)]
+            bos.append(GenKey("b", c, 0))
+            if box.zero_fermions_allowed:
+                fer.append(GenKey("t", c, 0))
+        bos.sort(key=_bsort_key)
+        fer.sort(key=_fsort_key)
+        # (energy, mode-0 count, keys); a part grows only by keys sorted after
+        # all of its own, so every part stays in canonical order
+        bos_parts = [(0, 0, ())]
+        for key in bos:
+            cost = abs(key.mode)
+            zero = key.mode == 0
+            grown = []
+            for energy, b0, keys in bos_parts:
+                n = 1
+                while energy + n * cost <= emax and b0 + n * zero <= box.b0max:
+                    grown.append((energy + n * cost, b0 + n * zero, keys + (key,) * n))
+                    n += 1
+            bos_parts += grown
+        fer_parts = [(0, ())]
+        for key in fer:
+            cost = abs(key.mode)
+            fer_parts += [
+                (e + cost, keys + (key,)) for e, keys in fer_parts if e + cost <= emax
+            ]
+        # a part's canonical sort key is the tuple of its keys' positions in
+        # the sorted creator lists
+        rank = {k: i for i, k in enumerate(bos + fer)}.__getitem__
+        bos_parts.sort(key=lambda part: tuple(map(rank, part[2])))
+        fer_parts.sort(key=lambda part: tuple(map(rank, part[1])))
+        # fermionic parts of energy at most E, for each E, in canonical order
+        upto = [[] for _ in range(emax + 1)]
+        for energy, keys in fer_parts:
+            for budget in range(energy, emax + 1):
+                upto[budget].append(keys)
+        # FockMonomial's own tuple constructor, called from C per monomial
+        mono = partial(tuple.__new__, FockMonomial)
+        out = []
+        for energy, _, bkeys in bos_parts:
+            out += map(mono, zip(repeat(bkeys), upto[emax - energy]))
+        return out
 
 
 # -- fixture text format ----------------------------------------------

@@ -9,6 +9,7 @@ import sys
 from math import lcm
 from typing import NamedTuple, Optional
 
+from . import stats
 from .scalars import QI, ZERO, ONE, format_qi
 from .liealg import GradedBackend, StructureError
 from .fock import (
@@ -150,6 +151,14 @@ class FastEngine:
             f = self._ops[op] = FastOp(self, op)
         return f
 
+    def count_sizes(self):
+        """Add the sizes of the engine's memos to ``stats``."""
+        fops = self._ops.values()
+        leaf = sum(len(f.cols) for f in fops if isinstance(f.op, FieldOperator))
+        stats.count("verify.FastEngine.columns", sum(len(f.cols) for f in fops))
+        stats.count("verify.FastEngine.leaf_applications", leaf)
+        stats.count("verify.FastEngine.slot_bounds", len(self._bounds))
+
 
 class FastOp:
     """Lazily assembled integer-scaled sparse columns of an operator: a
@@ -275,70 +284,71 @@ def fast_bracket_check(engine, fa, fb, both_odd, rhs_terms, central, box_ids):
     """Check [A, B] = sum c_t T_t + central on the interned box monomials;
     rhs_terms is a list of (QI coefficient, FastOp). Returns the first
     mismatching monomial id, or None."""
-    # first pass: form every needed column so denominators stabilize
-    for i in box_ids:
-        for j, _, _ in fb.col(i):
-            fa.col(j)
-        for j, _, _ in fa.col(i):
-            fb.col(j)
-        for _, ft in rhs_terms:
-            ft.col(i)
-    D = fa.den * fb.den
-    R = D
-    for c, ft in rhs_terms:
-        R = lcm(R, ft.den * lcm(c.re.denominator, c.im.denominator))
-    if central is not None and not central.is_zero():
-        R = lcm(R, central.re.denominator, central.im.denominator)
-    scaled_rhs = []
-    for c, ft in rhs_terms:
-        s = R // ft.den
-        scaled_rhs.append((int(c.re * s), int(c.im * s), ft.cols))
-    zc = None
-    if central is not None and not central.is_zero():
-        zc = (int(central.re * R), int(central.im * R))
-    lf = R // D
-    sgn = 1 if both_odd else -1
-    # every column read below was formed above
-    acols = fa.cols
-    bcols = fb.cols
-    for i in box_ids:
-        acc = {}
-        for j, br, bi in bcols[i]:
-            for k, ar, ai in acols[j]:
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                cur = acc.get(k)
-                acc[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-        for j, ar, ai in acols[i]:
-            for k, br, bi in bcols[j]:
-                re = (br * ar - bi * ai) * sgn
-                im = (br * ai + bi * ar) * sgn
-                cur = acc.get(k)
-                acc[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-        rac = {}
-        for cr, ci, tcols in scaled_rhs:
-            for k, r, m_ in tcols[i]:
-                re = cr * r - ci * m_
-                im = cr * m_ + ci * r
-                cur = rac.get(k)
-                rac[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-        if zc is not None:
-            cur = rac.get(i)
-            rac[i] = zc if cur is None else (cur[0] + zc[0], cur[1] + zc[1])
-        ok = True
-        for k, (re, im) in acc.items():
-            r2 = rac.get(k, (0, 0))
-            if re * lf != r2[0] or im * lf != r2[1]:
-                ok = False
-                break
-        if ok:
-            for k, (re, im) in rac.items():
-                if k not in acc and (re or im):
+    with stats.span("verify.fast_bracket_check"):
+        # first pass: form every needed column so denominators stabilize
+        for i in box_ids:
+            for j, _, _ in fb.col(i):
+                fa.col(j)
+            for j, _, _ in fa.col(i):
+                fb.col(j)
+            for _, ft in rhs_terms:
+                ft.col(i)
+        D = fa.den * fb.den
+        R = D
+        for c, ft in rhs_terms:
+            R = lcm(R, ft.den * lcm(c.re.denominator, c.im.denominator))
+        if central is not None and not central.is_zero():
+            R = lcm(R, central.re.denominator, central.im.denominator)
+        scaled_rhs = []
+        for c, ft in rhs_terms:
+            s = R // ft.den
+            scaled_rhs.append((int(c.re * s), int(c.im * s), ft.cols))
+        zc = None
+        if central is not None and not central.is_zero():
+            zc = (int(central.re * R), int(central.im * R))
+        lf = R // D
+        sgn = 1 if both_odd else -1
+        # every column read below was formed above
+        acols = fa.cols
+        bcols = fb.cols
+        for i in box_ids:
+            acc = {}
+            for j, br, bi in bcols[i]:
+                for k, ar, ai in acols[j]:
+                    re = ar * br - ai * bi
+                    im = ar * bi + ai * br
+                    cur = acc.get(k)
+                    acc[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            for j, ar, ai in acols[i]:
+                for k, br, bi in bcols[j]:
+                    re = (br * ar - bi * ai) * sgn
+                    im = (br * ai + bi * ar) * sgn
+                    cur = acc.get(k)
+                    acc[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            rac = {}
+            for cr, ci, tcols in scaled_rhs:
+                for k, r, m_ in tcols[i]:
+                    re = cr * r - ci * m_
+                    im = cr * m_ + ci * r
+                    cur = rac.get(k)
+                    rac[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            if zc is not None:
+                cur = rac.get(i)
+                rac[i] = zc if cur is None else (cur[0] + zc[0], cur[1] + zc[1])
+            ok = True
+            for k, (re, im) in acc.items():
+                r2 = rac.get(k, (0, 0))
+                if re * lf != r2[0] or im * lf != r2[1]:
                     ok = False
                     break
-        if not ok:
-            return i
-    return None
+            if ok:
+                for k, (re, im) in rac.items():
+                    if k not in acc and (re or im):
+                        ok = False
+                        break
+            if not ok:
+                return i
+        return None
 
 
 class _BulkSuite:

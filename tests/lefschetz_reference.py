@@ -51,7 +51,7 @@ def induced_cohomology_matrix(op_mat: Matrix, z_src: Matrix, z_tgt: Matrix,
     when some image is not a cocycle modulo boundaries."""
     n = z_tgt.ncols
     joint = Matrix(z_tgt.nrows, n + b_tgt.ncols, z_tgt.cols + b_tgt.cols)
-    images = [op_mat.apply_coords(col) for col in z_src.cols]
+    images = (op_mat @ z_src).cols
     sol = solve_in_span(joint, Matrix(z_tgt.nrows, z_src.ncols, images))
     if sol is None:
         return None

@@ -302,11 +302,12 @@ def _fresh_interpreter(code: str) -> list:
 
 
 def test_numpy_loads_only_with_the_bulk_engine():
-    """A fresh interpreter runs sca-tables, cohomology and kahler without
-    importing numpy; the first relation suite loads it."""
+    """A fresh interpreter runs sca-tables, cohomology and kahler, and
+    reads sweil.stats, without importing numpy; the first relation suite
+    loads it."""
     code = """
 import io, sys
-import sweil, sweil.cli as cli
+import sweil, sweil.cli as cli, sweil.stats as stats
 
 def run(line):
     cfg = cli.resolve_config(cli.build_parser().parse_args(line.split()))
@@ -317,6 +318,7 @@ for line in (
     "cohomology --backend loop:abelian:1 --rel --emax 1",
     "kahler --backend loop:abelian:1 --emax 1",
 ):
+    stats.snapshot()
     print(run(line), "numpy" in sys.modules)
 print(run("verify-chain --backend witt --emax 1 --b0max 0 --window 1"),
       "numpy" in sys.modules)
@@ -325,20 +327,21 @@ print(run("verify-chain --backend witt --emax 1 --b0max 0 --window 1"),
 
 
 def test_cli_start_skips_dataclasses_csv_and_cohomology():
-    """``import sweil, sweil.cli`` loads neither dataclasses (with the
-    inspect, ast, dis and tokenize chain it pulls in) nor csv nor json,
-    and leaves sweil.cohomology an unexecuted lazy module.  sca-tables
-    keeps it so, kahler executes it, CSV output loads csv and JSON output
-    loads json."""
+    """``import sweil, sweil.cli, sweil.stats`` loads neither dataclasses
+    (with the inspect, ast, dis and tokenize chain it pulls in) nor csv
+    nor json, and leaves sweil.cohomology an unexecuted lazy module.
+    sca-tables keeps it so, kahler executes it, CSV output loads csv and
+    JSON output loads json; reading sweil.stats loads none of them."""
     code = """
 import io, sys, types
-import sweil, sweil.cli as cli
+import sweil, sweil.cli as cli, sweil.stats as stats
 
 def run(line):
     cfg = cli.resolve_config(cli.build_parser().parse_args(line.split()))
     return cli.run(cfg, out=io.BytesIO())
 
 def state():
+    stats.snapshot()
     mods = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "json")
     loaded = ",".join(m for m in mods if m in sys.modules) or "-"
     # type() reads no module attribute, so it executes no lazy module

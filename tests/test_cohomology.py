@@ -22,7 +22,7 @@ from sweil.fieldops import (
     hodge_form,
     sl2_triple,
 )
-from sweil import cohomology
+from sweil import cohomology, stats
 from sweil.cohomology import (
     GradedPiece,
     Matrix,
@@ -161,6 +161,80 @@ def test_solve_in_span_matches_dense_rank(data):
         assert sol is not None
         assert (sol.nrows, sol.ncols) == (ncols, ntargets)
         assert basis @ sol == targets
+
+
+class AmbientMatrix:
+    """The operator with matrix ``mat`` from the ambient ("s", j) of a
+    synthetic source piece to the ambient ("t", i) of a target piece."""
+
+    name = "A"
+
+    def __init__(self, mat):
+        self.mat = mat
+
+    def apply(self, v, relative=False):
+        out = FockVector()
+        for (_, j), c in v.terms.items():
+            for i, a in self.mat.cols[j].items():
+                out.add_term(("t", i), a * c)
+        return out
+
+
+def synthetic_piece(tag, basis):
+    ambient = tuple((tag, i) for i in range(basis.nrows))
+    return GradedPiece(None, 0, 0, 0, True, ambient, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_assemble_matrix_matches_solve_in_span(data):
+    """On a target basis that is the identity or a kernel basis of
+    ``exact_rank_kernel``, assemble_matrix reads the coordinates of every
+    image in the span as solve_in_span solves for them, with no solve; a
+    seeded image outside the span still raises."""
+    n = data.draw(st.integers(1, 5))
+    if data.draw(st.booleans()):
+        basis = Matrix.identity(n)
+    else:
+        _, kernel = exact_rank_kernel(
+            draw_matrix(data, data.draw(st.integers(1, 3)), n)
+        )
+        basis = Matrix(n, len(kernel), kernel)
+    nsrc = data.draw(st.integers(0, 3))
+    coords = Matrix(basis.ncols, nsrc)
+    if basis.ncols and nsrc:
+        coords = draw_matrix(data, basis.ncols, nsrc)
+    images = basis @ coords
+    src = synthetic_piece("s", Matrix.identity(nsrc))
+    tgt = synthetic_piece("t", basis)
+    solves = stats.snapshot()["counts"].get("cohomology.solve_in_span", 0)
+    got = assemble_matrix(AmbientMatrix(images), src, tgt)
+    assert stats.snapshot()["counts"].get("cohomology.solve_in_span", 0) == solves
+    assert got == solve_in_span(basis, images) == coords
+    # add a unit vector outside the span to one image
+    units = [Matrix(n, 1, [{i: ONE}]) for i in range(n)]
+    outside = [i for i, e in enumerate(units) if solve_in_span(basis, e) is None]
+    if outside and nsrc:
+        i = data.draw(st.sampled_from(outside))
+        j = data.draw(st.integers(0, nsrc - 1))
+        unit = Matrix(n, nsrc, [{i: ONE} if k == j else {} for k in range(nsrc)])
+        seeded = images + unit
+        assert solve_in_span(basis, seeded) is None
+        with pytest.raises(StructureError, match="image leaves the target basis span"):
+            assemble_matrix(AmbientMatrix(seeded), src, tgt)
+
+
+def test_assemble_matrix_raises_on_a_seeded_image_outside_the_span():
+    """The kernel of [1 1] is spanned by (-1, 1), led at row 1; the image
+    e_1 has the right entry there, and only the check catches it."""
+    _, kernel = exact_rank_kernel(mat([[1, 1]]))
+    basis = Matrix(2, 1, kernel)
+    assert basis == mat([[-1], [1]])
+    src, tgt = synthetic_piece("s", Matrix.identity(1)), synthetic_piece("t", basis)
+    with pytest.raises(StructureError, match="A image leaves the target basis span"):
+        assemble_matrix(AmbientMatrix(mat([[0], [1]])), src, tgt)
+    good = assemble_matrix(AmbientMatrix(mat([[-2], [2]])), src, tgt)
+    assert good == mat([[2]])
 
 
 @settings(max_examples=60, deadline=None)
