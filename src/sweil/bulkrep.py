@@ -139,7 +139,7 @@ from .fock import (
     enumerate_box,
     normal_order_slots,
 )
-from .fieldops import SlotSpec, SumOperator, TermShape
+from .fieldops import SumOperator, TermShape
 from .liealg import StructureError
 
 # name of the identity operator every engine registers; a case's central
@@ -399,8 +399,7 @@ _CENTRAL = TermShape(0, (), _unit, False)
 def _op_terms(op):
     """The (weight, TermShape) pairs of an operator tree: its total central
     scalar, when nonzero, as the _CENTRAL term, then the terms of its
-    leaves in order, a single generator as a one-slot term with no
-    variable that is not normal ordered.  Zero weights are kept."""
+    leaves in order.  Zero weights are kept."""
     central = ZERO
     terms = []
     todo = [(ONE, op)]
@@ -409,10 +408,6 @@ def _op_terms(op):
         central = central + weight * getattr(node, "central", ZERO)
         if hasattr(node, "terms"):
             terms += [(weight, term) for term in node.terms]
-        elif hasattr(node, "key"):
-            k = node.key
-            slot = SlotSpec(k.family, k.comp, k.mode, ())
-            terms.append((weight, TermShape(0, (slot,), _unit, False)))
         elif hasattr(node, "parts"):
             todo += [(weight * c, part) for c, part in reversed(node.parts)]
         else:

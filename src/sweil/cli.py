@@ -35,8 +35,6 @@ from .sca import (
     vf_realize,
 )
 from .verify import (
-    N2_TABLE_SYMBOLS,
-    S2A_TABLE_SYMBOLS,
     RelationReport,
     check_chain_identities,
     check_d_compatibility,
@@ -208,45 +206,32 @@ def _central_charge_report(name, builder, backend) -> RelationReport:
     )
 
 
-def suite_verify_n2(cfg):
+def suite_relations(cfg):
+    """verify-n2 and verify-s2a: the family's central charge on the vacuum,
+    then its bracket table over the mode window."""
     backend = cfg["backend"]
-    builder = n2_builder(backend)
-    reports = [_central_charge_report("n2:central-charge", builder, backend)]
-    reports.append(
+    if cfg["command"] == "verify-n2":
+        family, table, symbols, params = "n2", n2_table, N2_SYMBOLS, ()
+        builder = n2_builder(backend)
+    else:
+        alpha = cfg["alpha"]
+        family, table, symbols = "s2a", s2a_table(alpha), SYMBOLS
+        params = (("alpha", format_qi(alpha)),)
+        builder = s2a_builder(backend, alpha)
+    return [
+        _central_charge_report(f"{family}:central-charge", builder, backend),
         check_representation(
-            "n2:relations",
-            n2_table,
+            f"{family}:relations",
+            table,
             builder,
             claimed_charge(backend),
             backend.dim,
             cfg["box"],
             cfg["window"],
-            N2_TABLE_SYMBOLS,
-            params=(("backend", backend.name),),
-        )
-    )
-    return reports
-
-
-def suite_verify_s2a(cfg):
-    backend = cfg["backend"]
-    alpha = cfg["alpha"]
-    builder = s2a_builder(backend, alpha)
-    reports = [_central_charge_report("s2a:central-charge", builder, backend)]
-    reports.append(
-        check_representation(
-            "s2a:relations",
-            s2a_table(alpha),
-            builder,
-            claimed_charge(backend),
-            backend.dim,
-            cfg["box"],
-            cfg["window"],
-            S2A_TABLE_SYMBOLS,
-            params=(("alpha", format_qi(alpha)), ("backend", backend.name)),
-        )
-    )
-    return reports
+            symbols,
+            params=params + (("backend", backend.name),),
+        ),
+    ]
 
 
 def suite_verify_chain(cfg):
@@ -505,12 +490,12 @@ def run(cfg, out=None) -> int:
             out.write(emit_rows(rows, fmt))
         else:
             out.write(emit_report(checks, fmt))
-        return 0 if all(_report_dict(c)["status"] == "pass" for c in checks) else 1
+        return 0 if all(c.passed for c in checks) else 1
     if fmt == "csv":
         raise UsageError("csv output is only available for table commands")
     suites = {
-        "verify-n2": suite_verify_n2,
-        "verify-s2a": suite_verify_s2a,
+        "verify-n2": suite_relations,
+        "verify-s2a": suite_relations,
         "verify-chain": suite_verify_chain,
         "verify-relative": suite_verify_relative,
         "sca-tables": suite_sca_tables,

@@ -23,7 +23,9 @@ window point; the plans live on the operator object, like its memo.
 This module also builds every concrete operator family: the adjoint and
 weight-density Witt representations, the N=2 and S'(2,alpha) quadratic
 expansions, the differentials d and the Koszul operator, the sl(2) triple
-on the relative model, the star involution, and the Hermitian forms.
+on the relative model, the star involution, and the Hermitian forms.  On
+a loop backend the N=2 family is no separate realization: its L, H, h
+and p are the alpha = 0 S'(2,alpha) family's Lalpha, H, h and p.
 
 Both forms are evaluated in closed form, monomial by monomial.  The Hodge
 form is diagonal on canonical monomials, with weight the product of the
@@ -44,6 +46,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .scalars import QI, ZERO, ONE, I
 from .liealg import GradedBackend, StructureError
+from .sca import DER_SYMBOLS, N2_SYMBOLS, SYMBOLS
 from .fock import (
     FockMonomial,
     FockVector,
@@ -451,7 +454,7 @@ def build_witt_rep(backend: GradedBackend, n: int) -> FieldOperator:
     return FieldOperator(terms, name=f"Lwitt[{n}]")
 
 
-def _loop_witt_L(backend, n, alpha=ZERO):
+def _loop_witt_L(backend, n, alpha):
     """theta(L_n) on the loop complex: coefficient -(m - alpha/2)."""
     half_a = _half(alpha)
     coeff = lambda vs: -(QI(vs[0]) - half_a)
@@ -462,75 +465,51 @@ def _loop_witt_L(backend, n, alpha=ZERO):
     return FieldOperator(terms, name=f"Lwitt[{n}]")
 
 
-N2_SYMBOLS = ("L", "H", "h", "p")
-
-
-def build_n2_family(backend: GradedBackend, symbol: str, n: int) -> Operator:
+def build_n2_family(
+    backend: GradedBackend, symbol: str, n: int, h=None
+) -> Operator:
     """The N=2 generators: Virasoro L (assembled), Heisenberg H, and the odd
-    pair h, p; on a weight-density (fmu) or loop backend."""
-    if backend.kind == "fmu":
-        lam, mu = backend.lam, backend.mu
-        if symbol == "H":
-            terms = [
-                _quad("t", 0, 0, "e", 0, n, _const(lam)),
-                _quad("b", 0, 0, "g", 0, n, _const(lam - ONE)),
-            ]
-            central = mu if n == 0 else ZERO
-            return FieldOperator(terms, central, name=f"H[{n}]")
-        if symbol == "h":
-            return FieldOperator(
-                [_quad("g", 0, n, "t", 0, 0, _const(ONE), normal=False)],
-                name=f"h[{n}]",
-            )
-        if symbol == "p":
-            shift = mu + (QI(n) + ONE) * lam
-            coeff = lambda vs: QI(vs[0]) - shift
-            return FieldOperator(
-                [_quad("b", 0, -n, "e", 0, 0, coeff, normal=False)],
-                name=f"p[{n}]",
-            )
-        if symbol == "L":
-            return SumOperator(
-                [
-                    (QI(-1), build_witt_rep(backend, -n)),
-                    (_half(n + 1), build_n2_family(backend, "H", n)),
-                ],
-                name=f"L[{n}]",
-            )
+    pair h, p.  On a loop backend they are the alpha = 0 S'(2,alpha)
+    family's Lalpha, H, h and p; on a weight-density (fmu) backend they
+    are built here.  ``h``, for ``L``, is the family's H[n] when the caller
+    already holds it; it is built here when omitted."""
+    if symbol not in N2_SYMBOLS:
         raise StructureError(f"unknown N=2 symbol {symbol!r}")
     if backend.kind == "loop":
-        if symbol == "H":
-            terms = [
-                _quad("g", a, n, "b", a, 0, _const(QI(-1)))
-                for a in range(backend.dim)
-            ]
-            return FieldOperator(terms, name=f"H[{n}]")
-        if symbol == "h":
-            terms = [
-                _quad("g", a, n, "t", a, 0, _const(ONE), normal=False)
-                for a in range(backend.dim)
-            ]
-            return FieldOperator(terms, name=f"h[{n}]")
-        if symbol == "p":
-            coeff = lambda vs: QI(vs[0])
-            terms = [
-                _quad("b", a, -n, "e", a, 0, coeff, normal=False)
-                for a in range(backend.dim)
-            ]
-            return FieldOperator(terms, name=f"p[{n}]")
-        if symbol == "L":
-            return SumOperator(
-                [
-                    (QI(-1), _loop_witt_L(backend, -n)),
-                    (_half(n + 1), build_n2_family(backend, "H", n)),
-                ],
-                name=f"L[{n}]",
-            )
-        raise StructureError(f"unknown N=2 symbol {symbol!r}")
-    raise StructureError("N=2 family needs an fmu or loop backend")
+        s2a_symbol = "Lalpha" if symbol == "L" else symbol
+        return build_s2alpha_family(backend, ZERO, s2a_symbol, n, h)
+    if backend.kind != "fmu":
+        raise StructureError("N=2 family needs an fmu or loop backend")
+    lam, mu = backend.lam, backend.mu
+    if symbol == "H":
+        terms = [
+            _quad("t", 0, 0, "e", 0, n, _const(lam)),
+            _quad("b", 0, 0, "g", 0, n, _const(lam - ONE)),
+        ]
+        central = mu if n == 0 else ZERO
+        return FieldOperator(terms, central, name=f"H[{n}]")
+    if symbol == "h":
+        return FieldOperator(
+            [_quad("g", 0, n, "t", 0, 0, _const(ONE), normal=False)],
+            name=f"h[{n}]",
+        )
+    if symbol == "p":
+        shift = mu + (QI(n) + ONE) * lam
+        coeff = lambda vs: QI(vs[0]) - shift
+        return FieldOperator(
+            [_quad("b", 0, -n, "e", 0, 0, coeff, normal=False)],
+            name=f"p[{n}]",
+        )
+    if h is None:
+        h = build_n2_family(backend, "H", n)
+    return SumOperator(
+        [(QI(-1), build_witt_rep(backend, -n)), (_half(n + 1), h)],
+        name=f"L[{n}]",
+    )
 
 
-S2A_SYMBOLS = ("Lalpha", "E", "H", "F", "h", "p", "x", "y", "HH")
+# the symbols of build_s2alpha_family: the table's, with L as Lalpha
+S2A_SYMBOLS = ("Lalpha",) + SYMBOLS[1:]
 
 
 def build_s2alpha_family(
@@ -619,13 +598,7 @@ def build_s2alpha_family(
                 )
             )
         return FieldOperator(terms, name=f"x[{n}]")
-    if symbol == "HH":
-        terms = [_quad("t", a, 0, "e", a, 0, _const(QI(-1))) for a in range(D)]
-        return FieldOperator(terms, name="HH")
     raise StructureError(f"unknown S'(2,alpha) symbol {symbol!r}")
-
-
-SL2_SYMBOLS = ("EE", "HH", "FF")
 
 
 def build_sl2_EHF(backend: GradedBackend, symbol: str) -> FieldOperator:
@@ -719,7 +692,7 @@ def build_differential_parts(backend: GradedBackend):
 
 def sl2_triple(backend: GradedBackend) -> dict:
     """The exterior sl(2) triple's operators, keyed EE, HH and FF."""
-    return {s: build_sl2_EHF(backend, s) for s in ("EE", "HH", "FF")}
+    return {s: build_sl2_EHF(backend, s) for s in DER_SYMBOLS}
 
 
 def build_differential_d(backend: GradedBackend) -> FieldOperator:

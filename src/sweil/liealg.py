@@ -209,7 +209,12 @@ def parse_backend(text: str) -> GradedBackend:
         if parts[1] == "sl2" and len(parts) == 2:
             return loop_backend(builtin_sl2_orthonormal())
         if parts[1] == "abelian" and len(parts) == 3:
-            return loop_backend(abelian(int(parts[2]), with_form=True))
+            dim = int(parts[2])
+            if dim < 1:
+                raise StructureError(
+                    f"abelian dimension must be at least 1, not {dim}"
+                )
+            return loop_backend(abelian(dim, with_form=True))
     if parts[0] == "fmu" and len(parts) == 3:
         return fmu_backend(parse_qi(parts[1]), parse_qi(parts[2]))
     raise StructureError(f"cannot parse backend descriptor {text!r}")

@@ -212,8 +212,16 @@ def format_qi(z: QI) -> str:
 _TERM_RE = re.compile(r"([+-]?[^+-]*)")
 
 
+def _fraction(term: str) -> Fraction:
+    try:
+        return Fraction(term)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {term!r}") from None
+
+
 def parse_qi(text: str) -> QI:
-    """Parse ``p/q+r/s*i`` or the compact ``-3/2+1/4i`` form."""
+    """Parse ``p/q+r/s*i`` or the compact ``-3/2+1/4i`` form; malformed
+    text and a zero denominator raise ValueError."""
     s = text.strip().replace(" ", "").replace("*i", "i")
     if not s:
         raise ValueError("empty scalar")
@@ -232,9 +240,9 @@ def parse_qi(text: str) -> QI:
             elif body == "-":
                 im_part -= 1
             else:
-                im_part += Fraction(body)
+                im_part += _fraction(body)
         else:
-            re_part += Fraction(term)
+            re_part += _fraction(term)
     if pos == 0:
         raise ValueError(f"cannot parse scalar {text!r}")
     return QI(re_part, im_part)

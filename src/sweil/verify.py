@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from functools import partial
 from math import lcm
 from typing import NamedTuple, Optional
 
@@ -18,14 +19,16 @@ from .fock import (
     FockVector,
     GenKey,
     VACUUM,
-    apply_generator,
     enumerate_box,
     format_monomial,
 )
 from .fieldops import (
     FieldOperator,
     Operator,
+    SlotSpec,
     SumOperator,
+    TermShape,
+    _const,
     _slot_bounds,
     build_differential_d,
     build_koszul_h,
@@ -35,7 +38,7 @@ from .fieldops import (
     sl2_triple,
     super_commutator,
 )
-from .sca import SCAElement, s2a_basis_bracket
+from .sca import N2_SYMBOLS, SYMBOLS, SCAElement, s2a_basis_bracket
 
 
 def _lazy_submodule(name: str):
@@ -55,8 +58,8 @@ def _lazy_submodule(name: str):
 # bulkrep imports numpy, which sca-tables, cohomology and kahler never need
 bulkrep = _lazy_submodule("bulkrep")
 
-N2_TABLE_SYMBOLS = ("L", "H", "h", "p")
-S2A_TABLE_SYMBOLS = ("L", "E", "H", "F", "h", "p", "x", "y")
+N2_TABLE_SYMBOLS = N2_SYMBOLS
+S2A_TABLE_SYMBOLS = SYMBOLS
 
 
 class RelationReport(NamedTuple):
@@ -102,17 +105,14 @@ def _witness(pair, mono, lhs, rhs) -> tuple:
     )
 
 
-class GeneratorOperator(Operator):
-    """A single Clifford/Weyl generator as an operator."""
-
-    def __init__(self, key: GenKey):
-        super().__init__()
-        self.key = key
-        self.parity = 1 if key.is_fermionic() else 0
-        self.name = f"{key.family}({key.comp},{key.mode})"
-
-    def _apply_monomial(self, m, relative):
-        return apply_generator(self.key, FockVector.of(m), relative)
+def GeneratorOperator(key: GenKey) -> FieldOperator:
+    """A single Clifford/Weyl generator as an operator: one slot at a fixed
+    mode, coefficient one, not normal ordered."""
+    slot = SlotSpec(key.family, key.comp, key.mode, ())
+    return FieldOperator(
+        [TermShape(0, (slot,), _const(ONE), False)],
+        name=f"{key.family}({key.comp},{key.mode})",
+    )
 
 
 # -- fast exact engine -------------------------------------------------
@@ -397,39 +397,40 @@ class _BulkSuite:
         )
 
 
-def n2_builder(backend: GradedBackend):
+def _family_builder(build):
+    """``builder(sym, n)``: the operator ``build(sym, n, h)``, made once per
+    (sym, n), where ``h`` is the builder's own H[n] for sym L and None
+    otherwise.  The closure does not call itself, so it holds no
+    reference to itself and is no reference cycle."""
     cache = {}
 
-    def build(sym, n):
-        key = (sym, n)
-        if key not in cache:
-            cache[key] = build_n2_family(backend, sym, n)
-        return cache[key]
+    def builder(sym, n):
+        op = cache.get((sym, n))
+        if op is None:
+            h = None
+            if sym == "L":
+                h = cache.get(("H", n))
+                if h is None:
+                    h = cache["H", n] = build("H", n, None)
+            op = cache[sym, n] = build(sym, n, h)
+        return op
 
-    return build
+    return builder
+
+
+def n2_builder(backend: GradedBackend):
+    """The N=2 family; on a loop backend, the L, H, h, p of
+    ``s2a_builder(backend, ZERO)``."""
+    return _family_builder(partial(build_n2_family, backend))
 
 
 def s2a_builder(backend: GradedBackend, alpha):
     alpha = QI.of(alpha)
-    cache = {}
-
-    def build(sym, n):
-        # L[n] takes the cached H[n] as its H part; build does not call
-        # itself, so the closure holds no reference to itself
-        key = (sym, n)
-        if key not in cache:
-            if sym == "L":
-                hkey = ("H", n)
-                if hkey not in cache:
-                    cache[hkey] = build_s2alpha_family(backend, alpha, "H", n)
-                cache[key] = build_s2alpha_family(
-                    backend, alpha, "Lalpha", n, cache[hkey]
-                )
-            else:
-                cache[key] = build_s2alpha_family(backend, alpha, sym, n)
-        return cache[key]
-
-    return build
+    return _family_builder(
+        lambda sym, n, h: build_s2alpha_family(
+            backend, alpha, "Lalpha" if sym == "L" else sym, n, h
+        )
+    )
 
 
 def claimed_charge(backend: GradedBackend) -> QI:

@@ -215,13 +215,7 @@ def _op_products(universe, op, relative):
     def walk(node, weight):
         nonlocal central
         central = central + weight * getattr(node, "central", ZERO)
-        if hasattr(node, "key"):
-            key = node.key
-            if not weight.is_zero() and not (
-                relative and key.is_fermionic() and key.mode == 0
-            ):
-                products.append(([key], weight))
-        elif hasattr(node, "terms"):
+        if hasattr(node, "terms"):
             for term in node.terms:
                 products.extend(_term_products(universe, term, weight, relative))
         else:

@@ -171,6 +171,31 @@ def test_csv_rejected_for_relation_suites():
     )
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    for argv, what in (
+        (["sca-tables", "--alpha", "1/0"], "alpha"),
+        (["sca-tables", "--alpha", "0/0"], "alpha"),
+        (["verify-s2a", "--alpha", "1/2+1/0i"], "alpha"),
+        (["verify-n2", "--backend", "fmu:1/0:0"], "backend"),
+        (["verify-n2", "--backend", "fmu:1/2:0/0"], "backend"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {what} ") and err.count("\n") == 1, argv
+        assert "zero denominator" in err, argv
+
+
+def test_abelian_dimension_below_one_is_usage_error(capsys):
+    # the cohomology table of loop:abelian:0 was the vacuum row alone
+    for command in ("verify-chain", "cohomology"):
+        for dim in (0, -1):
+            argv = [command, "--backend", f"loop:abelian:{dim}", "--emax", "1"]
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad backend ") and err.count("\n") == 1
+            assert "at least 1" in err, argv
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(

@@ -26,6 +26,7 @@ from sweil.fock import (
     product_on_monomial,
 )
 from sweil import fieldops
+from sweil.sca import N2_SYMBOLS
 from sweil.fieldops import (
     FieldOperator,
     SlotSpec,
@@ -43,7 +44,6 @@ from sweil.fieldops import (
     build_theta_adjoint,
     build_witt_rep,
     _loop_witt_L,
-    N2_SYMBOLS,
     S2A_SYMBOLS,
     hermitian_form,
     hodge_form,
@@ -111,7 +111,7 @@ def test_loop_heisenberg_level_is_dimension():
 
 
 def test_quadratic_witt_zero_mode_is_energy():
-    L0 = _loop_witt_L(SL2, 0)
+    L0 = _loop_witt_L(SL2, 0, ZERO)
     for m in enumerate_box(SL2.dim, Box(emax=2, b0max=1)):
         out = L0.apply(FockVector.of(m))
         assert out == FockVector.of(m, QI(m.energy())), m

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,14 @@ from sweil.liealg import (
     fmu_backend,
     loop_backend,
 )
-from sweil.fock import Box, FockVector, enumerate_box
+from sweil.fock import Box, FockVector, GenKey, apply_generator, enumerate_box
 from sweil.fieldops import build_s2alpha_family, super_commutator
 from sweil.verify import (
     N2_TABLE_SYMBOLS,
     S2A_TABLE_SYMBOLS,
     FastEngine,
     FastOp,
+    GeneratorOperator,
     check_chain_identities,
     check_d_compatibility,
     check_relative_derext,
@@ -148,14 +150,49 @@ def test_relative_derext_abelian_skips_control():
 
 
 def test_s2a_builder_L_takes_the_builders_H():
-    # L[n]'s H part is the builder's own H[n], whichever is built first
-    for first in ("L", "H"):
-        build = s2a_builder(SL2, ZERO)
-        for n in (-1, 0, 2):
-            ops = {s: build(s, n) for s in (first, "L" if first == "H" else "H")}
-            (_, h_part), = [p for p in ops["L"].parts if p[1].name == f"H[{n}]"]
-            assert h_part is ops["H"]
-            assert build("L", n) is ops["L"] and build("H", n) is ops["H"]
+    # L[n]'s H part is the builder's own H[n], whichever is built first,
+    # in every family builder; a dropped builder is no reference cycle
+    fmu = fmu_backend(Fraction(1, 2), Fraction(1, 4))
+    makers = (
+        lambda: s2a_builder(SL2, ZERO),
+        lambda: n2_builder(fmu),
+        lambda: n2_builder(SL2),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for make in makers:
+            for first in ("L", "H"):
+                build = make()
+                for n in (-1, 0, 2):
+                    second = "L" if first == "H" else "H"
+                    ops = {s: build(s, n) for s in (first, second)}
+                    (_, h_part), = [
+                        p for p in ops["L"].parts if p[1].name == f"H[{n}]"
+                    ]
+                    assert h_part is ops["H"]
+                    assert build("L", n) is ops["L"] and build("H", n) is ops["H"]
+                del build, ops, h_part
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_generator_operator_is_apply_generator(relative):
+    """GeneratorOperator(key) acts as fock.apply_generator on every monomial
+    of a small box, for every family, component and mode in -2..2."""
+    box = Box(emax=2, b0max=1, zero_fermions_allowed=not relative)
+    monos = list(enumerate_box(2, box))
+    for fam in ("g", "b", "e", "t"):
+        for comp in (0, 1):
+            for mode in range(-2, 3):
+                key = GenKey(fam, comp, mode)
+                op = GeneratorOperator(key)
+                assert op.parity == (1 if key.is_fermionic() else 0)
+                for m in monos:
+                    want = apply_generator(key, FockVector.of(m), relative)
+                    assert op.apply_monomial(m, relative) == want, (key, m)
 
 
 # the relation lines of the benchmark's relations workload, with the
