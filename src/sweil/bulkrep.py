@@ -99,6 +99,23 @@ pairs with it, reduced per outer, and later cases read those sums.  A
 composition outside the plan is a one-outer pass of the same kernel.
 The pass path forms no output keys and no output stream.
 
+The checksum weights only the box columns with at most q quanta (total
+occupancy), q the plan's bound on the degree of its cases' defects as
+polynomials in the generators (``op_degree``, ``defect_degree``); an
+inner's weights and a right-hand side's sums keep only the box-matrix
+entries of those columns, so a batch reaches fewer states.  This
+certifies the whole box.  A box is closed under removing quanta (E, the
+mode-0 boson count and the zero-fermion rule can only fall), and the
+associated graded of the Weyl-Clifford algebra is supercommutative, so
+[A, B] - sum c_t T_t has degree at most q = max(deg A + deg B - 2,
+max_t deg T_t) when A and B each have one parity and the case brackets
+them with their own sign; any other case weights the whole box.  Write such a defect normal ordered, sum_S C_S S with C_S
+a polynomial in the creators and S a product of annihilators.  If it is
+nonzero on the box, take an S with C_S != 0 that is minimal among those
+whose partners form a box state t: it maps t to a nonzero integer times
+C_S |0>, and t has |S| <= q quanta.  The domain, the exact comparison and
+the first failing column stay whole-box.
+
 A nonzero checksum runs the exact comparison, which builds each
 composition outer o inner with the same table kernel: the outer table is
 applied to the state of every entry of the inner box matrix, and each
@@ -704,7 +721,7 @@ def _compile_table(universe: Universe, ops, relative: bool):
 
 
 class _BulkOp:
-    __slots__ = ("name", "op", "first", "stop", "den", "smax")
+    __slots__ = ("name", "op", "first", "stop", "den", "smax", "degree", "parity")
 
     def __init__(self, name, op):
         self.name = name
@@ -713,7 +730,9 @@ class _BulkOp:
         self.first = 0
         self.stop = 0
         self.den = 1
-        self.smax = 0
+        self.smax = _op_energy_span(op)
+        self.degree = op_degree(op)
+        self.parity = op_parity(op)
 
 
 def _op_energy_span(op) -> int:
@@ -725,6 +744,24 @@ def _op_energy_span(op) -> int:
         )
         span = max(span, abs(de))
     return span
+
+
+def op_degree(op) -> int:
+    """Degree of an operator tree as a polynomial in the generators: the
+    largest slot count of its terms, 0 for a central scalar alone."""
+    return max((len(term.slots) for _, term in _op_terms(op)), default=0)
+
+
+def op_parity(op):
+    """The parity of an operator tree, its terms' count of fermionic
+    slots mod 2, when all its terms share one (0 for no terms), else
+    None.  Zero-weight terms count."""
+    parities = {
+        sum(s.family in ("t", "e") for s in term.slots) % 2 for _, term in _op_terms(op)
+    }
+    if len(parities) > 1:
+        return None
+    return parities.pop() if parities else 0
 
 
 def _empty_stream():
@@ -771,11 +808,13 @@ class BulkEngine:
         self._full_names: set[str] = set()
         self._prepared = False
         self._box_mats: dict[str, tuple] = {}
-        self._inner_cache: dict[str, tuple] = {}
-        self._rhs_cache: dict[str, list] = {}
-        # the current plan: per inner operator, its outers (in table row
-        # order) with their positions, and the checksum sums of the inner's
-        # batches run so far
+        # checksum weights and sums, keyed by (operator name, quanta)
+        self._inner_cache: dict[tuple, tuple] = {}
+        self._rhs_cache: dict[tuple, list] = {}
+        # the current plan: its quanta (None for the whole box), per inner
+        # operator its outers (in table row order) with their positions,
+        # and the checksum sums of the inner's batches run so far
+        self._quanta = None
         self._planned: dict[str, dict] = {}
         self._batches: dict[str, np.ndarray] = {}
         self.register(IDENTITY, SumOperator((), central=ONE), need_full=False)
@@ -786,9 +825,7 @@ class BulkEngine:
         if self._prepared:
             raise StructureError("cannot register after prepare()")
         if name not in self._ops:
-            bop = _BulkOp(name, op)
-            bop.smax = _op_energy_span(op)
-            self._ops[name] = bop
+            self._ops[name] = _BulkOp(name, op)
         if need_full:
             self._full_names.add(name)
         return name
@@ -882,6 +919,8 @@ class BulkEngine:
                 )
                 raise StructureError(f"{name} emptied an unoccupied slot")
         states = u.rows_of(self.box_monos)
+        # the quanta (total occupancy) of every box column
+        self._box_quanta = states.sum(axis=1, dtype=np.int32)
         # slot-major box block plus the row of ones that padded table
         # entries read
         block = np.ones((u.nslots + 1, nbox), dtype=np.uint8)
@@ -1182,17 +1221,19 @@ class BulkEngine:
             return parts[0]
         return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
-    def _batch_sums(self, outers, inner):
+    def _batch_sums(self, outers, inner, quanta=None):
         """(outers, primes, re/im) int64: for each of ``outers`` (in table
         row order), (re, im) mod p of u^T outer (inner v), summed over the
         output entries of the outer applied to the states the inner box
-        matrix reaches, with w = u(state) b(state) from _inner_weights.
+        matrix reaches from the box columns with at most ``quanta`` quanta
+        (all of them when None), with w = u(state) b(state) from
+        _inner_weights.
         One kernel pass takes the outers' rows of the engine table, and
         each instance chunk is reduced as it is built: u(out) = u(state) *
         z**delta, so an outer's sum is sum_inst c z**delta * sum_pairs
         fac * w; no stream is formed."""
         with stats.span("bulkrep.BulkEngine._batch_sums"):
-            ids, ub_re, ub_im = self._inner_weights(inner)
+            ids, ub_re, ub_im = self._inner_weights(inner, quanta)
             # int64 weights, so that each pair's product is formed in place
             ub_re = ub_re.astype(np.int64)
             ub_im = None if ub_im is None else ub_im.astype(np.int64)
@@ -1235,21 +1276,26 @@ class BulkEngine:
 
     # -- bracket checking ---------------------------------------------
 
-    def _inner_weights(self, inner):
+    def _inner_weights(self, inner, quanta=None):
         """The _row_weights of an inner operator, cached."""
         with stats.span("bulkrep.BulkEngine._inner_weights"):
-            hit = self._inner_cache.get(inner)
+            key = (inner, quanta)
+            hit = self._inner_cache.get(key)
             if hit is None:
-                hit = self._inner_cache[inner] = self._row_weights(inner)
+                hit = self._inner_cache[key] = self._row_weights(inner, quanta)
             return hit
 
-    def _row_weights(self, name):
+    def _row_weights(self, name, quanta=None):
         """(ids, ub_re, ub_im): the distinct level-1 rows hit by the box
-        matrix B of operator ``name`` and, per checksum prime,
-        u(k) * b_k mod p with b_k = sum_j B[k, j] v(j), as uint32 residues;
-        ub_im is None when every b_k is real.  A row and column that B
-        repeats add up."""
+        matrix B of operator ``name`` from the box columns with at most
+        ``quanta`` quanta (every column when None) and, per checksum
+        prime, u(k) * b_k mod p with b_k = sum_j B[k, j] v(j) over those
+        columns, as uint32 residues; ub_im is None when every b_k is real.
+        A row and column that B repeats add up."""
         rows, cols, bre, bim = self._box_mats[name]
+        if quanta is not None:
+            keep = self._box_quanta[cols] <= quanta
+            rows, cols, bre, bim = rows[keep], cols[keep], bre[keep], bim[keep]
         # the entries in row order, one segment per distinct row
         order = np.argsort(rows)
         rows, cols, bre, bim = rows[order], cols[order], bre[order], bim[order]
@@ -1283,32 +1329,70 @@ class BulkEngine:
         im = sums[1].astype(np.uint32) if len(parts) > 1 and sums[1].any() else None
         return ids, sums[0].astype(np.uint32), im
 
-    def _rhs_sums(self, name):
+    def _rhs_sums(self, name, quanta=None):
         """Cached per checksum prime (sum re*u*v, sum im*u*v) mod p of an
-        operator's box matrix, as Python ints: the sums of its row weights,
-        since sum_k u(k) (B v)_k = sum_k ub_k.  The weights are taken from
-        the inner cache when a composition has used the operator as an
-        inner, and are not kept otherwise."""
+        operator's box matrix over the box columns with at most ``quanta``
+        quanta, as Python ints: the sums of its row weights, since
+        sum_k u(k) (B v)_k = sum_k ub_k.  The weights are taken from the
+        inner cache when a composition has used the operator as an inner,
+        and are not kept otherwise."""
         with stats.span("bulkrep.BulkEngine._rhs_sums"):
-            hit = self._rhs_cache.get(name)
+            key = (name, quanta)
+            hit = self._rhs_cache.get(key)
             if hit is None:
-                _, ub_re, ub_im = self._inner_cache.get(name) or self._row_weights(name)
+                _, ub_re, ub_im = self._inner_cache.get(key) or self._row_weights(
+                    name, quanta
+                )
                 # at most 2**31 rows (level-1 ids are int32) of residues below
                 # 2**31 sum below 2**62
                 sre = ub_re.sum(axis=1, dtype=np.int64) % _CHECK_P[:, 0]
                 sim = 0 * sre if ub_im is None else ub_im.sum(axis=1, dtype=np.int64)
                 sim %= _CHECK_P[:, 0]
-                hit = self._rhs_cache[name] = list(zip(sre.tolist(), sim.tolist()))
+                hit = self._rhs_cache[key] = list(zip(sre.tolist(), sim.tolist()))
             return hit
+
+    def defect_degree(self, name_a, name_b, both_odd, rhs_terms) -> int:
+        """A bound on the degree of a case's defect [A, B] - sum c_t T_t as
+        a polynomial in the generators: the associated graded of the
+        Weyl-Clifford algebra is supercommutative, so a supercommutator of
+        operators of degrees a and b has degree at most a + b - 2.  That
+        holds only when A and B each have one parity and the case's sign
+        is theirs (both_odd exactly when both are odd); otherwise AB -+ BA
+        can reach degree a + b, and the bound is the box's largest quanta,
+        which weights the whole box."""
+        if not self._prepared:
+            self.prepare()
+        ops = self._ops
+        pa, pb = ops[name_a].parity, ops[name_b].parity
+        if pa is None or pb is None or bool(both_odd) != (pa == pb == 1):
+            return int(self._box_quanta.max(initial=0))
+        return max(
+            [0, ops[name_a].degree + ops[name_b].degree - 2]
+            + [ops[name].degree for _, name in rhs_terms]
+        )
 
     def plan(self, cases):
         """Take a report's cases, (name_a, name_b, both_odd, rhs_terms)
         each, ahead of their bracket_defect calls: their compositions are
         grouped by inner operator, and the first case whose checksum needs
         an inner runs one kernel pass for every outer the cases pair with
-        it.  Drops the previous plan and its sums."""
+        it.  The plan's quanta q is the largest defect_degree of its
+        cases; the checksum of a case whose defect_degree is at most q runs
+        over the box columns with at most q quanta only (see
+        bracket_defect), and every column is weighted when q reaches the
+        box's largest quanta.  Drops the previous plan and its sums."""
         if not self._prepared:
             self.prepare()
+        nbox = len(self._box_quanta)
+        quanta = max((self.defect_degree(*case) for case in cases), default=0)
+        if quanta >= self._box_quanta.max(initial=0):
+            quanta = None
+        self._quanta = quanta
+        stats.count("bulkrep.plan.box_columns", nbox)
+        stats.count(
+            "bulkrep.plan.weighted_columns",
+            nbox if quanta is None else int(np.count_nonzero(self._box_quanta <= quanta)),
+        )
         pairs = {}
         for a, b, both_odd, rhs_terms in cases:
             for outer, inner, _ in self._compositions(a, b, both_odd, rhs_terms)[0]:
@@ -1320,29 +1404,33 @@ class BulkEngine:
         }
         self._batches = {}
 
-    def _composition_sums(self, outer, inner):
-        """Per checksum prime, [re, im] of u^T (outer o inner) v mod p: from
-        the plan's batch of ``inner``, run on first use, when the plan
-        pairs ``outer`` with it; else from a one-outer batch."""
-        planned = self._planned.get(inner, {})
+    def _composition_sums(self, outer, inner, quanta=None):
+        """Per checksum prime, [re, im] of u^T (outer o inner) v mod p over
+        the box columns with at most ``quanta`` quanta: from the plan's
+        batch of ``inner``, run on first use, when the plan pairs ``outer``
+        with it at these quanta; else from a one-outer batch."""
+        planned = self._planned.get(inner, {}) if quanta == self._quanta else {}
         if outer not in planned:
-            return self._batch_sums((outer,), inner)[0].tolist()
+            return self._batch_sums((outer,), inner, quanta)[0].tolist()
         sums = self._batches.get(inner)
         if sums is None:
-            sums = self._batches[inner] = self._batch_sums(list(planned), inner)
+            sums = self._batches[inner] = self._batch_sums(
+                list(planned), inner, quanta
+            )
         return sums[planned[outer]].tolist()
 
-    def _defect_sums(self, comps, rhs_terms, L):
+    def _defect_sums(self, comps, rhs_terms, L, quanta=None):
         """Per checksum prime, (re, im) of u^T D v mod p for the defect
         matrix D of a case scaled by L, with u(m) = prod_s z_s**occ_s(m)
-        over a monomial's occupancy and v the box-column weights.  Each
-        composition outer o inner is reduced inside the table kernel, as
-        (u^T outer) applied to (inner v) over the distinct states the
+        over a monomial's occupancy and v the box-column weights, zero on
+        the columns with more than ``quanta`` quanta (none when None).
+        Each composition outer o inner is reduced inside the table kernel,
+        as (u^T outer) applied to (inner v) over the distinct states the
         inner box matrix reaches (see _composition_sums)."""
         ops = self._ops
         tot = [[0, 0] for _ in _CHECK_PRIMES]
         for outer, inner, mult in comps:
-            sums = self._composition_sums(outer, inner)
+            sums = self._composition_sums(outer, inner, quanta)
             for t, (s_re, s_im) in zip(tot, sums):
                 t[0] += s_re * mult
                 t[1] += s_im * mult
@@ -1351,15 +1439,16 @@ class BulkEngine:
             cr, ci = int(c.re * s), int(c.im * s)
             if cr == 0 and ci == 0:
                 continue
-            for t, (sre, sim) in zip(tot, self._rhs_sums(name)):
+            for t, (sre, sim) in zip(tot, self._rhs_sums(name, quanta)):
                 t[0] -= cr * sre - ci * sim
                 t[1] -= cr * sim + ci * sre
         return [(re % p, im % p) for (re, im), p in zip(tot, _CHECK_PRIMES)]
 
-    def _checksum_zero(self, comps, rhs_terms, L):
+    def _checksum_zero(self, comps, rhs_terms, L, quanta=None):
         """True when the modular checksum u^T D v of the defect (see
         _defect_sums) vanishes for every checksum prime."""
-        return not any(re or im for re, im in self._defect_sums(comps, rhs_terms, L))
+        sums = self._defect_sums(comps, rhs_terms, L, quanta)
+        return not any(re or im for re, im in sums)
 
     def _compositions(self, name_a, name_b, both_odd, rhs_terms):
         """(comps, L) of a bracket case: the common denominator L of its
@@ -1388,13 +1477,24 @@ class BulkEngine:
 
         A vanishing defect is certified by the modular checksum pass; the
         exact comparison runs only when a checksum is nonzero, and then
-        pins down the first failing column.  Both identify a monomial by
-        its u, so a nonzero checksum implies a nonzero exact group; a
-        nonzero checksum with none raises StructureError."""
+        pins down the first failing column of the whole box.  Both
+        identify a monomial by its u, so a nonzero checksum implies a
+        nonzero exact group; a nonzero checksum with none raises
+        StructureError.
+
+        The checksum runs over the box columns with at most q quanta, q
+        the plan's quanta, when the case's defect_degree is at most q, and
+        over the whole box otherwise; either certifies the whole box (see
+        the module docstring)."""
         if not self._prepared:
             self.prepare()
         comps, L = self._compositions(name_a, name_b, both_odd, rhs_terms)
-        if self._checksum_zero(comps, rhs_terms, L):
+        quanta = self._quanta
+        if quanta is not None and (
+            self.defect_degree(name_a, name_b, both_odd, rhs_terms) > quanta
+        ):
+            quanta = None
+        if self._checksum_zero(comps, rhs_terms, L, quanta):
             return None
         col = self._first_failing_column(comps, rhs_terms, L)
         if col is None:

@@ -344,7 +344,10 @@ def suite_cohomology(cfg):
 
 
 def suite_kahler(cfg):
-    return cohomology.harmonic_lefschetz_report(cfg["backend"], emax=cfg["emax"])
+    try:
+        return cohomology.harmonic_lefschetz_report(cfg["backend"], emax=cfg["emax"])
+    except cohomology.VacuousCheckError as exc:
+        raise UsageError(str(exc))
 
 
 # -- configuration ------------------------------------------------------

@@ -710,6 +710,11 @@ def _lefschetz_strip(cx: _Complex, ee: Operator, energy, deg_s, ls):
     return None
 
 
+class VacuousCheckError(StructureError):
+    """A check whose box holds nothing for it to check, raised instead of
+    reporting a vacuous PASS or a FAIL."""
+
+
 def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     """Per relative piece: Hodge-form Gram signature, harmonic dimension
     of the Laplacian of the differential, and the comparison with the
@@ -719,7 +724,8 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
     action induced on cohomology.  That action exists on a strip when
     the raising operator maps cocycles to cocycles and boundaries to
     boundaries, and each E^k: H^-k -> H^k is bijective (the Lefschetz
-    criterion of Griffiths-Harris, 1978)."""
+    criterion of Griffiths-Harris, 1978).  Raises VacuousCheckError when
+    no piece has both sides of the homotopy adjoint check."""
     from .liealg import CheckReport
     from .verify import s2a_builder
 
@@ -791,12 +797,14 @@ def harmonic_lefschetz_report(backend, emax=2, s_range=2):
             adj_ok = False
             adj_witness = f"piece E={energy} DegS={deg_s} DegL={deg_l}"
             break
+    if adj_checked == 0:
+        raise VacuousCheckError(
+            f"adjoint:homotopy has nothing to check: no relative piece with "
+            f"E<={emax} and |DegS|<={s_range} has both adjoint sides"
+        )
     checks.append(
         CheckReport(
-            "adjoint:homotopy",
-            adj_ok and adj_checked > 0,
-            adj_witness,
-            f"pieces checked: {adj_checked}",
+            "adjoint:homotopy", adj_ok, adj_witness, f"pieces checked: {adj_checked}"
         )
     )
 

@@ -15,9 +15,12 @@ Spans, each including the spans it calls:
   bulkrep.BulkEngine._rhs_sums         right-hand-side checksum sums
   cohomology.kahler_matrix_checks      the Kahler package checks
   verify.fast_bracket_check            one relation of those checks
-Counts of the bulk engine, the pairs per _batch_sums call, the rest per
-prepare:
+Counts of the bulk engine, the pairs per _batch_sums call, the columns
+per plan, the rest per prepare:
   bulkrep.checksum_pairs               (instance, state) pairs summed
+  bulkrep.plan.box_columns             box columns of the engine
+  bulkrep.plan.weighted_columns        those with a checksum weight: at
+                                       most q quanta, q the plan's quanta
   bulkrep.n1                           level-1 states
   bulkrep.level1_bytes                 their provenance: box column, table row
   bulkrep.level1_row_bytes             n1 x nslots, the rows it replaces

@@ -369,7 +369,9 @@ class _BulkSuite:
         """cases: iterable of (label, name_a, name_b, both_odd, rhs_terms)
         with rhs_terms a list of (QI, name); a central term z is the entry
         (z, bulkrep.IDENTITY).  The engine plans all cases first, so its
-        checksum runs one kernel pass per inner operator."""
+        checksum runs one kernel pass per inner operator, over the box
+        states with at most q quanta, q the largest degree bound of the
+        cases' defects (see BulkEngine.plan)."""
         witness = None
         ops = self.engine._ops
         cases = list(cases)

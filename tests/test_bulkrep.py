@@ -45,7 +45,7 @@ from sweil.fieldops import (
     build_theta_adjoint,
     super_commutator,
 )
-from sweil import bulkrep, verify
+from sweil import bulkrep, stats, verify
 from sweil.bulkrep import _FULL as FULL, BulkEngine
 from sweil.verify import (
     N2_TABLE_SYMBOLS,
@@ -68,10 +68,11 @@ FMU = fmu_backend(Fraction(1, 2), 0)
 SMALL = Box(emax=1, b0max=1)
 
 
-def _sl2_wrong_constant():
+def _sl2_wrong_constant(a=0, b=1, k=2):
+    """loop:sl2 with the structure constant c[a][b][k] one higher."""
     good = builtin_sl2_orthonormal()
     c = [[list(col) for col in row] for row in good.c]
-    c[0][1][2] = c[0][1][2] + ONE
+    c[a][b][k] = c[a][b][k] + ONE
     return loop_backend(LieAlgebraSpec(c, good.form, "sl2-mutated"))
 
 
@@ -1350,11 +1351,12 @@ def test_bracket_defect_is_first_slow_defect(suite, monkeypatch):
     assert got == want
 
 
-def _ref_defect_sums(suite, a, b, both_odd, rhs_terms):
+def _ref_defect_sums(suite, a, b, both_odd, rhs_terms, quanta=None):
     """Per checksum prime, (re, im) of u^T D v mod p, with D the defect
     [A, B] - sum c_t T_t scaled by the case's common denominator, taken
     from the per-monomial engine's outputs: u of each output monomial is
-    prod_s z_s**occ_s over its occupancy row, v the box-column weight."""
+    prod_s z_s**occ_s over its occupancy row, v the box-column weight, and
+    v = 0 on the box monomials of more than ``quanta`` keys."""
     engine = suite.engine
     ops = engine._ops
     _, L = engine._compositions(a, b, both_odd, rhs_terms)
@@ -1362,6 +1364,8 @@ def _ref_defect_sums(suite, a, b, both_odd, rhs_terms):
     lhs = super_commutator(ops[a].op, ops[b].op)
     entries = []  # (col, u per prime, scaled re, scaled im)
     for col, m in enumerate(engine.box_monos):
+        if quanta is not None and len(m.bosons) + len(m.fermions) > quanta:
+            continue
         v = FockVector.of(m)
         d = lhs.apply(v, relative=suite.relative)
         for c, name in rhs_terms:
@@ -1386,18 +1390,37 @@ def _ref_defect_sums(suite, a, b, both_odd, rhs_terms):
     return out
 
 
-def _planned_sums(reports, share):
+def _report_quanta(engine, cases):
+    """The q that a report of ``cases`` plans at: the largest
+    defect_degree of its cases, None (the whole box) when that reaches
+    the box's largest quanta."""
+    q = max(engine.defect_degree(*case[1:]) for case in cases)
+    return None if q >= engine._box_quanta.max() else q
+
+
+def _plan_at(engine, cases, quanta):
+    """engine.plan(cases) with every case's defect_degree ``quanta``, or
+    the box's largest quanta (the whole box) when None."""
+    top = int(engine._box_quanta.max(initial=0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BulkEngine, "defect_degree", lambda *_: top if quanta is None else quanta)
+        engine.plan(cases)
+
+
+def _planned_sums(reports, share, restrict=False):
     """Per case of every report, the checksum sums of _defect_sums after
     planning the first ``share`` of the report's cases: all of them (one
     kernel pass per inner operator), none (a one-outer batch per
     composition) or half (a later case's outer may meet a planned inner
-    that the plan does not pair it with)."""
+    that the plan does not pair it with).  The plan and the sums are over
+    the whole box, or with ``restrict`` at the report's own q."""
     out = []
     for s, cases, _ in reports:
-        s.engine.plan([case[1:] for case in cases[: int(len(cases) * share)]])
+        q = _report_quanta(s.engine, cases) if restrict else None
+        _plan_at(s.engine, [case[1:] for case in cases[: int(len(cases) * share)]], q)
         for _, a, b, both_odd, rhs_terms in cases:
             comps, L = s.engine._compositions(a, b, both_odd, rhs_terms)
-            out.append(s.engine._defect_sums(comps, rhs_terms, L))
+            out.append(s.engine._defect_sums(comps, rhs_terms, L, q))
         if share == 1:
             # every inner the cases need was batched once, for all its outers
             inners = {i for c in cases for _, i, _ in s.engine._compositions(*c[1:])[0]}
@@ -1414,9 +1437,16 @@ def test_fused_checksum_matches_per_monomial_sums(suite, monkeypatch):
     from the per-monomial engine's outputs, value for value: from the
     report's planned batches (one kernel pass per inner operator for all
     its outers), from one-outer batches with no plan, and with half of
-    the cases planned; as shipped and with one instance per mask chunk."""
+    the cases planned; as shipped and with one instance per mask chunk.
+    Planned at each report's own q, they equal u^T D v with v = 0 on the
+    box columns of more than q quanta."""
     reports = _suite_reports(suite, monkeypatch)
     want = [_ref_defect_sums(s, *case[1:]) for s, cases, _ in reports for case in cases]
+    want_q = [
+        _ref_defect_sums(s, *case[1:], quanta=_report_quanta(s.engine, cases))
+        for s, cases, _ in reports
+        for case in cases
+    ]
     assert all(len(w) == len(bulkrep._CHECK_PRIMES) for w in want)
     # some inner is shared by several outers, so a batch covers more than
     # one composition
@@ -1425,11 +1455,14 @@ def test_fused_checksum_matches_per_monomial_sums(suite, monkeypatch):
     )
     for share in (1, 0, 0.5):
         assert _planned_sums(reports, share) == want, share
+        assert _planned_sums(reports, share, restrict=True) == want_q, share
     if "wrong" in suite:
         assert any(w != [(0, 0)] * 3 for w in want)
+        assert any(w != [(0, 0)] * 3 for w in want_q)
     monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
     for share in (1, 0, 0.5):
         assert _planned_sums(reports, share) == want, share
+        assert _planned_sums(reports, share, restrict=True) == want_q, share
 
 
 
@@ -1437,28 +1470,32 @@ def test_fused_checksum_matches_per_monomial_sums(suite, monkeypatch):
 def test_checksum_nonzero_iff_exact_column(suite, monkeypatch):
     """For every case of every relation suite, the checksum of the
     report's planned batches is nonzero exactly when the exact comparison
-    finds a failing column; as shipped and with one instance per mask
-    chunk."""
+    of the whole box finds a failing column: planned over the whole box,
+    and at the report's own q over the box columns with at most q quanta;
+    as shipped and with one instance per mask chunk."""
     reports = _suite_reports(suite, monkeypatch)
 
-    def verdicts():
+    def verdicts(restrict):
         out = []
         for s, cases, _ in reports:
-            s.engine.plan([case[1:] for case in cases])
+            q = _report_quanta(s.engine, cases) if restrict else None
+            _plan_at(s.engine, [case[1:] for case in cases], q)
             for _, a, b, both_odd, rhs_terms in cases:
                 comps, L = s.engine._compositions(a, b, both_odd, rhs_terms)
-                zero = s.engine._checksum_zero(comps, rhs_terms, L)
+                zero = s.engine._checksum_zero(comps, rhs_terms, L, s.engine._quanta)
                 col = s.engine._first_failing_column(comps, rhs_terms, L)
                 out.append((zero, col))
         return out
 
-    shipped = verdicts()
+    shipped = verdicts(False)
     assert all(zero == (col is None) for zero, col in shipped)
     assert any(zero for zero, _ in shipped)
     if "wrong" in suite:
         assert not all(zero for zero, _ in shipped)
+    assert verdicts(True) == shipped
     monkeypatch.setattr(bulkrep, "_MASK_CELLS", 1)
-    assert verdicts() == shipped
+    assert verdicts(False) == shipped
+    assert verdicts(True) == shipped
 
 
 @pytest.mark.parametrize(
@@ -1882,11 +1919,24 @@ def test_kernel_skips_padding_exactly():
 # -- checksum weights against their per-entry formulas ----------------
 
 
-def _oracle_inner_weights(engine, name):
+def _box_matrix_upto(engine, name, quanta):
+    """The box matrix of operator ``name`` with v = 0 on the box columns
+    of more than ``quanta`` quanta (none when None): the entries of the
+    other columns, with each column's quanta counted from its monomial."""
+    rows, cols, re, im = engine._box_mats[name]
+    if quanta is None:
+        return rows, cols, re, im
+    size = [len(m.bosons) + len(m.fermions) for m in engine.box_monos]
+    keep = np.array([size[c] <= quanta for c in cols.tolist()], dtype=bool)
+    return rows[keep], cols[keep], re[keep], im[keep]
+
+
+def _oracle_inner_weights(engine, name, quanta=None):
     """(ids, ub_re, ub_im) of _inner_weights by its per-entry formula: the
     column weight taken per entry with _col_weights and each product
-    reduced mod p before the row sums; ub_im all zero for a real matrix."""
-    rows, cols, bre, bim = engine._box_mats[name]
+    reduced mod p before the row sums, over the entries of the columns
+    with at most ``quanta`` quanta; ub_im all zero for a real matrix."""
+    rows, cols, bre, bim = _box_matrix_upto(engine, name, quanta)
     order = np.argsort(rows, kind="stable")
     rows, cols = rows[order], cols[order]
     bre, bim = bre[order].astype(np.int64), bim[order].astype(np.int64)
@@ -1901,10 +1951,11 @@ def _oracle_inner_weights(engine, name):
     return ids, ub[0], ub[1]
 
 
-def _oracle_rhs_sums(engine, name):
+def _oracle_rhs_sums(engine, name, quanta=None):
     """_rhs_sums by its per-entry formula: per prime, the sums of re * w
-    and im * w mod p with w = u(row) * v(col) mod p per entry."""
-    rows, cols, re, im = engine._box_mats[name]
+    and im * w mod p with w = u(row) * v(col) mod p per entry, over the
+    entries of the columns with at most ``quanta`` quanta."""
+    rows, cols, re, im = _box_matrix_upto(engine, name, quanta)
     re, im = re.astype(np.int64), im.astype(np.int64)
     out = []
     for i, (p, r5, r6) in enumerate(bulkrep._CHECK_CONSTS):
@@ -1913,38 +1964,43 @@ def _oracle_rhs_sums(engine, name):
     return out
 
 
-def _assert_weights_match_oracle(engine, name):
-    """_inner_weights and _rhs_sums of operator ``name`` equal their
-    per-entry formulas; _rhs_sums both from weights it does not keep and
-    from the inner cache."""
-    want_sums = _oracle_rhs_sums(engine, name)
-    engine._inner_cache.pop(name, None)
-    engine._rhs_cache.pop(name, None)
-    assert engine._rhs_sums(name) == want_sums, name
-    assert name not in engine._inner_cache
-    ids, ub_re, ub_im = engine._inner_weights(name)
-    want_ids, want_re, want_im = _oracle_inner_weights(engine, name)
-    assert np.array_equal(ids, want_ids), name
-    assert ub_re.dtype == np.uint32 and np.array_equal(ub_re, want_re), name
+def _assert_weights_match_oracle(engine, name, quanta=None):
+    """_inner_weights and _rhs_sums of operator ``name`` over the box
+    columns with at most ``quanta`` quanta (the whole box when None) equal
+    their per-entry formulas; _rhs_sums both from weights it does not keep
+    and from the inner cache."""
+    key = (name, quanta)
+    want_sums = _oracle_rhs_sums(engine, name, quanta)
+    engine._inner_cache.pop(key, None)
+    engine._rhs_cache.pop(key, None)
+    assert engine._rhs_sums(name, quanta) == want_sums, key
+    assert key not in engine._inner_cache
+    ids, ub_re, ub_im = engine._inner_weights(name, quanta)
+    want_ids, want_re, want_im = _oracle_inner_weights(engine, name, quanta)
+    assert np.array_equal(ids, want_ids), key
+    assert ub_re.dtype == np.uint32 and np.array_equal(ub_re, want_re), key
     if ub_im is None:
-        assert not want_im.any(), name
+        assert not want_im.any(), key
     else:
-        assert ub_im.dtype == np.uint32 and np.array_equal(ub_im, want_im), name
-    engine._rhs_cache.pop(name)
-    assert engine._rhs_sums(name) == want_sums, name
+        assert ub_im.dtype == np.uint32 and np.array_equal(ub_im, want_im), key
+    engine._rhs_cache.pop(key)
+    assert engine._rhs_sums(name, quanta) == want_sums, key
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_checksum_weights_match_per_entry_formulas(suite, monkeypatch):
     """On every engine of a relation suite, _inner_weights and _rhs_sums
     of every registered operator, IDENTITY and the right-hand-side-only
-    operators included, equal their per-entry formulas."""
+    operators included, equal their per-entry formulas: over the whole
+    box, and over the box columns with at most q quanta for every q below
+    the box's largest quanta, the reports' own q among them."""
     engines = {id(s.engine): s.engine for s, _, _ in _suite_reports(suite, monkeypatch)}
     rhs_only = 0
     for engine in engines.values():
         assert bulkrep.IDENTITY in engine._ops
-        for name in engine._ops:
-            _assert_weights_match_oracle(engine, name)
+        for quanta in [None] + list(range(int(engine._box_quanta.max()))):
+            for name in engine._ops:
+                _assert_weights_match_oracle(engine, name, quanta)
         rhs_only += len(set(engine._ops) - engine._full_names - {bulkrep.IDENTITY})
     if suite.startswith("n2") or suite.startswith("s2a"):
         assert rhs_only > 0
@@ -1970,7 +2026,8 @@ def test_checksum_weights_reduce_per_entry_on_long_rows():
         ("short", (rows[long - 2 :], cols[long - 2 :], re[long - 2 :], im[long - 2 :])),
     ):
         engine._box_mats[name] = mat
-        _assert_weights_match_oracle(engine, name)
+        for quanta in (None, 0, 1):
+            _assert_weights_match_oracle(engine, name, quanta)
     # the long row's sum of entry * v would pass 2**63 without reduction
     v = [
         bulkrep._col_weights(p, r5, r6, cols[:long]).tolist()
@@ -2046,3 +2103,181 @@ def test_failure_path_runs_without_scipy():
         check=True,
     )
     assert out.stdout.split() == ["True", "False"]
+
+
+# -- the checksum over the box states with at most q quanta -----------
+
+
+def _whole_box(run):
+    """``run()`` with every defect_degree the box's largest quanta, so that
+    every checksum weights the whole box."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            BulkEngine,
+            "defect_degree",
+            lambda self, *_: int(self._box_quanta.max(initial=0)),
+        )
+        return run()
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_reports_equal_whole_box_reports(suite):
+    """Every relation suite's reports, each planned at its q, equal the
+    same reports planned over the whole box, verdicts and witnesses."""
+    stats.reset()
+    shipped = SUITES[suite]()
+    counts = stats.snapshot()["counts"]
+    assert shipped == _whole_box(SUITES[suite])
+    if suite != "relative-derext-sl2":
+        # q leaves out some box columns (at E<=1 B0<=0 rel every state
+        # has at most q quanta)
+        weighted = counts["bulkrep.plan.weighted_columns"]
+        assert weighted < counts["bulkrep.plan.box_columns"]
+
+
+def _flipped_table(pair):
+    """The S'(2,0) table with the bracket of one basis pair negated."""
+    table = s2a_table(0)
+
+    def fn(sa, na, sb, nb):
+        el = table(sa, na, sb, nb)
+        return el.scale(QI(-1)) if (sa, na, sb, nb) == pair else el
+
+    return fn
+
+
+def test_seeded_defects_equal_whole_box_reports():
+    """The benchmark's seeded-defect kinds, every choice of each: a
+    nonzero sl(2) structure constant one higher (chain identities), the
+    claimed charge one higher (N=2 relations), and an S'(2,0) table entry
+    at window 0 with a nonzero non-central part sign-flipped.  Each
+    report FAILs, with the verdict and witness of the report planned over
+    the whole box."""
+    spec = builtin_sl2_orthonormal()
+    runs = [
+        lambda a=a, b=b, k=k: check_chain_identities(
+            _sl2_wrong_constant(a, b, k), SMALL, window=1
+        )
+        for a, b, k in itertools.product(range(spec.dim), repeat=3)
+        if not spec.c[a][b][k].is_zero()
+    ]
+    runs.append(lambda: _representation(SL2, "n2", 1, claimed_charge(SL2) + ONE))
+    table = s2a_table(0)
+    basis = [(s, 0) for s in S2A_TABLE_SYMBOLS]
+    for i, (sa, na) in enumerate(basis):
+        for sb, nb in basis[i:]:
+            if table(sa, na, sb, nb).coeffs:
+                flipped = _flipped_table((sa, na, sb, nb))
+                runs.append(
+                    lambda flipped=flipped: [
+                        check_representation(
+                            "s2a",
+                            flipped,
+                            s2a_builder(SL2, 0),
+                            claimed_charge(SL2),
+                            SL2.dim,
+                            SMALL,
+                            0,
+                            S2A_TABLE_SYMBOLS,
+                        )
+                    ]
+                )
+    assert len(runs) > 20
+    for run in runs:
+        shipped = run()
+        assert not all(r.passed for r in shipped)
+        assert shipped == _whole_box(run)
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_quanta_checksum_finds_every_failing_pair(family, relative):
+    """On every FAMILIES engine, absolute and relative, for every ordered
+    operator pair claimed to (super)commute, the checksum over the box
+    columns with at most q quanta, q the claim's defect_degree, is nonzero
+    exactly when the exact comparison finds a failing column in the whole
+    box.  Some claims fail, on the absolute box some of them with columns
+    left out (the relative box E<=1 B0<=1 has few states above two
+    quanta)."""
+    engine = _family_engine(family, relative)
+    names = list(engine._ops)
+    top = int(engine._box_quanta.max())
+    seen = set()
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            both_odd = bool(engine._ops[a].op.parity and engine._ops[b].op.parity)
+            q = engine.defect_degree(a, b, both_odd, [])
+            comps, L = engine._compositions(a, b, both_odd, [])
+            zero = engine._checksum_zero(comps, [], L, q)
+            col = engine._first_failing_column(comps, [], L)
+            assert zero == (col is None), (a, b)
+            seen.add((zero, q < top))
+    assert (False, True) in seen or relative and (False, False) in seen
+
+
+def test_two_annihilator_defect_fails_with_whole_box_witness():
+    """A passing case with Delta = g(0,-1) g(0,-1) added to its right-hand
+    side: Delta has two annihilators, so the defect is nonzero only on the
+    box states that hold b(0,-1) twice, and none of them has fewer than
+    two quanta.  Planned at q = 2 in a box of states with up to more
+    quanta, the case FAILs with the witness of the whole-box report, at
+    the first box state the per-monomial engine finds it on."""
+    el = n2_table("L", 1, "L", -1)
+    rhs = [(c, f"{sym}[{n}]") for (sym, n), c in el.items()]
+    assert el.central.is_zero()
+    slot = SlotSpec("g", 0, -1, ())
+    delta = FieldOperator([TermShape(0, (slot, slot), lambda vs: ONE, False)])
+    build = n2_builder(AB1)
+    suites = []
+
+    def run():
+        suite = verify._BulkSuite(AB1.dim, Box(emax=2, b0max=1))
+        for n in (-1, 0, 1):
+            suite.op(f"L[{n}]", build("L", n))
+        suite.op("delta", delta)
+        suites.append(suite)
+        return [
+            suite.report("n2", (), [(label, "L[1]", "L[-1]", False, terms)])
+            for label, terms in (("good", rhs), ("delta", rhs + [(ONE, "delta")]))
+        ]
+
+    good, bad = run()
+    engine = suites[0].engine
+    assert good.passed and not bad.passed
+    assert engine._quanta == 2 < int(engine._box_quanta.max())
+    want = _slow_first_defect(suites[0], "L[1]", "L[-1]", rhs + [(ONE, "delta")])
+    m = engine.box_monos[want]
+    assert m.bosons.count(GenKey("b", 0, -1)) == 2
+    assert dict(bad.witness)["monomial"] == format_monomial(m)
+    assert [good, bad] == _whole_box(run)
+
+
+def test_claims_outside_the_degree_lemma_weight_the_whole_box():
+    """The degree bound a + b - 2 holds only for the supercommutator of
+    operators of one parity each.  [t(0,1), t(0,2)] claimed to commute
+    (both_odd False for two odd operators) has defect 2 t(0,1) t(0,2),
+    nonzero only on states with two quanta; so has [t(0,1) + g(0,1),
+    t(0,2)] of a mixed-parity operator, with either sign.  Each claim's
+    defect_degree is the box's largest quanta, its report FAILs with the
+    first failing column of the whole box, and the true anticommutator
+    [t(0,1), t(0,2)] = 0 still plans at q = 0 and PASSes."""
+    suite = verify._BulkSuite(1, Box(emax=3, b0max=0))
+    t1 = suite.op("t1", GeneratorOperator(GenKey("t", 0, 1)))
+    t2 = suite.op("t2", GeneratorOperator(GenKey("t", 0, 2)))
+    mixed = SumOperator(
+        [(ONE, GeneratorOperator(GenKey("t", 0, 1))), (ONE, GeneratorOperator(GenKey("g", 0, 1)))]
+    )
+    mix = suite.op("mix", mixed)
+    engine = suite.engine
+    engine.prepare()
+    top = int(engine._box_quanta.max())
+    assert (engine._ops[t1].parity, engine._ops[mix].parity, mixed.parity) == (1, None, 0)
+    for a, both_odd in ((t1, False), (mix, False), (mix, True)):
+        assert engine.defect_degree(a, t2, both_odd, []) == top > 2
+        report = suite.report("odd", (), [("c", a, t2, both_odd, [])])
+        assert not report.passed and engine._quanta is None
+        col = _exact_bracket_defect(engine, a, t2, both_odd, [])
+        assert dict(report.witness)["monomial"] == format_monomial(engine.box_monos[col])
+    assert engine.defect_degree(t1, t2, True, []) == 0
+    assert suite.report("odd", (), [("c", t1, t2, True, [])]).passed
+    assert engine._quanta == 0

@@ -154,6 +154,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "kahler runs on loop backends" in capsys.readouterr().err
 
 
+def test_kahler_box_without_adjoint_piece_exits_two(capsys):
+    """At E<=0 no relative piece has both sides of the adjoint:homotopy
+    check, so kahler exits 2 and names the box; it neither passes nor
+    fails the check vacuously.  At E<=1 the check runs and passes."""
+    argv = ["kahler", "--backend", "loop:abelian:1", "--emax", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: adjoint:homotopy has nothing to check")
+    assert "E<=0" in captured.err and captured.err.count("\n") == 1
+    status, out = capture(["kahler", "--backend", "loop:abelian:1", "--emax", "1"])
+    assert status == 0
+    assert b"PASS adjoint:homotopy [pieces checked: 5]" in out
+
+
 def test_csv_rejected_for_relation_suites():
     assert (
         main(

@@ -49,7 +49,7 @@ def names(snap) -> set:
 
 
 def test_every_documented_name_is_recorded():
-    assert len(DOCUMENTED) == 26
+    assert len(DOCUMENTED) == 28
     stats.reset()
     for line in LINES:
         run(line)
@@ -74,6 +74,16 @@ def test_identical_runs_record_equal_counts(line):
     assert {k: v[0] for k, v in a["spans"].items()} == {
         k: v[0] for k, v in b["spans"].items()
     }
+
+
+def test_plan_counts_weighted_columns():
+    """A relations line counts, per plan, its box columns and the fewer
+    columns that carry a checksum weight."""
+    stats.reset()
+    run("verify-n2 --backend loop:sl2 --emax 1 --b0max 1 --window 1")
+    counts = stats.snapshot()["counts"]
+    weighted = counts["bulkrep.plan.weighted_columns"]
+    assert 0 < weighted < counts["bulkrep.plan.box_columns"]
 
 
 def test_reset_empties_the_table():
